@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race bench bench-sim bench-lanes bench-opt opt-test serve test-service smoke chaos cluster-test fuzz verify-oracle load-test bench-serve check
+.PHONY: build test vet fmt-check race stress bench bench-sim bench-opt opt-test diag-test serve test-service smoke chaos cluster-test fuzz verify-oracle load-test check
 
 build:
 	$(GO) build ./...
@@ -25,18 +25,21 @@ fmt-check:
 race:
 	./scripts/race.sh
 
+## stress: the interleaving gate — the concurrent-client and cluster tests,
+## whose assertions must hold under any goroutine schedule, repeated 20
+## times at 1, 2 and 4 CPUs.
+stress:
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster' ./internal/service/ ./internal/fabric/
+
 ## bench: simulator and generator throughput benchmarks.
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim/ .
 
 ## bench-sim: regenerate BENCH_sim.json (compiled-schedule speedup record,
-## including the lanes section with the bit-parallel speedup over scalar).
+## including the lanes section with the bit-parallel speedup over scalar),
+## written by internal/sim's TestBenchRecord.
 bench-sim:
-	$(GO) run ./cmd/experiments -bench-sim BENCH_sim.json
-
-## bench-lanes: alias for the BENCH_sim.json regeneration — named for the
-## lanes section it fills (speedup_vs_scalar per Table-1 workload).
-bench-lanes: bench-sim
+	$(GO) test -count=1 -v -run '^TestBenchRecord$$' ./internal/sim -args -benchrecord $(CURDIR)/BENCH_sim.json
 
 ## bench-opt: regenerate BENCH_opt.json — the search-based optimizer run
 ## against the paper's Table 1 baselines (37n / 35n for List #1, 9n for
@@ -112,15 +115,11 @@ fuzz:
 ## run must finish with zero admission sheds, then a 5x-overload run
 ## against a deliberately small instance must shed cold generates with
 ## 429 + Retry-After while the cache-hit class stays >=99% green with its
-## p99 within 3x of nominal. Refreshes BENCH_serve.json as a side effect.
+## p99 within 3x of nominal. The nominal run regenerates BENCH_serve.json
+## (serving latency percentiles per class, shed counts,
+## allocs-per-cached-hit).
 load-test:
 	./scripts/load.sh
-
-## bench-serve: regenerate BENCH_serve.json (serving latency percentiles
-## per workload class, shed counts, allocs-per-cached-hit) via the
-## nominal+overload load.sh run.
-bench-serve:
-	./scripts/load.sh BENCH_serve.json
 
 ## verify-oracle: the differential gate (DESIGN.md §11) — cross-check the
 ## production simulator against the independent reference oracle over the
@@ -129,8 +128,8 @@ bench-serve:
 verify-oracle:
 	$(GO) run ./cmd/marchverify -seed 1 -n 1000 -props
 
-## check: the full local CI gate — build, vet, gofmt, tests, race, chaos,
-## the cluster gate, the optimizer smoke gate, the diagnosis gate, the
-## oracle cross-check, the lane benchmark record, the overload SLO gate,
-## smoke.
-check: build vet fmt-check test race chaos cluster-test opt-test diag-test verify-oracle bench-lanes load-test smoke
+## check: the full local CI gate — build, vet, gofmt, tests, race, the
+## interleaving stress gate, chaos, the cluster gate, the optimizer smoke
+## gate, the diagnosis gate, the oracle cross-check, the simulator
+## benchmark record, the overload SLO gate, smoke.
+check: build vet fmt-check test race stress chaos cluster-test opt-test diag-test verify-oracle bench-sim load-test smoke

@@ -2,14 +2,14 @@
 // Table 1 (cmd/table1 handles that one): the coverage matrix of the march
 // library over all fault lists, the dynamic-fault extension, the
 // order-constrained generation trade-off with its BIST costs, the two-port
-// prototype, and the defect-coverage matrix.
+// prototype, and the defect-coverage matrix. The fault simulator's
+// throughput record (BENCH_sim.json) is written by internal/sim's
+// TestBenchRecord (make bench-sim).
 //
 // Usage:
 //
 //	experiments                    # everything (minutes)
 //	experiments -quick             # skip the generation-heavy sections
-//	experiments -bench-sim FILE    # only benchmark the fault simulator,
-//	                               # writing FILE (see BENCH_sim.json)
 //	experiments -bench-opt FILE    # only run the march optimizer against
 //	                               # the Table 1 baselines (see BENCH_opt.json)
 //
@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "skip the generation-heavy sections")
-	benchSim := fs.String("bench-sim", "", "benchmark the fault simulator and write the results to `FILE`, then exit")
 	benchOpt := fs.String("bench-opt", "", "run the march optimizer against the Table 1 baselines and write the results to `FILE`, then exit")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -66,15 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *version {
 		buildinfo.Fprint(stdout, "experiments")
-		return exitOK
-	}
-
-	if *benchSim != "" {
-		fmt.Fprintln(stdout, "== Fault simulator throughput (compiled schedules vs pre-schedule baseline) ==")
-		if err := runBenchSim(*benchSim, stdout); err != nil {
-			fmt.Fprintln(stderr, "experiments:", err)
-			return exitErr
-		}
 		return exitOK
 	}
 

@@ -40,7 +40,6 @@ import (
 
 	"marchgen/internal/buildinfo"
 	"marchgen/internal/campaign"
-	"marchgen/internal/cliflag"
 	"marchgen/internal/store"
 )
 
@@ -203,15 +202,9 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 		dir      = fs.String("dir", "", "store root directory (one subdirectory per campaign)")
 		resume   = fs.Bool("resume", false, "continue a previously interrupted campaign")
 		workers  = fs.Int("workers", 0, "concurrent shards (0 = GOMAXPROCS)")
-		lanes    = fs.String("lanes", "on", cliflag.LanesUsage)
 		quiet    = fs.Bool("quiet", false, "suppress per-shard progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	lanesOff, lanesErr := cliflag.ParseLanes(*lanes)
-	if lanesErr != nil {
-		fmt.Fprintln(stderr, "marchcamp run:", lanesErr)
 		return exitUsage
 	}
 	if *specPath == "" || *dir == "" {
@@ -229,7 +222,7 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := campaign.RunOptions{Workers: *workers, Resume: *resume, DisableLanes: lanesOff}
+	opts := campaign.RunOptions{Workers: *workers, Resume: *resume}
 	if !*quiet {
 		opts.OnEvent = func(ev campaign.Event) {
 			if ev.Kind == campaign.EventShardCommitted {

@@ -138,7 +138,7 @@ func TestReportExitsIncompleteOnPartialResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := campaign.ExecuteShard(context.Background(), plan[0], campaign.NewMemo(), false)
+	recs, err := campaign.ExecuteShard(context.Background(), plan[0], campaign.NewMemo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestReportExitsIncompleteOnPartialResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err = campaign.ExecuteShard(context.Background(), plan[1], campaign.NewMemo(), false)
+	recs, err = campaign.ExecuteShard(context.Background(), plan[1], campaign.NewMemo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestReportMixedAxesMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := campaign.ExecuteShard(context.Background(), sh, memo, false)
+		recs, err := campaign.ExecuteShard(context.Background(), sh, memo)
 		if err != nil {
 			t.Fatal(err)
 		}

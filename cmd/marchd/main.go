@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"marchgen/internal/buildinfo"
-	"marchgen/internal/cliflag"
 	"marchgen/internal/fabric"
 	"marchgen/internal/service"
 )
@@ -75,7 +74,6 @@ func main() {
 		joinURL      = flag.String("join", "", "coordinator URL to join as a fabric worker (e.g. http://host:8080)")
 		fabricLease  = flag.Int("fabric-lease", 4, "coordinator: shards per fabric lease grant")
 		fabricTTL    = flag.Duration("fabric-ttl", 10*time.Second, "coordinator: fabric lease heartbeat deadline")
-		lanes        = flag.String("lanes", "on", cliflag.LanesUsage)
 		quiet        = flag.Bool("quiet", false, "disable the per-request log")
 		version      = flag.Bool("version", false, "print version and exit")
 	)
@@ -83,11 +81,6 @@ func main() {
 	if *version {
 		buildinfo.Fprint(os.Stdout, "marchd")
 		return
-	}
-	lanesOff, err := cliflag.ParseLanes(*lanes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "marchd:", err)
-		os.Exit(2)
 	}
 
 	logger := log.New(os.Stderr, "marchd: ", log.LstdFlags|log.Lmicroseconds)
@@ -116,7 +109,6 @@ func main() {
 		CacheDir:          persistDir,
 		DataDir:           *dataDir,
 		MaxCampaigns:      *campaigns,
-		DisableLanes:      lanesOff,
 		Coordinator:       *coordinator,
 		FabricLeaseShards: *fabricLease,
 		FabricLeaseTTL:    *fabricTTL,

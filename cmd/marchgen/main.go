@@ -24,7 +24,6 @@ import (
 
 	"marchgen"
 	"marchgen/internal/buildinfo"
-	"marchgen/internal/cliflag"
 )
 
 // Exit codes of the marchgen command.
@@ -55,15 +54,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		transp     = fs.Bool("transparent", false, "with -width > 1, also derive and grade the transparent in-field variant")
 		ports      = fs.Int("ports", 0, "port count: 2 also grades the lifted test on the two-port weak-fault catalog (0/1 = single-port)")
 		asJSON     = fs.Bool("json", false, "emit the generated test and its certification report as JSON")
-		lanes      = fs.String("lanes", "on", cliflag.LanesUsage)
 		version    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	lanesOff, lanesErr := cliflag.ParseLanes(*lanes)
-	if lanesErr != nil {
-		fmt.Fprintln(stderr, "marchgen:", lanesErr)
 		return exitUsage
 	}
 	if *version {
@@ -86,13 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := marchgen.Options{
 		Name: *name, Aggressive: *aggressive, Orders: constraint, CertifyWithOracle: *verify,
 		Width: *width, Transparent: *transp, Ports: *ports,
-	}
-	if lanesOff {
-		// DisableLanes survives the generator's default-config substitution
-		// (it is an execution detail, not a model parameter) but never
-		// reaches the canonical JSON form below.
-		opts.SearchConfig.DisableLanes = true
-		opts.FinalConfig.DisableLanes = true
 	}
 	res, err := marchgen.Generate(faults, opts)
 	if err != nil {

@@ -29,7 +29,6 @@ import (
 
 	"marchgen"
 	"marchgen/internal/buildinfo"
-	"marchgen/internal/cliflag"
 )
 
 // Exit codes of the marchopt command.
@@ -62,15 +61,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ascii     = fs.Bool("ascii", false, "print tests with ASCII order markers instead of arrows")
 		asJSON    = fs.Bool("json", false, "emit the winner, seed and statistics as JSON")
 		quiet     = fs.Bool("quiet", false, "suppress the per-iteration progress line")
-		lanes     = fs.String("lanes", "on", cliflag.LanesUsage)
 		version   = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	lanesOff, lanesErr := cliflag.ParseLanes(*lanes)
-	if lanesErr != nil {
-		fmt.Fprintln(stderr, "marchopt:", lanesErr)
 		return exitUsage
 	}
 	if *version {
@@ -95,11 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		BeamWidth: *beam,
 		Restarts:  *restarts,
 		BISTCells: *bistCells,
-	}
-	if lanesOff {
-		opts.Config.DisableLanes = true
-		opts.Generator.SearchConfig.DisableLanes = true
-		opts.Generator.FinalConfig.DisableLanes = true
 	}
 	switch {
 	case *seedTest != "":

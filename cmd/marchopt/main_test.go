@@ -100,9 +100,6 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, _ := runCmd("-seed-test", "March ABL1", "-spec", "c(w0)"); code != exitUsage {
 		t.Errorf("seed-test+spec: exit=%d", code)
 	}
-	if code, _, _ := runCmd("-lanes", "maybe"); code != exitUsage {
-		t.Errorf("bad lanes: exit=%d", code)
-	}
 }
 
 // A seed that is already optimal for the search's budget reports

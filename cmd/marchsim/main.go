@@ -26,7 +26,6 @@ import (
 
 	"marchgen"
 	"marchgen/internal/buildinfo"
-	"marchgen/internal/cliflag"
 )
 
 // Exit codes of the marchsim command.
@@ -57,15 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		width     = fs.Int("width", 0, "also grade the test on the intra-word faults of a w-bit word (0/1 = bit-oriented)")
 		ports     = fs.Int("ports", 0, "port count: 2 also grades the lifted test on the two-port weak-fault catalog")
 		trace     = fs.Bool("trace", false, "for each missed fault printed, also replay its witness scenario step by step")
-		lanes     = fs.String("lanes", "on", cliflag.LanesUsage)
 		version   = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	lanesOff, lanesErr := cliflag.ParseLanes(*lanes)
-	if lanesErr != nil {
-		fmt.Fprintln(stderr, "marchsim:", lanesErr)
 		return exitUsage
 	}
 
@@ -123,9 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	cfg := marchgen.DefaultSimConfig()
-	cfg.DisableLanes = lanesOff
-	r := marchgen.SimulateWith(test, faults, cfg)
+	r := marchgen.Simulate(test, faults)
 	if err := r.Err(); err != nil {
 		fmt.Fprintln(stderr, "marchsim:", err)
 		return exitSim

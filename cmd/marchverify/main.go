@@ -32,7 +32,6 @@ import (
 	"os"
 
 	"marchgen/internal/buildinfo"
-	"marchgen/internal/cliflag"
 	"marchgen/internal/core"
 	"marchgen/internal/faultlist"
 	"marchgen/internal/linked"
@@ -71,15 +70,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		width      = fs.Int("width", 0, "also cross-check each test's word-path verdicts (internal/word vs oracle) at this word width")
 		ports      = fs.Int("ports", 0, "port count: 2 also cross-checks each test's mport-path verdicts (internal/mport vs oracle)")
 		minimize   = fs.Bool("minimize", false, "also generate per list with and without minimization and require both Full under the oracle")
-		lanes      = fs.String("lanes", "on", cliflag.LanesUsage)
 		version    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	lanesOff, lanesErr := cliflag.ParseLanes(*lanes)
-	if lanesErr != nil {
-		fmt.Fprintln(stderr, "marchverify:", lanesErr)
 		return exitUsage
 	}
 	if *version {
@@ -126,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	cfg := sim.Config{Size: *size, ExhaustiveOrders: *exhaustive, DisableLanes: lanesOff}
+	cfg := sim.Config{Size: *size, ExhaustiveOrders: *exhaustive}
 	v := verifier{cfg: cfg, props: *props, stdout: stdout}
 
 	// Sweep: every selected test against every selected list.

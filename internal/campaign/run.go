@@ -57,11 +57,6 @@ type RunOptions struct {
 	// run — the fault-injection seam the chaos suite drives with an
 	// iofault.Injector. Nil means the real filesystem.
 	FS iofault.FS
-	// DisableLanes forces the scalar simulation engine for every unit of
-	// this run. Unit results are deterministic either way (lane mode never
-	// changes verdicts), so the flag cannot change any stored record — it
-	// exists for benchmarking and as an escape hatch.
-	DisableLanes bool
 }
 
 func (o RunOptions) workers() int {
@@ -202,7 +197,7 @@ func Run(ctx context.Context, spec Spec, root string, opts RunOptions) (Summary,
 		go func() {
 			defer wg.Done()
 			for sh := range shardCh {
-				outCh <- safeRunShard(runCtx, sh, memo, emit, opts.DisableLanes)
+				outCh <- safeRunShard(runCtx, sh, memo, emit)
 			}
 		}()
 	}
@@ -285,24 +280,24 @@ func Run(ctx context.Context, spec Spec, root string, opts RunOptions) (Summary,
 // would deadlock the committer and poison the whole pool — a panic fails
 // the shard with its captured stack, and the campaign aborts cleanly at
 // the last committed checkpoint.
-func safeRunShard(ctx context.Context, sh Shard, memo *Memo, emit func(Event), lanesOff bool) (out shardOut) {
+func safeRunShard(ctx context.Context, sh Shard, memo *Memo, emit func(Event)) (out shardOut) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = shardOut{idx: sh.ID, err: fmt.Errorf("campaign: shard %d panicked: %v\n%s", sh.ID, r, debug.Stack())}
 		}
 	}()
-	return runShard(ctx, sh, memo, emit, lanesOff)
+	return runShard(ctx, sh, memo, emit)
 }
 
 // runShard executes a shard's units in order, aborting on the first
 // infrastructure error (cancellation).
-func runShard(ctx context.Context, sh Shard, memo *Memo, emit func(Event), lanesOff bool) shardOut {
+func runShard(ctx context.Context, sh Shard, memo *Memo, emit func(Event)) shardOut {
 	recs := make([]store.Record, 0, len(sh.Units))
 	for _, u := range sh.Units {
 		if err := ctx.Err(); err != nil {
 			return shardOut{idx: sh.ID, err: err}
 		}
-		res, err := runUnitMemo(ctx, u, memo, lanesOff)
+		res, err := runUnitMemo(ctx, u, memo)
 		if err != nil {
 			return shardOut{idx: sh.ID, err: err}
 		}
@@ -320,8 +315,8 @@ func runShard(ctx context.Context, sh Shard, memo *Memo, emit func(Event), lanes
 // the committed form — the worker half of the distributed fabric
 // (internal/fabric). Records are deterministic functions of the shard's
 // units, so two workers executing the same shard produce identical bytes.
-func ExecuteShard(ctx context.Context, sh Shard, memo *Memo, disableLanes bool) ([]store.Record, error) {
-	out := safeRunShard(ctx, sh, memo, func(Event) {}, disableLanes)
+func ExecuteShard(ctx context.Context, sh Shard, memo *Memo) ([]store.Record, error) {
+	out := safeRunShard(ctx, sh, memo, func(Event) {})
 	return out.recs, out.err
 }
 
@@ -374,9 +369,9 @@ func NewMemo() *Memo { return &Memo{m: make(map[string]*genEntry)} }
 
 // runUnitMemo is runUnit with the generation step memoized on the unit's
 // generator coordinates.
-func runUnitMemo(ctx context.Context, u Unit, memo *Memo, lanesOff bool) (UnitResult, error) {
+func runUnitMemo(ctx context.Context, u Unit, memo *Memo) (UnitResult, error) {
 	if memo == nil {
-		return runUnit(ctx, u, lanesOff)
+		return runUnit(ctx, u)
 	}
 	key := fmt.Sprintf("%s|%s|%s|%d", u.List, u.Profile, u.Order, u.Size)
 	memo.mu.Lock()
@@ -387,7 +382,7 @@ func runUnitMemo(ctx context.Context, u Unit, memo *Memo, lanesOff bool) (UnitRe
 	}
 	memo.mu.Unlock()
 	e.once.Do(func() {
-		e.res, e.err = generateForUnit(ctx, u, lanesOff)
+		e.res, e.err = generateForUnit(ctx, u)
 	})
 	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
 		// A canceled generation must not poison the memo for a later
@@ -399,5 +394,5 @@ func runUnitMemo(ctx context.Context, u Unit, memo *Memo, lanesOff bool) (UnitRe
 		memo.mu.Unlock()
 		return UnitResult{Unit: u}, e.err
 	}
-	return buildResult(ctx, u, e.res, e.err, lanesOff)
+	return buildResult(ctx, u, e.res, e.err)
 }

@@ -139,14 +139,14 @@ type UnitResult struct {
 // memory, then evaluate the word-width and topology views. The returned
 // document is deterministic; err is non-nil only for infrastructure
 // failures (context cancellation), never for fault-coverage outcomes.
-func runUnit(ctx context.Context, u Unit, lanesOff bool) (UnitResult, error) {
-	gen, err := generateForUnit(ctx, u, lanesOff)
-	return buildResult(ctx, u, gen, err, lanesOff)
+func runUnit(ctx context.Context, u Unit) (UnitResult, error) {
+	gen, err := generateForUnit(ctx, u)
+	return buildResult(ctx, u, gen, err)
 }
 
 // generateForUnit is the generation step alone: the part units sharing
 // (list, profile, order, size) coordinates can reuse (see Memo).
-func generateForUnit(ctx context.Context, u Unit, lanesOff bool) (core.Result, error) {
+func generateForUnit(ctx context.Context, u Unit) (core.Result, error) {
 	faults, ok := faultlist.ByName(u.List)
 	if !ok {
 		return core.Result{}, fmt.Errorf("unknown fault list %q", u.List)
@@ -159,7 +159,7 @@ func generateForUnit(ctx context.Context, u Unit, lanesOff bool) (core.Result, e
 		Name:        fmt.Sprintf("March CAMP(%s,%s,%s,n=%d)", u.List, u.Profile, u.Order, u.Size),
 		Aggressive:  u.Profile == ProfileAggressive,
 		Orders:      constraint,
-		FinalConfig: sim.Config{Size: u.Size, ExhaustiveOrders: true, DisableLanes: lanesOff},
+		FinalConfig: sim.Config{Size: u.Size, ExhaustiveOrders: true},
 	}
 	return core.GenerateContext(ctx, faults, opts)
 }
@@ -168,7 +168,7 @@ func generateForUnit(ctx context.Context, u Unit, lanesOff bool) (core.Result, e
 // outcome: certification coverage, BIST cost on the unit's topology, and
 // the word-oriented evaluation. Generation failures with a deterministic
 // cause become recorded unit errors; context failures abort the run.
-func buildResult(ctx context.Context, u Unit, gen core.Result, err error, lanesOff bool) (UnitResult, error) {
+func buildResult(ctx context.Context, u Unit, gen core.Result, err error) (UnitResult, error) {
 	res := UnitResult{Unit: u}
 	if err != nil {
 		if ctx.Err() != nil {
@@ -220,7 +220,7 @@ func buildResult(ctx context.Context, u Unit, gen core.Result, err error, lanesO
 			SeedTest:   &seed,
 			BISTCells:  bistCells,
 			BISTWeight: u.OptBISTWeight,
-			Config:     sim.Config{Size: u.Size, ExhaustiveOrders: true, DisableLanes: lanesOff},
+			Config:     sim.Config{Size: u.Size, ExhaustiveOrders: true},
 		})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -254,7 +254,7 @@ func buildResult(ctx context.Context, u Unit, gen core.Result, err error, lanesO
 			res.Error = fmt.Sprintf("unknown fault list %q", u.List)
 			return res, nil
 		}
-		diffs := oracle.CrossCheck(gen.Test, faults, sim.Config{Size: u.Size, ExhaustiveOrders: true, DisableLanes: lanesOff})
+		diffs := oracle.CrossCheck(gen.Test, faults, sim.Config{Size: u.Size, ExhaustiveOrders: true})
 		vj := &VerifyJSON{Faults: len(faults), Divergences: len(diffs)}
 		if len(diffs) > 0 {
 			vj.First = diffs[0].String()

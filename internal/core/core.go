@@ -146,11 +146,10 @@ func (o Options) finalConfig() sim.Config {
 	c := o.FinalConfig
 	if c.Size <= 0 {
 		// Substitute the exhaustive default for the model parameters but
-		// keep the execution-detail knobs (Workers, DisableLanes) the caller
-		// set: they never change verdicts, only how the work is done.
+		// keep the Workers bound the caller set: it never changes
+		// verdicts, only how the work is done.
 		d := sim.DefaultConfig()
 		d.Workers = c.Workers
-		d.DisableLanes = c.DisableLanes
 		c = d
 	}
 	return c

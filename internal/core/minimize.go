@@ -189,7 +189,6 @@ func CertifyWithOracle(t march.Test, faults []linked.Fault, cfg sim.Config) (sim
 	if cfg.Size <= 0 {
 		d := sim.DefaultConfig()
 		d.Workers = cfg.Workers
-		d.DisableLanes = cfg.DisableLanes
 		cfg = d
 	}
 	if err := t.CheckConsistency(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,7 +86,7 @@ func TestClusterByteIdentical(t *testing.T) {
 
 	root := t.TempDir()
 	coord, srv := startCluster(t, Config{Root: root, LeaseShards: 2, LeaseTTL: 5 * time.Second})
-	if _, err := coord.Submit(spec, SubmitOptions{}); err != nil {
+	if _, err := coord.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
 	var workers []*Worker
@@ -133,7 +134,7 @@ func TestClusterKillWorkerByteIdentical(t *testing.T) {
 			coord, srv := startCluster(t, Config{
 				Root: root, LeaseShards: 3, LeaseTTL: 150 * time.Millisecond,
 			})
-			if _, err := coord.Submit(spec, SubmitOptions{}); err != nil {
+			if _, err := coord.Submit(spec); err != nil {
 				t.Fatal(err)
 			}
 
@@ -145,26 +146,27 @@ func TestClusterKillWorkerByteIdentical(t *testing.T) {
 			// reports the shard it was working on.
 			victimCtx, crash := context.WithCancel(ctx)
 			var done int
+			var crashed atomic.Bool
 			victim := &Worker{
 				Coordinator: srv.URL, Version: "test-v1",
 				Poll: 5 * time.Millisecond,
-				RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo, lanesOff bool) ([]store.Record, error) {
+				RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo) ([]store.Record, error) {
 					if done >= kill {
 						crash()
+						crashed.Store(true)
 						return nil, ctx.Err()
 					}
 					done++
-					return campaign.ExecuteShard(ctx, sh, memo, lanesOff)
+					return campaign.ExecuteShard(ctx, sh, memo)
 				},
 			}
 			go victim.Run(victimCtx)
 
-			// Give the victim time to grab the first lease before the
-			// survivors join, so the kill actually interrupts held work.
-			waitFor(t, ctx, func() bool {
-				st, _ := coord.SessionStatusByID(spec.Canonical().ID())
-				return len(st.Leases) > 0 || st.Done
-			})
+			// The survivors join only once the victim has crashed while
+			// holding its lease. Joining earlier lets them steal the
+			// lease's tail, and the victim can then finish its shrunken
+			// lease before the crash point, leaving nothing to reassign.
+			waitFor(t, ctx, crashed.Load)
 
 			survivors := []*Worker{
 				{Coordinator: srv.URL, Version: "test-v1", Poll: 5 * time.Millisecond, ExitOnDrain: true},
@@ -197,7 +199,7 @@ func TestClusterStealEngages(t *testing.T) {
 	coord, srv := startCluster(t, Config{
 		Root: root, LeaseShards: 100, LeaseTTL: 5 * time.Second,
 	})
-	if _, err := coord.Submit(spec, SubmitOptions{}); err != nil {
+	if _, err := coord.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -206,11 +208,11 @@ func TestClusterStealEngages(t *testing.T) {
 	slow := &Worker{
 		Coordinator: srv.URL, Version: "test-v1", Name: "slow",
 		Poll: 5 * time.Millisecond, ExitOnDrain: true,
-		RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo, lanesOff bool) ([]store.Record, error) {
+		RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo) ([]store.Record, error) {
 			if !sleepCtx(ctx, 150*time.Millisecond) {
 				return nil, ctx.Err()
 			}
-			return campaign.ExecuteShard(ctx, sh, memo, lanesOff)
+			return campaign.ExecuteShard(ctx, sh, memo)
 		},
 	}
 	fast := &Worker{

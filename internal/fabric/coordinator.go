@@ -74,13 +74,6 @@ func (c Config) schema() string {
 	return c.Schema
 }
 
-// SubmitOptions tunes one distributed campaign.
-type SubmitOptions struct {
-	// DisableLanes propagates the scalar-engine escape hatch to every
-	// worker (see campaign.RunOptions.DisableLanes).
-	DisableLanes bool
-}
-
 // shard scheduling states. "done" means "never schedule again": the shard
 // is committed or staged in the merger awaiting its plan-order turn.
 const (
@@ -98,16 +91,15 @@ type lease struct {
 }
 
 type session struct {
-	spec         campaign.Spec // canonical
-	id           string
-	dir          string
-	plan         []campaign.Shard
-	state        []uint8
-	merger       *Merger
-	st           *store.Store
-	leases       map[string]*lease
-	disableLanes bool
-	done         bool
+	spec   campaign.Spec // canonical
+	id     string
+	dir    string
+	plan   []campaign.Shard
+	state  []uint8
+	merger *Merger
+	st     *store.Store
+	leases map[string]*lease
+	done   bool
 }
 
 func (s *session) remaining(l *lease) []int {
@@ -190,7 +182,7 @@ func (c *Coordinator) Join(req JoinRequest) (JoinResponse, error) {
 // coordinator incarnation, and exposes the plan's shards for leasing.
 // Submitting a spec that is already registered (or already complete on
 // disk) is idempotent.
-func (c *Coordinator) Submit(spec campaign.Spec, opts SubmitOptions) (SessionStatus, error) {
+func (c *Coordinator) Submit(spec campaign.Spec) (SessionStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return SessionStatus{}, err
 	}
@@ -221,15 +213,14 @@ func (c *Coordinator) Submit(spec campaign.Spec, opts SubmitOptions) (SessionSta
 
 	plan := campaign.Plan(can)
 	s := &session{
-		spec:         can,
-		id:           id,
-		dir:          dir,
-		plan:         plan,
-		state:        make([]uint8, len(plan)),
-		merger:       NewMerger(st, plan),
-		st:           st,
-		leases:       make(map[string]*lease),
-		disableLanes: opts.DisableLanes,
+		spec:   can,
+		id:     id,
+		dir:    dir,
+		plan:   plan,
+		state:  make([]uint8, len(plan)),
+		merger: NewMerger(st, plan),
+		st:     st,
+		leases: make(map[string]*lease),
 	}
 	for i := 0; i < s.merger.Committed() && i < len(plan); i++ {
 		s.state[i] = shardDone
@@ -479,13 +470,12 @@ func (c *Coordinator) grantLocked(s *session, worker string, from, to int, stole
 	}
 	c.logf("fabric: lease %s: shards [%d,%d) of %s -> worker %s (stolen=%v)", l.id, from, to, s.id, worker, stolen)
 	return &LeaseGrant{
-		Lease:        l.id,
-		Campaign:     s.id,
-		Spec:         s.spec,
-		From:         from,
-		To:           to,
-		TTLMillis:    c.cfg.leaseTTL().Milliseconds(),
-		DisableLanes: s.disableLanes,
+		Lease:     l.id,
+		Campaign:  s.id,
+		Spec:      s.spec,
+		From:      from,
+		To:        to,
+		TTLMillis: c.cfg.leaseTTL().Milliseconds(),
 	}
 }
 

@@ -73,7 +73,7 @@ func TestLeaseGrantsContiguousRanges(t *testing.T) {
 	}
 
 	spec := testSpec()
-	if _, err := c.Submit(spec, SubmitOptions{}); err != nil {
+	if _, err := c.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
 	plan := campaign.Plan(spec)
@@ -99,7 +99,7 @@ func TestLeaseExpiryReassignsShards(t *testing.T) {
 	c := newTestCoordinator(t, clock, 100)
 	spec := testSpec()
 	plan := campaign.Plan(spec)
-	if _, err := c.Submit(spec, SubmitOptions{}); err != nil {
+	if _, err := c.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,7 +147,7 @@ func TestStealTakesTailHalf(t *testing.T) {
 	c := newTestCoordinator(t, clock, 100)
 	spec := testSpec()
 	plan := campaign.Plan(spec)
-	if _, err := c.Submit(spec, SubmitOptions{}); err != nil {
+	if _, err := c.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,7 +205,7 @@ func TestDrainedOnlyWhenAllCampaignsDone(t *testing.T) {
 	c := newTestCoordinator(t, clock, 100)
 	spec := testSpec()
 	plan := campaign.Plan(spec)
-	if _, err := c.Submit(spec, SubmitOptions{}); err != nil {
+	if _, err := c.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
 	w := join(t, c)
@@ -249,7 +249,7 @@ func TestSubmitReplaysSegments(t *testing.T) {
 	c1 := NewCoordinator(cfg)
 	spec := testSpec()
 	plan := campaign.Plan(spec)
-	if _, err := c1.Submit(spec, SubmitOptions{}); err != nil {
+	if _, err := c1.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
 	w := mustJoin(t, c1)
@@ -269,7 +269,7 @@ func TestSubmitReplaysSegments(t *testing.T) {
 
 	c2 := NewCoordinator(cfg)
 	defer c2.Shutdown()
-	status, err := c2.Submit(spec, SubmitOptions{})
+	status, err := c2.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

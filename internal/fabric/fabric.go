@@ -95,10 +95,6 @@ type LeaseGrant struct {
 	To   int `json:"to"`
 	// TTLMillis is the lease TTL; the worker must heartbeat well within it.
 	TTLMillis int64 `json:"ttl_ms"`
-	// DisableLanes propagates the campaign's engine selection so every
-	// worker computes records the same way (not that lanes could change
-	// them — see campaign.RunOptions.DisableLanes).
-	DisableLanes bool `json:"disable_lanes,omitempty"`
 }
 
 // TTL returns the grant's TTL as a duration.

@@ -161,8 +161,7 @@ func (c *Coordinator) HandleComplete(w http.ResponseWriter, r *http.Request) {
 
 // SubmitRequest is the body of POST /v1/fabric/campaigns.
 type SubmitRequest struct {
-	Spec         campaign.Spec `json:"spec"`
-	DisableLanes bool          `json:"disable_lanes,omitempty"`
+	Spec campaign.Spec `json:"spec"`
 }
 
 // HandleSubmit serves POST /v1/fabric/campaigns.
@@ -172,7 +171,7 @@ func (c *Coordinator) HandleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Code: CodeBadRequest})
 		return
 	}
-	status, err := c.Submit(req.Spec, SubmitOptions{DisableLanes: req.DisableLanes})
+	status, err := c.Submit(req.Spec)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Code: CodeBadRequest})
 		return

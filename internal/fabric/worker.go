@@ -35,7 +35,7 @@ type Worker struct {
 	Schema  string
 	// RunShard executes one shard; nil means campaign.ExecuteShard. Tests
 	// substitute slow or crashing executors.
-	RunShard func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo, disableLanes bool) ([]store.Record, error)
+	RunShard func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo) ([]store.Record, error)
 	// ExitOnDrain makes Run return nil once the coordinator reports every
 	// campaign committed; without it the worker keeps polling for new
 	// campaigns until its context dies.
@@ -250,7 +250,7 @@ func (w *Worker) serveLease(ctx context.Context, g LeaseGrant) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		recs, err := run(ctx, plan[i], w.memos[g.Campaign], g.DisableLanes)
+		recs, err := run(ctx, plan[i], w.memos[g.Campaign])
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

@@ -174,7 +174,6 @@ func (o Options) config() sim.Config {
 	if c.Size <= 0 {
 		d := sim.DefaultConfig()
 		d.Workers = c.Workers
-		d.DisableLanes = c.DisableLanes
 		c = d
 	}
 	return c

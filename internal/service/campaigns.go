@@ -127,13 +127,12 @@ func (r *campaignRun) onEvent(ev campaign.Event) {
 // campaignManager owns the campaign runs of one server process: a bounded
 // set of concurrently executing campaigns over one durable store root.
 type campaignManager struct {
-	root     string
-	max      int
-	workers  int
-	lanesOff bool
-	baseCtx  context.Context
-	cancel   context.CancelFunc
-	wg       sync.WaitGroup
+	root    string
+	max     int
+	workers int
+	baseCtx context.Context
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup
 
 	mu       sync.Mutex
 	runs     map[string]*campaignRun
@@ -143,16 +142,15 @@ type campaignManager struct {
 	onTerminal func(status string)
 }
 
-func newCampaignManager(root string, max, workers int, lanesOff bool) *campaignManager {
+func newCampaignManager(root string, max, workers int) *campaignManager {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &campaignManager{
-		root:     root,
-		max:      max,
-		workers:  workers,
-		lanesOff: lanesOff,
-		baseCtx:  ctx,
-		cancel:   cancel,
-		runs:     make(map[string]*campaignRun),
+		root:    root,
+		max:     max,
+		workers: workers,
+		baseCtx: ctx,
+		cancel:  cancel,
+		runs:    make(map[string]*campaignRun),
 	}
 }
 
@@ -208,10 +206,9 @@ func (m *campaignManager) Start(spec campaign.Spec) (*campaignRun, bool, error) 
 		defer m.wg.Done()
 		defer cancel()
 		sum, err := campaign.Run(ctx, c, m.root, campaign.RunOptions{
-			Workers:      m.workers,
-			Resume:       true,
-			OnEvent:      r.onEvent,
-			DisableLanes: m.lanesOff,
+			Workers: m.workers,
+			Resume:  true,
+			OnEvent: r.onEvent,
 		})
 		r.mu.Lock()
 		r.finished = time.Now()

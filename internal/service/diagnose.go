@@ -46,24 +46,8 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	// Applied after the key: lanes never change localization outcomes.
-	cfg.DisableLanes = s.cfg.DisableLanes
-	if body, ok := s.cache.Get(key); ok {
-		s.metrics.cache(true)
-		w.Header().Set("X-Cache", "hit")
-		writeRaw(w, http.StatusOK, body)
-		return
-	}
-	s.metrics.cache(false)
-	w.Header().Set("X-Cache", "miss")
-
-	timeout, err := requestTimeout(r, req.TimeoutMS)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j, created, err := s.lookupOrSubmit(classDiagnose, key, timeout,
-		func(ctx context.Context) ([]byte, error) {
+	s.serveAsync(w, r, classDiagnose, key, req.TimeoutMS, func() jobFunc {
+		return func(ctx context.Context) ([]byte, error) {
 			cands, err := marchgen.DiagnoseLocalize(faults, obs, cfg)
 			if err != nil {
 				return nil, err
@@ -95,17 +79,6 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 			s.cache.Put(key, body)
 			s.metrics.diagnoseDone(len(cands) == 1)
 			return body, nil
-		})
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	if created {
-		s.metrics.jobSubmitted()
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, struct {
-		Job  Job    `json:"job"`
-		Poll string `json:"poll"`
-	}{j.snapshot(false), "/v1/jobs/" + j.id})
+		}
+	})
 }

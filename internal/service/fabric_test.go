@@ -43,6 +43,12 @@ func TestFabricThroughService(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
+	// The submit body carries only the spec: the strict decoder refuses
+	// any other field, a simulator engine selection included.
+	withEngine := strings.TrimSuffix(fabricTestSpec, "}") + `,"lanes":"off"}`
+	if w := do(t, s, "POST", "/v1/fabric/campaigns", withEngine); w.Code != http.StatusBadRequest {
+		t.Fatalf("fabric submit with an unknown field = %d, want 400: %s", w.Code, w.Body)
+	}
 	w := do(t, s, "POST", "/v1/fabric/campaigns", fabricTestSpec)
 	if w.Code != http.StatusOK {
 		t.Fatalf("fabric submit = %d: %s", w.Code, w.Body)
@@ -56,7 +62,7 @@ func TestFabricThroughService(t *testing.T) {
 	defer cancel()
 	slow := &fabric.Worker{
 		Coordinator: srv.URL, Name: "slow", Poll: 5 * time.Millisecond, ExitOnDrain: true,
-		RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo, lanesOff bool) ([]store.Record, error) {
+		RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo) ([]store.Record, error) {
 			timer := time.NewTimer(150 * time.Millisecond)
 			defer timer.Stop()
 			select {
@@ -64,7 +70,7 @@ func TestFabricThroughService(t *testing.T) {
 				return nil, ctx.Err()
 			case <-timer.C:
 			}
-			return campaign.ExecuteShard(ctx, sh, memo, lanesOff)
+			return campaign.ExecuteShard(ctx, sh, memo)
 		},
 	}
 	fast := &fabric.Worker{Coordinator: srv.URL, Name: "fast", Poll: 5 * time.Millisecond, ExitOnDrain: true}

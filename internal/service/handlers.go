@@ -137,6 +137,49 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
+// jobFunc is the work of one asynchronous job: it computes the result
+// document, puts it in the cache and returns it.
+type jobFunc = func(context.Context) ([]byte, error)
+
+// serveAsync is the shared tail of the asynchronous endpoints (generate,
+// verify, optimize, diagnose), called once the request is decoded and its
+// cache key computed. A cached key answers 200 with the stored bytes and
+// X-Cache: hit. Otherwise the request merges onto the live job already
+// computing key, or submits the work newJob builds as a new job of the
+// given admission class, and answers 202 with the job's poll location and
+// X-Cache: miss. newJob runs only past the cache check, so a hit allocates
+// no job closure.
+func (s *Server) serveAsync(w http.ResponseWriter, r *http.Request, class admitClass, key string, timeoutMS int64, newJob func() jobFunc) {
+	if body, ok := s.cache.Get(key); ok {
+		s.metrics.cache(cacheHit)
+		w.Header().Set("X-Cache", "hit")
+		writeRaw(w, http.StatusOK, body)
+		return
+	}
+	w.Header().Set("X-Cache", "miss")
+
+	timeout, err := requestTimeout(r, timeoutMS)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	j, created, err := s.lookupOrSubmit(class, key, timeout, newJob())
+	if err != nil {
+		writeSubmitError(w, err)
+		return
+	}
+	if created {
+		s.metrics.cache(cacheMiss)
+	} else {
+		s.metrics.cache(cacheCoalesced)
+	}
+	w.Header().Set("Location", "/v1/jobs/"+j.id)
+	writeJSON(w, http.StatusAccepted, struct {
+		Job  Job    `json:"job"`
+		Poll string `json:"poll"`
+	}{j.snapshot(false), "/v1/jobs/" + j.id})
+}
+
 // handleGenerate is POST /v1/generate: resolve the fault spec, consult the
 // content-addressed cache, and either answer 200 from cache or enqueue a
 // generation job and answer 202 with the job's poll location.
@@ -156,37 +199,14 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		opts = *req.Options
 	}
 	opts = opts.Canonical()
-	// The lane knob is applied after canonicalization, and generateKey
-	// re-canonicalizes opts (which zeroes DisableLanes): lanes never change
-	// results, so instances running -lanes=off share cache entries with
-	// instances running the default. The wire format cannot carry
-	// DisableLanes; only the server flag sets it.
-	if s.cfg.DisableLanes {
-		opts.SearchConfig.DisableLanes = true
-		opts.FinalConfig.DisableLanes = true
-	}
 
 	key, err := generateKey(faults, opts)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if body, ok := s.cache.Get(key); ok {
-		s.metrics.cache(true)
-		w.Header().Set("X-Cache", "hit")
-		writeRaw(w, http.StatusOK, body)
-		return
-	}
-	s.metrics.cache(false)
-	w.Header().Set("X-Cache", "miss")
-
-	timeout, err := requestTimeout(r, req.TimeoutMS)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j, created, err := s.lookupOrSubmit(classGenerate, key, timeout,
-		func(ctx context.Context) ([]byte, error) {
+	s.serveAsync(w, r, classGenerate, key, req.TimeoutMS, func() jobFunc {
+		return func(ctx context.Context) ([]byte, error) {
 			start := time.Now()
 			res, err := marchgen.GenerateContext(ctx, faults, opts)
 			if err != nil {
@@ -199,19 +219,8 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			s.cache.Put(key, body)
 			s.metrics.observeGenerate(time.Since(start))
 			return body, nil
-		})
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	if created {
-		s.metrics.jobSubmitted()
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, struct {
-		Job  Job    `json:"job"`
-		Poll string `json:"poll"`
-	}{j.snapshot(false), "/v1/jobs/" + j.id})
+		}
+	})
 }
 
 // handleVerify is POST /v1/verify: differential cross-check of a march test
@@ -247,26 +256,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	// Applied after Canonical and after the key: the lane engine never
-	// changes cross-check outcomes, so the cache stays shared across
-	// instances with different -lanes settings.
-	cfg.DisableLanes = s.cfg.DisableLanes
-	if body, ok := s.cache.Get(key); ok {
-		s.metrics.cache(true)
-		w.Header().Set("X-Cache", "hit")
-		writeRaw(w, http.StatusOK, body)
-		return
-	}
-	s.metrics.cache(false)
-	w.Header().Set("X-Cache", "miss")
-
-	timeout, err := requestTimeout(r, req.TimeoutMS)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j, created, err := s.lookupOrSubmit(classVerify, key, timeout,
-		func(ctx context.Context) ([]byte, error) {
+	s.serveAsync(w, r, classVerify, key, req.TimeoutMS, func() jobFunc {
+		return func(ctx context.Context) ([]byte, error) {
 			diffs := marchgen.CrossCheck(test, faults, cfg)
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -285,19 +276,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			}
 			s.cache.Put(key, body)
 			return body, nil
-		})
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	if created {
-		s.metrics.jobSubmitted()
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, struct {
-		Job  Job    `json:"job"`
-		Poll string `json:"poll"`
-	}{j.snapshot(false), "/v1/jobs/" + j.id})
+		}
+	})
 }
 
 // handleOptimize is POST /v1/optimize: search for a shorter full-coverage
@@ -328,28 +308,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	// Applied after the key: lanes never change search outcomes.
-	if s.cfg.DisableLanes {
-		opts.Config.DisableLanes = true
-		opts.Generator.SearchConfig.DisableLanes = true
-		opts.Generator.FinalConfig.DisableLanes = true
-	}
-	if body, ok := s.cache.Get(key); ok {
-		s.metrics.cache(true)
-		w.Header().Set("X-Cache", "hit")
-		writeRaw(w, http.StatusOK, body)
-		return
-	}
-	s.metrics.cache(false)
-	w.Header().Set("X-Cache", "miss")
-
-	timeout, err := requestTimeout(r, req.TimeoutMS)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j, created, err := s.lookupOrSubmit(classOptimize, key, timeout,
-		func(ctx context.Context) ([]byte, error) {
+	s.serveAsync(w, r, classOptimize, key, req.TimeoutMS, func() jobFunc {
+		return func(ctx context.Context) ([]byte, error) {
 			lastEvals := 0
 			opts.OnProgress = func(p marchgen.OptimizeProgress) {
 				s.metrics.optimizeProgress(int64(p.Evaluations - lastEvals))
@@ -368,19 +328,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			}
 			s.cache.Put(key, body)
 			return body, nil
-		})
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	if created {
-		s.metrics.jobSubmitted()
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, struct {
-		Job  Job    `json:"job"`
-		Poll string `json:"poll"`
-	}{j.snapshot(false), "/v1/jobs/" + j.id})
+		}
+	})
 }
 
 // handleJobGet is GET /v1/jobs/{id}: the job snapshot, with the result
@@ -449,7 +398,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		cfg = defaultSimConfig()
 	}
-	cfg.DisableLanes = s.cfg.DisableLanes
 	if shed := s.admit.acquire(classSimulate); shed != nil {
 		s.metrics.shed(string(classSimulate))
 		writeShed(w, shed)
@@ -548,7 +496,6 @@ func (s *Server) handleDetects(w http.ResponseWriter, r *http.Request) {
 	if req.Config != nil {
 		cfg = *req.Config
 	}
-	cfg.DisableLanes = s.cfg.DisableLanes
 	if shed := s.admit.acquire(classSimulate); shed != nil {
 		s.metrics.shed(string(classSimulate))
 		writeShed(w, shed)

@@ -26,8 +26,9 @@ type metrics struct {
 	requests map[string]int64 // per route, e.g. "POST /v1/generate"
 	statuses map[int]int64    // per response status code
 
-	cacheHits   int64
-	cacheMisses int64
+	cacheHits      int64
+	cacheMisses    int64 // requests that created a job
+	cacheCoalesced int64 // requests merged onto an in-flight job
 
 	jobsSubmitted int64
 	jobsDone      int64
@@ -72,19 +73,28 @@ func (m *metrics) request(route string, status int) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) cache(hit bool) {
-	m.mu.Lock()
-	if hit {
-		m.cacheHits++
-	} else {
-		m.cacheMisses++
-	}
-	m.mu.Unlock()
-}
+// cacheOutcome is how an asynchronous request was served.
+type cacheOutcome int
 
-func (m *metrics) jobSubmitted() {
+const (
+	cacheHit       cacheOutcome = iota // answered from the result cache
+	cacheMiss                          // created a new job
+	cacheCoalesced                     // merged onto the in-flight job for its key
+)
+
+// cache counts one asynchronous request by its outcome. Only a miss
+// submits a job, so cache_misses always equals jobs_submitted.
+func (m *metrics) cache(o cacheOutcome) {
 	m.mu.Lock()
-	m.jobsSubmitted++
+	switch o {
+	case cacheHit:
+		m.cacheHits++
+	case cacheMiss:
+		m.cacheMisses++
+		m.jobsSubmitted++
+	case cacheCoalesced:
+		m.cacheCoalesced++
+	}
 	m.mu.Unlock()
 }
 
@@ -194,16 +204,21 @@ type HistogramSnapshot struct {
 
 // MetricsSnapshot is the /metrics document.
 type MetricsSnapshot struct {
-	Requests      map[string]int64 `json:"requests"`
-	Statuses      map[string]int64 `json:"responses_by_status"`
-	CacheHits     int64            `json:"cache_hits"`
-	CacheMisses   int64            `json:"cache_misses"`
-	CacheEntries  int              `json:"cache_entries"`
-	JobsSubmitted int64            `json:"jobs_submitted"`
-	JobsDone      int64            `json:"jobs_done"`
-	JobsFailed    int64            `json:"jobs_failed"`
-	JobsCanceled  int64            `json:"jobs_canceled"`
-	QueueDepth    int              `json:"job_queue_depth"`
+	Requests map[string]int64 `json:"requests"`
+	Statuses map[string]int64 `json:"responses_by_status"`
+	// CacheHits, CacheMisses and CacheCoalesced split the asynchronous
+	// requests (generate, verify, optimize, diagnose) that reached the
+	// cache: answered from it, answered by a new job, or merged onto the
+	// job already computing the same key. Misses equal JobsSubmitted.
+	CacheHits      int64 `json:"cache_hits"`
+	CacheMisses    int64 `json:"cache_misses"`
+	CacheCoalesced int64 `json:"cache_coalesced"`
+	CacheEntries   int   `json:"cache_entries"`
+	JobsSubmitted  int64 `json:"jobs_submitted"`
+	JobsDone       int64 `json:"jobs_done"`
+	JobsFailed     int64 `json:"jobs_failed"`
+	JobsCanceled   int64 `json:"jobs_canceled"`
+	QueueDepth     int   `json:"job_queue_depth"`
 
 	CampaignsSubmitted   int64 `json:"campaigns_submitted"`
 	CampaignsDone        int64 `json:"campaigns_done"`
@@ -269,16 +284,17 @@ func (m *metrics) snapshot(queueDepth, cacheEntries int) MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := MetricsSnapshot{
-		Requests:      make(map[string]int64, len(m.requests)),
-		Statuses:      make(map[string]int64, len(m.statuses)),
-		CacheHits:     m.cacheHits,
-		CacheMisses:   m.cacheMisses,
-		CacheEntries:  cacheEntries,
-		JobsSubmitted: m.jobsSubmitted,
-		JobsDone:      m.jobsDone,
-		JobsFailed:    m.jobsFailed,
-		JobsCanceled:  m.jobsCanceled,
-		QueueDepth:    queueDepth,
+		Requests:       make(map[string]int64, len(m.requests)),
+		Statuses:       make(map[string]int64, len(m.statuses)),
+		CacheHits:      m.cacheHits,
+		CacheMisses:    m.cacheMisses,
+		CacheCoalesced: m.cacheCoalesced,
+		CacheEntries:   cacheEntries,
+		JobsSubmitted:  m.jobsSubmitted,
+		JobsDone:       m.jobsDone,
+		JobsFailed:     m.jobsFailed,
+		JobsCanceled:   m.jobsCanceled,
+		QueueDepth:     queueDepth,
 
 		CampaignsSubmitted:   m.campaignsSubmitted,
 		CampaignsDone:        m.campaignsDone,

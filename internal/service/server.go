@@ -74,12 +74,6 @@ type Config struct {
 	// CampaignWorkers bounds concurrent shards per campaign; 0 means
 	// GOMAXPROCS.
 	CampaignWorkers int
-	// DisableLanes forces the scalar simulation engine for every request
-	// this instance serves (the marchd -lanes=off escape hatch). Lane mode
-	// never changes verdicts, witnesses or cache keys, so instances with
-	// different settings serve byte-identical responses; the request wire
-	// format deliberately cannot carry the knob.
-	DisableLanes bool
 	// Coordinator enables the distributed campaign fabric (DESIGN.md §13):
 	// the /v1/fabric/* endpoints lease shard ranges of submitted campaigns
 	// to peer marchd workers and merge their results into the same store
@@ -199,7 +193,7 @@ func New(cfg Config) *Server {
 			s.logger.Printf("panic contained in generation job (see the job's error for the stack)")
 		}
 	}
-	s.campaigns = newCampaignManager(cfg.dataDir(), cfg.maxCampaigns(), cfg.CampaignWorkers, cfg.DisableLanes)
+	s.campaigns = newCampaignManager(cfg.dataDir(), cfg.maxCampaigns(), cfg.CampaignWorkers)
 	s.campaigns.onTerminal = s.metrics.campaignTerminal
 
 	mux := http.NewServeMux()
@@ -376,7 +370,7 @@ func (w *statusWriter) headerWritten() bool { return w.wroteHeader }
 // job that is already admitted costs the service nothing, so it is never
 // shed. Only genuinely new work spends an admission slot. A shed is
 // returned as a *shedError (HTTP 429 + Retry-After upstream).
-func (s *Server) lookupOrSubmit(class admitClass, key string, timeout time.Duration, fn func(context.Context) ([]byte, error)) (*job, bool, error) {
+func (s *Server) lookupOrSubmit(class admitClass, key string, timeout time.Duration, fn jobFunc) (*job, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id, ok := s.inflight[key]; ok {

@@ -15,17 +15,17 @@ import (
 // nominal scenario space (placements × inits × order combinations summed
 // over the list), so scenarios/sec = scenarios/op ÷ ns/op × 1e9.
 
-func scenarioSpace(b *testing.B, t march.Test, faults []linked.Fault) int {
-	b.Helper()
+func scenarioSpace(tb testing.TB, t march.Test, faults []linked.Fault) int {
+	tb.Helper()
 	s, err := NewSchedule(t, DefaultConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	total := 0
 	for _, f := range faults {
 		n, err := s.ScenarioCount(f)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		total += n
 	}
@@ -34,7 +34,7 @@ func scenarioSpace(b *testing.B, t march.Test, faults []linked.Fault) int {
 
 func benchSimulate(b *testing.B, t march.Test, faults []linked.Fault, cfg Config) {
 	b.Helper()
-	b.ReportMetric(float64(scenarioSpace(b, t, faults)), "scenarios/op")
+	scenarios := scenarioSpace(b, t, faults)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,23 +43,23 @@ func benchSimulate(b *testing.B, t march.Test, faults []linked.Fault, cfg Config
 			b.Fatal(err)
 		}
 	}
+	// Reported after ResetTimer, which clears reported metrics.
+	b.ReportMetric(float64(scenarios), "scenarios/op")
 }
 
 // benchConfigs pairs the two execution engines: the default bit-parallel
-// lanes and the scalar path behind DisableLanes. Benchmarking both keeps
-// the lane speedup a number the bench log shows directly.
+// lanes and the forced scalar path. Benchmarking both keeps the lane
+// speedup a number the bench log shows directly.
 func benchConfigs() []struct {
 	name string
 	cfg  Config
 } {
-	scalar := DefaultConfig()
-	scalar.DisableLanes = true
 	return []struct {
 		name string
 		cfg  Config
 	}{
 		{"lanes", DefaultConfig()},
-		{"scalar", scalar},
+		{"scalar", forceScalar(DefaultConfig())},
 	}
 }
 
@@ -106,28 +106,39 @@ func BenchmarkNewSchedule(b *testing.B) {
 	}
 }
 
-func BenchmarkDetectsFaultScheduled(b *testing.B) {
+// benchLF3 is the linked fault BenchmarkDetectsFaultScheduled times: a
+// March SL-detectable LF3 pair.
+func benchLF3(tb testing.TB) linked.Fault {
+	tb.Helper()
 	lf, err := linked.NewLF3(fp.MustParseFP("<0w1;0/1/->"), fp.MustParseFP("<0w1;1/0/->"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lf
+}
+
+func benchDetectsFault(b *testing.B, cfg Config) {
+	b.Helper()
+	lf := benchLF3(b)
+	s, err := NewSchedule(march.MarchSL, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		det, _, err := s.DetectsFault(lf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !det {
+			b.Fatal("March SL must detect the LF3")
+		}
+	}
+}
+
+func BenchmarkDetectsFaultScheduled(b *testing.B) {
 	for _, cc := range benchConfigs() {
-		b.Run(cc.name, func(b *testing.B) {
-			s, err := NewSchedule(march.MarchSL, cc.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				det, _, err := s.DetectsFault(lf)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !det {
-					b.Fatal("March SL must detect the LF3")
-				}
-			}
-		})
+		b.Run(cc.name, func(b *testing.B) { benchDetectsFault(b, cc.cfg) })
 	}
 }

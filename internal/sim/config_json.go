@@ -8,10 +8,9 @@ import "encoding/json"
 //   - Size and MaxAnyElements are filled with their documented defaults, so
 //     a zero-value Config and a spelled-out default Config canonicalize to
 //     the same value;
-//   - Workers and DisableLanes are zeroed — they only control how the
-//     simulation executes (parallelism, bit-parallel lanes), never its
-//     verdicts, so configurations differing only in them are the same
-//     simulation.
+//   - Workers is zeroed — it only controls how the simulation executes,
+//     never its verdicts, so configurations differing only in it are the
+//     same simulation.
 //
 // Canonical is idempotent. It is the normal form behind the JSON codec and
 // behind content-addressed caching of simulation results (the marchd result
@@ -22,7 +21,6 @@ func (c Config) Canonical() Config {
 		c.MaxAnyElements = 12
 	}
 	c.Workers = 0
-	c.DisableLanes = false
 	// Width and Ports are identity-bearing, but their bit-oriented /
 	// single-port defaults are normalized to 0 and omitted from the wire so
 	// pre-axis requests and explicit width=1/ports=1 requests share one
@@ -38,9 +36,8 @@ func (c Config) Canonical() Config {
 
 // configJSON is the wire form of a simulator configuration. Field order is
 // fixed by this struct, defaults are always written explicitly, and Workers
-// and DisableLanes deliberately do not travel: they are execution details,
-// not part of the simulation's identity (so lane mode never splits the
-// marchd result cache).
+// deliberately does not travel: it is an execution detail, not part of the
+// simulation's identity.
 type configJSON struct {
 	Size             int  `json:"size"`
 	ExhaustiveOrders bool `json:"exhaustive_orders"`

@@ -118,7 +118,7 @@ func laneValue(v fp.Value) bool { return v == fp.V0 || v == fp.V1 || v == fp.VX 
 // kernels reproduce the scalar semantics exactly; every fallback is a
 // correctness fallback, not an optimization.
 func (s *Schedule) planLanes(m *machine, f linked.Fault) bool {
-	if s.cfg.DisableLanes || !s.laneWrites {
+	if s.cfg.scalar || !s.laneWrites {
 		return false
 	}
 	k := f.Cells

@@ -10,11 +10,10 @@ import (
 	"marchgen/internal/march"
 )
 
-// scalarConfig is the default configuration with the lane engine disabled:
-// the comparison baseline for every lanes-vs-scalar test.
-func scalarConfig() Config {
-	c := DefaultConfig()
-	c.DisableLanes = true
+// forceScalar returns c with the lane engine disabled: the comparison
+// baseline for every lanes-vs-scalar test.
+func forceScalar(c Config) Config {
+	c.scalar = true
 	return c
 }
 
@@ -30,8 +29,7 @@ func TestLanesMatchScalar(t *testing.T) {
 		faults = append(faults, faultlist.List1()...)
 	}
 	for _, cfg := range []Config{DefaultConfig(), {Size: 5, ExhaustiveOrders: true}, {Size: 4}} {
-		scalar := cfg
-		scalar.DisableLanes = true
+		scalar := forceScalar(cfg)
 		for _, mt := range march.Lib() {
 			laneSched, err := NewSchedule(mt, cfg)
 			if err != nil {
@@ -104,8 +102,8 @@ func TestLaneEligibility(t *testing.T) {
 		t.Error("4-cell fault must fall back to scalar")
 	}
 
-	// The escape hatch forces scalar for everything.
-	off, err := NewSchedule(march.MarchSL, scalarConfig())
+	// The scalar field forces scalar for everything.
+	off, err := NewSchedule(march.MarchSL, forceScalar(DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +111,7 @@ func TestLaneEligibility(t *testing.T) {
 	defer off.putMachine(mOff)
 	for _, f := range faultlist.List2() {
 		if off.planLanes(mOff, f) {
-			t.Fatalf("DisableLanes must force scalar, accepted %s", f.ID())
+			t.Fatalf("the scalar field must force scalar, accepted %s", f.ID())
 		}
 	}
 }
@@ -134,17 +132,17 @@ func TestOutOfRangeBindingError(t *testing.T) {
 			{FP: fp.MustParseFP("<0w1/0/->"), A: -2, V: 0}, // aggressor below -1
 		}},
 	}
-	for _, cfg := range []Config{DefaultConfig(), scalarConfig()} {
+	for _, cfg := range []Config{DefaultConfig(), forceScalar(DefaultConfig())} {
 		for i, f := range bad {
 			det, wit, err := DetectsFault(march.MarchSL, f, cfg)
 			if err == nil {
 				t.Fatalf("fault %d (lanes=%v): DetectsFault = (%v, %v, nil), want error",
-					i, !cfg.DisableLanes, det, wit)
+					i, !cfg.scalar, det, wit)
 			}
 			full, _, err := FullCoverage(march.MarchSL, []linked.Fault{f}, cfg)
 			if err == nil {
 				t.Fatalf("fault %d (lanes=%v): FullCoverage = (%v, nil), want error",
-					i, !cfg.DisableLanes, full)
+					i, !cfg.scalar, full)
 			}
 		}
 	}
@@ -171,13 +169,13 @@ func TestNoAggressorStateConditionInert(t *testing.T) {
 			{FP: fp.MustParseFP("<1;0w1/0/->"), A: -1, V: 0},
 		}},
 	}
-	for _, cfg := range []Config{DefaultConfig(), scalarConfig()} {
+	for _, cfg := range []Config{DefaultConfig(), forceScalar(DefaultConfig())} {
 		for _, mt := range []march.Test{march.MATSPlus, march.MarchSL} {
 			for _, f := range faults {
 				refDet, refWit, refErr := referenceDetects(mt, f, cfg)
 				schedDet, schedWit, schedErr := DetectsFault(mt, f, cfg)
 				assertSameOutcome(t, fmt.Sprintf("%s vs inert %s (lanes=%v)",
-					mt.Name, f.ID(), !cfg.DisableLanes),
+					mt.Name, f.ID(), !cfg.scalar),
 					refDet, schedDet, refWit, schedWit, refErr, schedErr)
 			}
 		}
@@ -264,7 +262,7 @@ func TestFourCellFaultUncached(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Size: 5, ExhaustiveOrders: true},
-		{Size: 6, ExhaustiveOrders: true, DisableLanes: true},
+		{Size: 6, ExhaustiveOrders: true, scalar: true},
 	} {
 		for _, mt := range []march.Test{march.MATSPlus, march.MarchLF1} {
 			refDet, refWit, refErr := referenceDetects(mt, f, cfg)
@@ -376,8 +374,7 @@ func FuzzLanesVsScalar(f *testing.F) {
 			Size:             4 + int(pick/16)%2,
 			ExhaustiveOrders: pick/8%2 == 0,
 		}
-		scalar := cfg
-		scalar.DisableLanes = true
+		scalar := forceScalar(cfg)
 		lDet, lWit, lErr := DetectsFault(mt, fault, cfg)
 		sDet, sWit, sErr := DetectsFault(mt, fault, scalar)
 		if (lErr != nil) != (sErr != nil) {

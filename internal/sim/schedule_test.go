@@ -74,7 +74,7 @@ func TestScheduleMatchesReference(t *testing.T) {
 		{"exhaustive", DefaultConfig()},
 		{"lazy", Config{Size: 4}},
 		{"size5", Config{Size: 5, ExhaustiveOrders: true}},
-		{"scalar", Config{Size: 4, ExhaustiveOrders: true, DisableLanes: true}},
+		{"scalar", Config{Size: 4, ExhaustiveOrders: true, scalar: true}},
 	}
 	for _, lc := range lists {
 		for _, cc := range configs {

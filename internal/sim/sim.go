@@ -43,12 +43,6 @@ type Config struct {
 	// MaxAnyElements caps the ⇕ expansion to keep the scenario space
 	// bounded; 0 means the default of 12 (4096 order combinations).
 	MaxAnyElements int
-	// DisableLanes turns off the bit-parallel lane engine (lanes.go) and
-	// forces the scalar compiled-schedule path for every fault. Lanes are an
-	// execution detail like Workers: they never change verdicts or witnesses
-	// (the equivalence suite pins this), so the flag exists only as an
-	// escape hatch / debugging aid and does not travel on the wire.
-	DisableLanes bool
 	// Width is the memory word width in bits for word-oriented evaluation
 	// (internal/word). 0 or 1 means the classic bit-oriented memory; values
 	// above 1 add word-background expansion to the paths that understand it.
@@ -61,6 +55,14 @@ type Config struct {
 	// two-port weak-fault path. Like Width it travels on the wire only when
 	// it departs from the single-port default.
 	Ports int
+
+	// scalar forces the scalar compiled-schedule path for every fault.
+	// Whether the bit-parallel lane engine (lanes.go) runs is otherwise
+	// planLanes' call alone, made from the fault and the test; lanes never
+	// change verdicts or witnesses. The field exists so this package's
+	// differential tests and benchmarks can pin lanes against the scalar
+	// reference.
+	scalar bool
 }
 
 // DefaultConfig is the configuration used throughout the experiments:

@@ -98,7 +98,7 @@ func ParseOrderConstraint(s string) (OrderConstraint, error) {
 // DefaultSimConfig returns the default exhaustive simulator configuration
 // (4-cell memory, every placement, every initial value, every concrete ⇕
 // order) — the starting point for callers that want to adjust one knob
-// (e.g. DisableLanes) before calling SimulateWith.
+// (e.g. Size or Workers) before calling SimulateWith.
 func DefaultSimConfig() SimConfig {
 	return sim.DefaultConfig()
 }

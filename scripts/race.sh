@@ -10,9 +10,10 @@
 # requests against a live flaky server). The independent verification
 # oracle is included because crosscheck fans both simulators out from the
 # same call sites the service and campaign layers use concurrently. The
-# bit-parallel lane engine's differential tests (lanes-vs-scalar over the
-# march library and the fuzz seed corpus) run under ./internal/sim/..., so
-# the lane kernels and their scalar-fallback handoff are raced here too.
+# bit-parallel lane engine's differential tests (lanes against the scalar
+# path, which only internal/sim's own tests can force, over the march
+# library and the fuzz seed corpus) run under ./internal/sim/..., so the
+# lane kernels and planLanes' scalar-fallback handoff are raced here too.
 # The march optimizer rides along: its search loop is sequential, but every
 # fitness evaluation drives Schedule.FullCoverage's worker fan-out, and the
 # service's /v1/optimize job runs it from the job-engine pool.

@@ -75,8 +75,8 @@ while [ $i -lt 300 ]; do
 done
 [ "$STATUS" = "done" ] || fail "job stuck in state '$STATUS'"
 
-curl -fsS "$BASE/v1/jobs/$JOB/result" >"$TMP/gen-lanes-on.json"
-grep -Eq '"coverage_percent": ?100' "$TMP/gen-lanes-on.json" \
+curl -fsS "$BASE/v1/jobs/$JOB/result" >"$TMP/gen.json"
+grep -Eq '"coverage_percent": ?100' "$TMP/gen.json" \
 	|| fail "generated march does not reach full coverage"
 
 # The repeat request must be served from the cache.
@@ -114,71 +114,10 @@ while [ $i -lt 300 ]; do
 	i=$((i + 1))
 done
 [ "$VSTATUS" = "done" ] || fail "verify job stuck in state '$VSTATUS'"
-curl -fsS "$BASE/v1/jobs/$VJOB/result" >"$TMP/verify-lanes-on.json"
-grep -Eq '"agree": ?true' "$TMP/verify-lanes-on.json" \
+curl -fsS "$BASE/v1/jobs/$VJOB/result" >"$TMP/verify.json"
+grep -Eq '"agree": ?true' "$TMP/verify.json" \
 	|| fail "oracle cross-check diverged from the production simulator"
 echo "smoke: /v1/verify oracle cross-check OK"
-
-# Lane-engine equivalence: a second marchd forced onto the scalar engine
-# (-lanes=off) must serve generate and verify result documents identical to
-# the default instance's — generation wall-clock aside, which is the one
-# nondeterministic field and is stripped before the comparison.
-SLOG="$TMP/marchd-scalar.log"
-"$BIN" -addr 127.0.0.1:0 -data "$TMP/scalar-campaigns" -lanes=off 2>"$SLOG" &
-SCALAR_PID=$!
-trap 'kill -9 "$SCALAR_PID" 2>/dev/null || true; cleanup' EXIT
-SADDR=""
-i=0
-while [ $i -lt 100 ]; do
-	SADDR=$(sed -n 's/.*listening on \(.*\)/\1/p' "$SLOG" | head -n1)
-	[ -n "$SADDR" ] && break
-	kill -0 "$SCALAR_PID" 2>/dev/null || { cat "$SLOG" >&2; fail "scalar marchd died during startup"; }
-	sleep 0.1
-	i=$((i + 1))
-done
-[ -n "$SADDR" ] || fail "scalar marchd announced no listen address"
-SBASE="http://$SADDR"
-
-poll_job() { # poll_job BASE JOB
-	j=0
-	while [ $j -lt 300 ]; do
-		S=$(curl -fsS "$1/v1/jobs/$2" | sed -n 's/.*"status": "\([^"]*\)".*/\1/p' | head -n1)
-		case "$S" in
-		done) return 0 ;;
-		failed | canceled) fail "scalar job ended $S" ;;
-		esac
-		sleep 0.1
-		j=$((j + 1))
-	done
-	fail "scalar job stuck in state '$S'"
-}
-
-SJOB=$(curl -fsS -X POST "$SBASE/v1/generate" -d '{"list":"list2"}' \
-	| sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -n1)
-[ -n "$SJOB" ] || fail "scalar generate returned no job id"
-poll_job "$SBASE" "$SJOB"
-curl -fsS "$SBASE/v1/jobs/$SJOB/result" >"$TMP/gen-lanes-off.json"
-strip_secs() { sed 's/"generation_seconds": *[0-9.e+-]*//' "$1"; }
-[ "$(strip_secs "$TMP/gen-lanes-on.json")" = "$(strip_secs "$TMP/gen-lanes-off.json")" ] \
-	|| fail "generate results differ between -lanes=on and -lanes=off"
-
-SVJOB=$(curl -fsS -X POST "$SBASE/v1/verify" \
-	-d '{"march":{"name":"March SL"},"list":"list2"}' \
-	| sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -n1)
-[ -n "$SVJOB" ] || fail "scalar verify returned no job id"
-poll_job "$SBASE" "$SVJOB"
-curl -fsS "$SBASE/v1/jobs/$SVJOB/result" >"$TMP/verify-lanes-off.json"
-cmp -s "$TMP/verify-lanes-on.json" "$TMP/verify-lanes-off.json" \
-	|| fail "verify results differ between -lanes=on and -lanes=off"
-
-kill -TERM "$SCALAR_PID" 2>/dev/null || true
-i=0
-while kill -0 "$SCALAR_PID" 2>/dev/null; do
-	[ $i -lt 300 ] || fail "scalar marchd did not exit after SIGTERM"
-	sleep 0.1
-	i=$((i + 1))
-done
-echo "smoke: -lanes=off serves identical generate/verify results OK"
 
 # Campaign round-trip over the HTTP API: submit a one-unit sweep, poll to
 # completion, fetch its committed results.
