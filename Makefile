@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race stress bench bench-sim bench-opt opt-test diag-test serve test-service smoke chaos cluster-test fuzz verify-oracle load-test check
+.PHONY: build test vet fmt-check race stress bench bench-sim bench-opt opt-test diag-test serve smoke chaos cluster-test fuzz verify-oracle load-test check
 
 build:
 	$(GO) build ./...
@@ -66,11 +66,6 @@ diag-test:
 ## serve: run the marchd HTTP service on :8080 (see README quick-start).
 serve:
 	$(GO) run ./cmd/marchd -addr :8080
-
-## test-service: the marchd service test suite (handlers, job engine, cache,
-## campaign endpoints) plus the CLI front ends.
-test-service:
-	$(GO) test ./internal/service/ ./cmd/...
 
 ## smoke: end-to-end marchd + marchcamp round-trip (build, curl, SIGTERM drain).
 smoke:

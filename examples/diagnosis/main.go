@@ -2,7 +2,9 @@
 // failing reads (the syndrome) identifies the fault. This example builds a
 // fault dictionary for March SS over the simple static faults, plays
 // "device under test" with a hidden fault, and shows the dictionary
-// narrowing it down to the right model at the right cell.
+// narrowing it down to the right model at the right cell. Dictionary and
+// device run the same compiled schedule, from the all-zero state with ⇕
+// elements run upward.
 package main
 
 import (
@@ -33,27 +35,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	orders := make([]march.AddrOrder, len(test.Elems))
-	for i, e := range test.Elems {
-		orders[i] = e.Order
-		if orders[i] == march.Any {
-			orders[i] = march.Up
-		}
-	}
-	scenario := sim.Scenario{
-		Placement: []int{2},
-		Init:      []fp.Value{fp.V0},
-		Orders:    orders,
-	}
-
-	candidates, syndrome, err := dict.Diagnose(hidden, scenario, sim.Config{Size: 4})
+	candidates, syndrome, err := dict.Diagnose(diagnose.Candidate{Fault: hidden, Placement: []int{2}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("device under test fails %d reads; syndrome key:\n  %s\n\n", len(syndrome), syndrome.Key())
 	fmt.Printf("dictionary candidates (%d):\n", len(candidates))
 	for _, c := range candidates {
-		fmt.Printf("  %s at cell %d\n", c.Fault.ID(), c.Scenario.Placement[0])
+		fmt.Printf("  %s at cell %d\n", c.Fault.ID(), c.Placement[0])
 	}
 	fmt.Printf("\nhidden fault was: %s at cell 2\n", hidden.ID())
 }

@@ -32,6 +32,10 @@ const specSchema = "marchcamp/spec/v3"
 // workers can refuse to mix records across incompatible derivations.
 const SpecSchema = specSchema
 
+// MaxSize is the largest memory, in cells, a spec may sweep. /v1/diagnose,
+// which enumerates every fault placement up front, shares the bound.
+const MaxSize = 16
+
 // Generator profiles a spec may sweep.
 const (
 	ProfileStandard   = "standard"   // default minimization (March ABL profile)
@@ -178,8 +182,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, n := range c.Sizes {
-		if n < 3 || n > 16 {
-			return fmt.Errorf("campaign: memory size %d out of range [3,16]", n)
+		if n < 3 || n > MaxSize {
+			return fmt.Errorf("campaign: memory size %d out of range [3,%d]", n, MaxSize)
 		}
 	}
 	for _, w := range c.Widths {

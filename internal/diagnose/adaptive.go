@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"marchgen/internal/fp"
 	"marchgen/internal/linked"
 	"marchgen/internal/march"
 	"marchgen/internal/sim"
@@ -100,58 +99,24 @@ func (c Candidate) String() string {
 	return c.Fault.ID() + "@" + strings.Join(addrs, ",")
 }
 
-// signature computes the deterministic syndrome of a fault instance under a
-// march test (canonical all-zero initial state, ⇕ resolved upward — the same
-// convention Build uses, so dictionary and signature agree).
-func signature(t march.Test, f linked.Fault, placement []int, cfg sim.Config) (Syndrome, error) {
-	orders := make([]march.AddrOrder, len(t.Elems))
-	for i, e := range t.Elems {
-		orders[i] = e.Order
-		if orders[i] == march.Any {
-			orders[i] = march.Up
-		}
-	}
-	s := sim.Scenario{
-		Placement: append([]int(nil), placement...),
-		Init:      make([]fp.Value, f.Cells),
-		Orders:    orders,
-	}
-	return collectSyndrome(t, f, s, cfg)
-}
-
 // Localize intersects the observations: a candidate instance survives iff
 // its simulated signature matches the recorded syndrome under every observed
 // test. With no observations every instance is a candidate. The returned
 // slice is sorted by Key for determinism.
 func Localize(faults []linked.Fault, obs []Observation, cfg sim.Config) ([]Candidate, error) {
-	if cfg.Size <= 0 {
-		cfg.Size = 4
-	}
-	var cands []Candidate
-	for _, f := range faults {
-		if f.Cells >= cfg.Size {
-			return nil, fmt.Errorf("diagnose: %d-cell fault needs an array larger than %d", f.Cells, cfg.Size)
-		}
-		for _, pl := range enumeratePlacements(f.Cells, cfg.Size) {
-			cands = append(cands, Candidate{Fault: f, Placement: pl})
-		}
+	cands, err := instances(faults, cfg)
+	if err != nil {
+		return nil, err
 	}
 	for _, ob := range obs {
-		if err := ob.Test.Validate(); err != nil {
+		d, err := table(ob.Test, cands, cfg)
+		if err != nil {
 			return nil, err
 		}
-		want := ob.Syndrome.Key()
-		var kept []Candidate
-		for _, c := range cands {
-			syn, err := signature(ob.Test, c.Fault, c.Placement, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if syn.Key() == want {
-				kept = append(kept, c)
-			}
+		cands = nil
+		for _, e := range d.Lookup(ob.Syndrome) {
+			cands = append(cands, e.Candidate)
 		}
-		cands = kept
 		if len(cands) == 0 {
 			break
 		}
@@ -162,14 +127,12 @@ func Localize(faults []linked.Fault, obs []Observation, cfg sim.Config) ([]Candi
 
 // NextTest picks the march from the pool that best splits the candidate
 // set: the one minimizing the size of the largest class of candidates
-// sharing a signature. Ties break toward more classes, then shorter tests,
-// then lexicographic name, so the choice is deterministic. It returns false
-// when no pool test splits the set at all (every test leaves all candidates
-// in one class) — the adaptive loop has gone stable.
+// sharing a signature (the empty syndrome is a class like any other). Ties
+// break toward more classes, then shorter tests, then lexicographic name, so
+// the choice is deterministic. It returns false when no pool test splits the
+// set at all (every test leaves all candidates in one class) — the adaptive
+// loop has gone stable.
 func NextTest(cands []Candidate, pool []march.Test, exclude map[string]bool, cfg sim.Config) (march.Test, bool, error) {
-	if cfg.Size <= 0 {
-		cfg.Size = 4
-	}
 	if len(cands) <= 1 {
 		return march.Test{}, false, nil
 	}
@@ -179,32 +142,27 @@ func NextTest(cands []Candidate, pool []march.Test, exclude map[string]bool, cfg
 		if exclude[t.Name] {
 			continue
 		}
-		classes := map[string]int{}
-		largest := 0
-		fail := false
-		for _, c := range cands {
-			syn, err := signature(t, c.Fault, c.Placement, cfg)
-			if err != nil {
-				// A pool test that cannot simulate some candidate (e.g. too
-				// small a memory) is skipped, not fatal: the pool is advisory.
-				fail = true
-				break
-			}
-			classes[syn.Key()]++
-			if classes[syn.Key()] > largest {
-				largest = classes[syn.Key()]
-			}
+		d, err := table(t, cands, cfg)
+		if err != nil {
+			// A pool test that cannot simulate some candidate (e.g. too
+			// small a memory) is skipped, not fatal: the pool is advisory.
+			continue
 		}
-		if fail || len(classes) <= 1 {
+		classes := len(d.byKey)
+		if classes <= 1 {
 			continue // does not split
+		}
+		largest := 0
+		for _, idxs := range d.byKey {
+			largest = max(largest, len(idxs))
 		}
 		better := bestLargest < 0 ||
 			largest < bestLargest ||
-			largest == bestLargest && len(classes) > bestClasses ||
-			largest == bestLargest && len(classes) == bestClasses && t.Length() < bestLen ||
-			largest == bestLargest && len(classes) == bestClasses && t.Length() == bestLen && t.Name < best.Name
+			largest == bestLargest && classes > bestClasses ||
+			largest == bestLargest && classes == bestClasses && t.Length() < bestLen ||
+			largest == bestLargest && classes == bestClasses && t.Length() == bestLen && t.Name < best.Name
 		if better {
-			best, bestLargest, bestClasses, bestLen = t, largest, len(classes), t.Length()
+			best, bestLargest, bestClasses, bestLen = t, largest, classes, t.Length()
 		}
 	}
 	if bestLargest < 0 {
@@ -233,22 +191,20 @@ type AdaptiveResult struct {
 // It is the reference driver the service endpoint and marchctl reuse in
 // spirit; testers replace the simulated execution with the real device.
 func AdaptiveLocalize(target linked.Fault, placement []int, faults []linked.Fault, pool []march.Test, start march.Test, cfg sim.Config, maxRounds int) (AdaptiveResult, error) {
-	if cfg.Size <= 0 {
-		cfg.Size = 4
-	}
 	if maxRounds <= 0 {
 		maxRounds = 8
 	}
+	dut := []Candidate{{Fault: target, Placement: placement}}
 	res := AdaptiveResult{}
 	used := map[string]bool{}
 	var obs []Observation
 	next := start
 	for round := 0; round < maxRounds; round++ {
-		syn, err := signature(next, target, placement, cfg)
+		d, err := table(next, dut, cfg)
 		if err != nil {
 			return res, err
 		}
-		obs = append(obs, Observation{Test: next, Syndrome: syn})
+		obs = append(obs, Observation{Test: next, Syndrome: d.Entries[0].Syndrome})
 		used[next.Name] = true
 		res.Rounds++
 		res.Tests = append(res.Tests, next.Name)

@@ -19,6 +19,17 @@ func mustSimple(t *testing.T, fpStr string) linked.Fault {
 	return f
 }
 
+// deviceSyndrome plays the device under test: the syndrome the instance
+// produces under m on 4 cells.
+func deviceSyndrome(t *testing.T, m march.Test, c Candidate) Syndrome {
+	t.Helper()
+	d, err := table(m, []Candidate{c}, sim.Config{Size: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Entries[0].Syndrome
+}
+
 // TestParseReadIDRoundTrip pins the wire form "M<elem>#<op>@<addr>".
 func TestParseReadIDRoundTrip(t *testing.T) {
 	for _, id := range []ReadID{{0, 0, 0}, {1, 2, 3}, {12, 3, 45}} {
@@ -70,11 +81,7 @@ func TestLocalizeIntersectsObservations(t *testing.T) {
 	var obs []Observation
 	prev := len(all)
 	for _, m := range []march.Test{march.MarchSS, march.MATSPlus} {
-		syn, err := signature(m, truth, placement, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		obs = append(obs, Observation{Test: m, Syndrome: syn})
+		obs = append(obs, Observation{Test: m, Syndrome: deviceSyndrome(t, m, Candidate{Fault: truth, Placement: placement})})
 		cands, err := Localize(faults, obs, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -102,10 +109,7 @@ func TestNextTestSplitsAmbiguity(t *testing.T) {
 	faults := faultlist.SimpleSingleCell()
 	cfg := sim.Config{Size: 4}
 	truth := mustSimple(t, "<0w0/1/->")
-	syn, err := signature(march.MATSPlus, truth, []int{2}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	syn := deviceSyndrome(t, march.MATSPlus, Candidate{Fault: truth, Placement: []int{2}})
 	cands, err := Localize(faults, []Observation{{Test: march.MATSPlus, Syndrome: syn}}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,15 +129,11 @@ func TestNextTestSplitsAmbiguity(t *testing.T) {
 		t.Fatal("NextTest returned an excluded test")
 	}
 	// The chosen test really splits: at least two candidates disagree.
-	keys := map[string]bool{}
-	for _, c := range cands {
-		s, err := signature(next, c.Fault, c.Placement, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys[s.Key()] = true
+	d, err := table(next, cands, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(keys) < 2 {
+	if len(d.byKey) < 2 {
 		t.Fatalf("chosen test %s does not split the candidates", next.Name)
 	}
 	// A singleton set needs no follow-up.

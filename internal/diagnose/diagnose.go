@@ -5,12 +5,14 @@
 // signatures of every fault model narrows the defect down to the candidate
 // faults (and, with placement-resolved signatures, to the failing cells).
 //
-// The dictionary is built with the same fault simulator that certifies
-// generated tests, so diagnosis and generation share one semantic model.
+// Every signature comes from one signature table (table), which runs the
+// compiled schedule that certifies generated tests, so diagnosis and
+// generation share one semantic model and one simulator.
 package diagnose
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,11 +50,10 @@ func (s Syndrome) Key() string {
 	return strings.Join(ids, ",")
 }
 
-// Entry is one dictionary entry: a fault instance (model + placement +
-// initial state) and the syndrome it produces.
+// Entry is one dictionary entry: a fault instance and the syndrome it
+// produces.
 type Entry struct {
-	Fault    linked.Fault
-	Scenario sim.Scenario
+	Candidate
 	Syndrome Syndrome
 }
 
@@ -64,85 +65,78 @@ type Dictionary struct {
 	byKey   map[string][]int
 }
 
-// collectSyndrome replays one scenario and records every failing read.
-func collectSyndrome(t march.Test, f linked.Fault, s sim.Scenario, cfg sim.Config) (Syndrome, error) {
-	tr, err := sim.TraceScenario(t, f, s, cfg)
+// table is the signature table of a march test over fault instances, and
+// the only way this package simulates. It compiles the test once, under
+// the diagnosis convention: all-zero initial state and ⇕ run upward (a
+// schedule compiled without ExhaustiveOrders resolves ⇕ to ⇑). Each
+// instance's run records every failing read, not just the first, and the
+// syndromes are indexed by key.
+func table(t march.Test, cands []Candidate, cfg sim.Config) (*Dictionary, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	cfg.ExhaustiveOrders = false
+	sched, err := sim.NewSchedule(t, cfg)
 	if err != nil {
 		return nil, err
 	}
-	syn := Syndrome{}
-	for _, step := range tr.Steps {
-		if step.Detected {
-			syn[ReadID{Element: step.Element, Addr: step.Addr, OpIndex: step.OpIndex}] = true
+	d := &Dictionary{Test: t, Size: cfg.Canonical().Size, Entries: make([]Entry, 0, len(cands)), byKey: map[string][]int{}}
+	for _, c := range cands {
+		if err := c.Fault.Validate(); err != nil {
+			return nil, err
 		}
-	}
-	return syn, nil
-}
-
-// Build simulates every fault of the list in every placement (with the
-// canonical all-zero initial state and canonical ⇕ resolution) and records
-// the failure signatures. Faults that produce no failing read under the
-// test are recorded with an empty syndrome — they are undiagnosable by this
-// test, which Coverage-style analysis must have flagged already.
-func Build(t march.Test, faults []linked.Fault, cfg sim.Config) (*Dictionary, error) {
-	if cfg.Size <= 0 {
-		cfg.Size = 4
-	}
-	d := &Dictionary{Test: t, Size: cfg.Size, byKey: map[string][]int{}}
-	orders := make([]march.AddrOrder, len(t.Elems))
-	for i, e := range t.Elems {
-		orders[i] = e.Order
-		if orders[i] == march.Any {
-			orders[i] = march.Up
+		syn := Syndrome{}
+		err := sched.FailingReads(c.Fault, c.Placement, make([]fp.Value, c.Fault.Cells), func(elem, op, addr int) {
+			syn[ReadID{Element: elem, Addr: addr, OpIndex: op}] = true
+		})
+		if err != nil {
+			return nil, err
 		}
-	}
-	for _, f := range faults {
-		placements := enumeratePlacements(f.Cells, cfg.Size)
-		for _, pl := range placements {
-			init := make([]fp.Value, f.Cells)
-			s := sim.Scenario{Placement: pl, Init: init, Orders: orders}
-			syn, err := collectSyndrome(t, f, s, cfg)
-			if err != nil {
-				return nil, err
-			}
-			idx := len(d.Entries)
-			d.Entries = append(d.Entries, Entry{Fault: f, Scenario: *cloneScenario(s), Syndrome: syn})
-			d.byKey[syn.Key()] = append(d.byKey[syn.Key()], idx)
-		}
+		key := syn.Key()
+		d.byKey[key] = append(d.byKey[key], len(d.Entries))
+		d.Entries = append(d.Entries, Entry{Candidate: c, Syndrome: syn})
 	}
 	return d, nil
 }
 
-func cloneScenario(s sim.Scenario) *sim.Scenario {
-	return &sim.Scenario{
-		Placement: append([]int(nil), s.Placement...),
-		Init:      append([]fp.Value(nil), s.Init...),
-		Orders:    append([]march.AddrOrder(nil), s.Orders...),
+// instances enumerates every placement of every fault on the configured
+// memory, fault by fault, placements in lexicographic order. Like the
+// simulator it refuses a fault that leaves no bystander cell.
+func instances(faults []linked.Fault, cfg sim.Config) ([]Candidate, error) {
+	size := cfg.Canonical().Size
+	var out []Candidate
+	for _, f := range faults {
+		if f.Cells >= size {
+			return nil, fmt.Errorf("diagnose: %d-cell fault needs an array larger than %d", f.Cells, size)
+		}
+		var place func(pl []int)
+		place = func(pl []int) {
+			if len(pl) == f.Cells {
+				out = append(out, Candidate{Fault: f, Placement: pl})
+				return
+			}
+			for a := 0; a < size; a++ {
+				if !slices.Contains(pl, a) {
+					place(append(slices.Clip(pl), a))
+				}
+			}
+		}
+		place(nil)
 	}
+	return out, nil
 }
 
-func enumeratePlacements(k, n int) [][]int {
-	var out [][]int
-	cur := make([]int, k)
-	used := make([]bool, n)
-	var rec func(d int)
-	rec = func(d int) {
-		if d == k {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for a := 0; a < n; a++ {
-			if used[a] {
-				continue
-			}
-			used[a] = true
-			cur[d] = a
-			rec(d + 1)
-			used[a] = false
-		}
+// Build simulates every fault of the list in every placement (from the
+// all-zero initial state, ⇕ run upward) and records the failure
+// signatures. Faults that produce no failing read under the test are
+// recorded with an empty syndrome — they are undiagnosable by this test,
+// which Coverage-style analysis must have flagged already.
+func Build(t march.Test, faults []linked.Fault, cfg sim.Config) (*Dictionary, error) {
+	cands, err := instances(faults, cfg)
+	if err != nil {
+		return nil, err
 	}
-	rec(0)
-	return out
+	return table(t, cands, cfg)
 }
 
 // Lookup returns the fault instances whose signature matches the syndrome
@@ -157,14 +151,12 @@ func (d *Dictionary) Lookup(s Syndrome) []Entry {
 
 // Diagnose simulates a fault instance as the "device under test" and looks
 // its syndrome up in the dictionary — the round trip a tester performs.
-func (d *Dictionary) Diagnose(f linked.Fault, s sim.Scenario, cfg sim.Config) ([]Entry, Syndrome, error) {
-	if cfg.Size <= 0 {
-		cfg.Size = d.Size
-	}
-	syn, err := collectSyndrome(d.Test, f, s, cfg)
+func (d *Dictionary) Diagnose(c Candidate) ([]Entry, Syndrome, error) {
+	dut, err := table(d.Test, []Candidate{c}, sim.Config{Size: d.Size})
 	if err != nil {
 		return nil, nil, err
 	}
+	syn := dut.Entries[0].Syndrome
 	return d.Lookup(syn), syn, nil
 }
 

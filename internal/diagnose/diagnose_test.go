@@ -30,9 +30,7 @@ func TestDiagnoseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orders := canonicalOrders(march.MarchSS)
-	s := sim.Scenario{Placement: []int{2}, Init: []fp.Value{fp.V0}, Orders: orders}
-	candidates, syn, err := d.Diagnose(truth, s, sim.Config{Size: 4})
+	candidates, syn, err := d.Diagnose(Candidate{Fault: truth, Placement: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +39,7 @@ func TestDiagnoseRoundTrip(t *testing.T) {
 	}
 	found := false
 	for _, c := range candidates {
-		if c.Fault.ID() == truth.ID() && c.Scenario.Placement[0] == 2 {
+		if c.Fault.ID() == truth.ID() && c.Placement[0] == 2 {
 			found = true
 		}
 	}
@@ -59,8 +57,7 @@ func TestDiagnosisLocalizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.Scenario{Placement: []int{2}, Init: []fp.Value{fp.V0}, Orders: canonicalOrders(march.MarchSS)}
-	candidates, _, err := d.Diagnose(truth, s, sim.Config{Size: 4})
+	candidates, _, err := d.Diagnose(Candidate{Fault: truth, Placement: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +65,9 @@ func TestDiagnosisLocalizes(t *testing.T) {
 		t.Fatal("no candidates")
 	}
 	for _, c := range candidates {
-		if c.Scenario.Placement[0] != 2 {
+		if c.Placement[0] != 2 {
 			t.Errorf("candidate %s places the fault at %d, truth is cell 2",
-				c.Fault.ID(), c.Scenario.Placement[0])
+				c.Fault.ID(), c.Placement[0])
 		}
 	}
 }
@@ -162,13 +159,16 @@ func TestDiagnoseLinkedFaults(t *testing.T) {
 	}
 }
 
-func canonicalOrders(m march.Test) []march.AddrOrder {
-	orders := make([]march.AddrOrder, len(m.Elems))
-	for i, e := range m.Elems {
-		orders[i] = e.Order
-		if orders[i] == march.Any {
-			orders[i] = march.Up
-		}
+// A fault that fills the whole memory leaves no bystander cell; Build
+// refuses it exactly as Localize and the simulator do, instead of
+// simulating placements nothing else accepts.
+func TestBuildRejectsFaultWithoutBystander(t *testing.T) {
+	faults := faultlist.SimpleTwoCell()[:2]
+	cfg := sim.Config{Size: 2}
+	if d, err := Build(march.MarchSS, faults, cfg); err == nil {
+		t.Fatalf("Build on %d cells accepted 2-cell faults: %d entries", cfg.Size, len(d.Entries))
 	}
-	return orders
+	if _, err := Localize(faults, nil, cfg); err == nil {
+		t.Fatal("Localize accepted 2-cell faults on 2 cells")
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"marchgen"
+	"marchgen/internal/campaign"
 )
 
 // handleDiagnose is POST /v1/diagnose: adaptive fault localization from
@@ -41,6 +42,11 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		cfg = *req.Config
 	}
 	cfg = cfg.Canonical()
+	// Localize enumerates every instance up front, outside the job deadline.
+	if cfg.Size > campaign.MaxSize {
+		writeError(w, http.StatusBadRequest, "config.size %d exceeds the maximum of %d cells", cfg.Size, campaign.MaxSize)
+		return
+	}
 	key, err := diagnoseKey(faults, cfg, canon)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)

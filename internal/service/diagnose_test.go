@@ -1,9 +1,12 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"testing"
 
@@ -43,7 +46,7 @@ func deviceSyndrome(t *testing.T, m march.Test, truth linked.Fault, cell int) []
 		t.Fatalf("device simulation of %s: %v", m.Name, err)
 	}
 	for _, e := range d.Entries {
-		if e.Scenario.Placement[0] != cell {
+		if e.Placement[0] != cell {
 			continue
 		}
 		ids := make([]string, 0, len(e.Syndrome))
@@ -74,14 +77,15 @@ func diagnoseBody(t *testing.T, list string, obs []obsWire) string {
 	return string(b)
 }
 
-// postDiagnose drives one POST /v1/diagnose round: miss → 202 → poll →
-// result document (or, on a cache hit, the 200 body directly).
-func postDiagnose(t *testing.T, s *Server, body string) (diagnoseDoc, string) {
+// diagnoseRound drives one POST /v1/diagnose round: miss → 202 → poll →
+// result document (or, on a cache hit, the 200 body directly). It returns
+// the document's bytes and the X-Cache header of the POST.
+func diagnoseRound(t *testing.T, s *Server, body string) (*httptest.ResponseRecorder, string) {
 	t.Helper()
 	w := do(t, s, "POST", "/v1/diagnose", body)
 	switch w.Code {
 	case http.StatusOK:
-		return decode[diagnoseDoc](t, w), w.Header().Get("X-Cache")
+		return w, w.Header().Get("X-Cache")
 	case http.StatusAccepted:
 		env := decode[jobEnvelope](t, w)
 		if j := pollJob(t, s, env.Job.ID); j.Status != JobDone {
@@ -91,11 +95,18 @@ func postDiagnose(t *testing.T, s *Server, body string) (diagnoseDoc, string) {
 		if res.Code != http.StatusOK {
 			t.Fatalf("diagnose result: %d: %s", res.Code, res.Body.String())
 		}
-		return decode[diagnoseDoc](t, res), w.Header().Get("X-Cache")
+		return res, w.Header().Get("X-Cache")
 	default:
 		t.Fatalf("POST /v1/diagnose: %d: %s", w.Code, w.Body.String())
-		return diagnoseDoc{}, ""
+		return nil, ""
 	}
+}
+
+// postDiagnose is diagnoseRound with the document decoded.
+func postDiagnose(t *testing.T, s *Server, body string) (diagnoseDoc, string) {
+	t.Helper()
+	w, xc := diagnoseRound(t, s, body)
+	return decode[diagnoseDoc](t, w), xc
 }
 
 // TestDiagnoseLocalizesInjectedFault is the PR's acceptance test: a write
@@ -204,6 +215,7 @@ func TestDiagnoseBadRequests(t *testing.T) {
 		{"malformed syndrome", `{"list":"simple1","observations":[{"march":{"name":"MATS+"},"syndrome":["bogus"]}]}`},
 		{"unknown field", `{"list":"simple1","bogus":1,"observations":[{"march":{"name":"MATS+"},"syndrome":[]}]}`},
 		{"not json", `{"list":`},
+		{"memory too large", `{"list":"simple1","config":{"size":17},"observations":[{"march":{"name":"MATS+"},"syndrome":[]}]}`},
 	}
 	for _, tc := range cases {
 		if w := do(t, s, "POST", "/v1/diagnose", tc.body); w.Code != http.StatusBadRequest {
@@ -250,4 +262,58 @@ func TestDiagnoseEquivalentSpellingsShareCacheKey(t *testing.T) {
 			t.Fatalf("reordered syndrome missed the cache (X-Cache %q)", xc)
 		}
 	}
+}
+
+// The literal digests below were captured before localization moved onto
+// compiled schedules. Each is the SHA-256 of a whole /v1/diagnose result
+// document on the simple list — candidates in order, status, follow-up
+// march, config echo and cache key — so any change in what the engine
+// computes or how the endpoint renders it shows here.
+const (
+	diagnoseAmbiguousSHA = "127b3a3479efcea62fa5d72ecec264ecf225ef576face271d4934378568782ff"
+	diagnoseLocalizedSHA = "bcd6efe870f567049556ea01913435248e25cc440d8641ecd58bb7fbe58545b4"
+	diagnoseEmptySHA     = "950ed4a8b1ba9425d54bf187f3115cfdeea1323541838e707ae128ebda962865"
+)
+
+// TestDiagnoseResponseBytesPinned replays three requests against the pinned
+// digests: MATS+ on a WDF0 at cell 2 (ambiguous, with a follow-up), the
+// same device after the recommended follow-up (localized), and MATS+'s
+// impossible M0#0@0 (empty).
+func TestDiagnoseResponseBytesPinned(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	check := func(name, body, want string) diagnoseDoc {
+		t.Helper()
+		w, _ := diagnoseRound(t, s, body)
+		sum := sha256.Sum256(w.Body.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Fatalf("%s: response digest %s, want %s; body %s", name, got, want, w.Body.String())
+		}
+		return decode[diagnoseDoc](t, w)
+	}
+
+	truth, err := linked.NewSimple(fp.MustParseFP("<0w0/1/->")) // WDF0
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := []obsWire{{
+		March:    map[string]string{"name": march.MATSPlus.Name},
+		Syndrome: deviceSyndrome(t, march.MATSPlus, truth, 2),
+	}}
+	doc := check("ambiguous", diagnoseBody(t, "simple", obs), diagnoseAmbiguousSHA)
+	if doc.Next == nil {
+		t.Fatal("ambiguous result carries no follow-up test")
+	}
+	next, err := marchgen.ParseMarch(doc.Next.Name, doc.Next.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs = append(obs, obsWire{
+		March:    map[string]string{"name": doc.Next.Name, "spec": doc.Next.Spec},
+		Syndrome: deviceSyndrome(t, next, truth, 2),
+	})
+	check("localized", diagnoseBody(t, "simple", obs), diagnoseLocalizedSHA)
+	check("empty", diagnoseBody(t, "simple", []obsWire{{
+		March:    map[string]string{"name": march.MATSPlus.Name},
+		Syndrome: []string{"M0#0@0"},
+	}}), diagnoseEmptySHA)
 }

@@ -51,12 +51,6 @@ type opStep struct {
 	good      fp.Value
 }
 
-// stream is the compiled operation stream of one concrete order combination.
-type stream struct {
-	orders []march.AddrOrder
-	steps  []opStep
-}
-
 // segment is one node of the order-choice trie: the steps of one march
 // element under one concrete address order, compiled for one prefix of order
 // choices (the good-trace annotations depend on the prefix). Leaves carry
@@ -192,7 +186,7 @@ func compileElemSteps(e march.Element, order march.AddrOrder, size, ei int, writ
 // compileStream flattens the test into the operation stream induced by one
 // concrete order assignment (used by TraceScenario, which needs one linear
 // stream rather than the trie).
-func compileStream(t march.Test, orders []march.AddrOrder, size int) stream {
+func compileStream(t march.Test, orders []march.AddrOrder, size int) []opStep {
 	n := 0
 	for _, e := range t.Elems {
 		n += size * len(e.Ops)
@@ -203,7 +197,7 @@ func compileStream(t march.Test, orders []march.AddrOrder, size int) stream {
 	for ei, e := range t.Elems {
 		steps = append(steps, compileElemSteps(e, orders[ei], size, ei, written, lastWrite)...)
 	}
-	return stream{orders: orders, steps: steps}
+	return steps
 }
 
 // Test returns the march test the schedule was compiled from.
@@ -504,6 +498,26 @@ func (m *machine) waitCtx(hasState bool) {
 	}
 }
 
+// load binds the fault to the placement and puts the machine in the
+// scenario's settled initial state, returning bindFault's flags.
+func (m *machine) load(f linked.Fault, placement []int, init []fp.Value) (hasState, hasDynamic bool) {
+	m.ensureBindings(len(f.FPs))
+	hasState, hasDynamic = m.bindFault(f, placement)
+	for i := range m.faulty {
+		m.faulty[i] = fp.V0
+		m.cellAt[i] = -1
+	}
+	for c, addr := range placement {
+		m.faulty[addr] = init[c]
+		m.cellAt[addr] = c
+	}
+	m.disarm()
+	if hasState {
+		m.settleCtx()
+	}
+	return hasState, hasDynamic
+}
+
 // runSteps simulates the fault over one compiled step segment from the
 // machine's current state and reports whether any read detects it. Only the
 // faulty array is simulated; reads compare against the segment's cached good
@@ -512,7 +526,10 @@ func (m *machine) waitCtx(hasState bool) {
 // bindings are pre-resolved against the placement (bindFault), bystander
 // steps reduce to disarming, and the settle/arming bookkeeping is skipped
 // for faults that cannot need it.
-func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic bool) bool {
+//
+// A nil fail stops the run at the first detecting read, as verdicts need;
+// otherwise every detecting read goes to fail and the result is false.
+func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic bool, fail func(elem, opIdx, addr int)) bool {
 	// The loop runs a handful of instructions per step; everything it needs
 	// is hoisted into locals so the compiler keeps the slice headers in
 	// registers across the stores into faulty. The armed pair is swapped
@@ -636,8 +653,11 @@ func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic
 		}
 
 		if isRead && retFaulty != retGood {
-			writeback()
-			return true
+			if fail == nil {
+				writeback()
+				return true
+			}
+			fail(st.elem, st.opIdx, st.addr)
 		}
 	}
 	writeback()
@@ -654,21 +674,8 @@ func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic
 // order differs from combination order, so the walk cannot just stop at its
 // first miss). With needWitness unset the walk aborts on any miss.
 func (s *Schedule) runTree(m *machine, f linked.Fault, placement []int, init []fp.Value, needWitness bool) (bool, int) {
-	m.ensureBindings(len(f.FPs))
-	hasState, hasDynamic := m.bindFault(f, placement)
+	hasState, hasDynamic := m.load(f, placement, init)
 	nb := len(m.ctxs)
-	for i := range m.faulty {
-		m.faulty[i] = fp.V0
-		m.cellAt[i] = -1
-	}
-	for c, addr := range placement {
-		m.faulty[addr] = init[c]
-		m.cellAt[addr] = c
-	}
-	m.disarm()
-	if hasState {
-		m.settleCtx()
-	}
 
 	if len(s.roots) == 0 {
 		// A test with no elements performs no reads: every combination (there
@@ -683,7 +690,7 @@ func (s *Schedule) runTree(m *machine, f linked.Fault, placement []int, init []f
 	var walk func(idx, d int)
 	walk = func(idx, d int) {
 		seg := &s.segs[idx]
-		if m.runSteps(init, seg.steps, hasState, hasDynamic) {
+		if m.runSteps(init, seg.steps, hasState, hasDynamic, nil) {
 			return // every combination under this prefix is detected
 		}
 		if seg.leaf >= 0 {
@@ -790,6 +797,35 @@ func (s *Schedule) DetectsFault(f linked.Fault) (bool, *Scenario, error) {
 	m := s.getMachine()
 	defer s.putMachine(m)
 	return s.detects(m, f)
+}
+
+// FailingReads simulates one scenario of the fault (a placement and the
+// fault cells' initial values) over the schedule's first order combination,
+// every ⇕ upward, and calls fn for every read that detects the fault, in
+// stream order. Unlike a verdict it runs past the first detection: the
+// reads are the syndrome a tester records.
+func (s *Schedule) FailingReads(f linked.Fault, placement []int, init []fp.Value, fn func(elem, opIdx, addr int)) error {
+	if err := validateBindings(f); err != nil {
+		return err
+	}
+	if len(placement) != f.Cells || len(init) != f.Cells {
+		return fmt.Errorf("sim: scenario places %d cells with %d initial values, fault has %d", len(placement), len(init), f.Cells)
+	}
+	if f.Cells >= s.size {
+		return fmt.Errorf("sim: memory of %d cells cannot place a %d-cell fault with a bystander", s.size, f.Cells)
+	}
+	for _, a := range placement {
+		if a < 0 || a >= s.size {
+			return fmt.Errorf("sim: address %d outside a memory of %d cells", a, s.size)
+		}
+	}
+	m := s.getMachine()
+	defer s.putMachine(m)
+	hasState, hasDynamic := m.load(f, placement, init)
+	for next := s.roots; len(next) > 0; next = s.segs[next[0]].children {
+		m.runSteps(init, s.segs[next[0]].steps, hasState, hasDynamic, fn)
+	}
+	return nil
 }
 
 // missesFault reports whether the test fails to detect the fault in at

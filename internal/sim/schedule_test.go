@@ -243,3 +243,45 @@ func TestSimulateMatchesDetectsFault(t *testing.T) {
 		}
 	}
 }
+
+// TestFailingReads: the syndrome run goes past the first detection — a
+// state fault pulling cell 1 from 0 to 1 fails every r0 March C− applies
+// there — and refuses every scenario the simulator cannot place.
+func TestFailingReads(t *testing.T) {
+	sf, err := linked.NewSimple(fp.MustParseFP("<0/1/->"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSchedule(march.MarchCMinus, Config{Size: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	record := func(elem, opIdx, addr int) { got = append(got, fmt.Sprintf("M%d#%d@%d", elem, opIdx, addr)) }
+	if err := s.FailingReads(sf, []int{1}, []fp.Value{fp.V0}, record); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[M1#0@1 M3#0@1 M5#0@1]"; fmt.Sprint(got) != want {
+		t.Fatalf("failing reads %v, want %s", got, want)
+	}
+
+	tiny, err := NewSchedule(march.MarchCMinus, Config{Size: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		name      string
+		s         *Schedule
+		placement []int
+		init      []fp.Value
+	}{
+		{"placement arity", s, []int{0, 1}, []fp.Value{fp.V0}},
+		{"init arity", s, []int{1}, nil},
+		{"address outside the memory", s, []int{4}, []fp.Value{fp.V0}},
+		{"no bystander", tiny, []int{0}, []fp.Value{fp.V0}},
+	} {
+		if err := bad.s.FailingReads(sf, bad.placement, bad.init, record); err == nil {
+			t.Errorf("%s: accepted", bad.name)
+		}
+	}
+}

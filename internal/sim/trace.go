@@ -43,7 +43,9 @@ type Trace struct {
 
 // TraceScenario replays one scenario of a fault under a march test and
 // records every operation: the tool behind "why does this test miss this
-// fault". The whole run is recorded even after the first detection.
+// fault". The whole run is recorded even after the first detection. It
+// steps the reference two-machine pair, which makes it the reference for
+// Schedule.FailingReads as well.
 func TraceScenario(t march.Test, f linked.Fault, s Scenario, cfg Config) (*Trace, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -77,9 +79,9 @@ func TraceScenario(t march.Test, f linked.Fault, s Scenario, cfg Config) (*Trace
 	// The compiled stream provides the (element, op, addr) sequence; the
 	// trace still runs the full two-machine reference step because it
 	// records the good machine's cell values at every step.
-	stream := compileStream(t, s.Orders, size)
-	for i := range stream.steps {
-		cs := &stream.steps[i]
+	steps := compileStream(t, s.Orders, size)
+	for i := range steps {
+		cs := &steps[i]
 		gb, fb := snapshot()
 		step := TraceStep{
 			Element: cs.elem, OpIndex: cs.opIdx, Addr: cs.addr, Op: cs.op,
