@@ -6,9 +6,12 @@ build:
 	$(GO) build ./...
 
 ## test: the unit suites, shuffled so inter-test ordering dependencies
-## cannot hide, and uncached so the shuffle actually re-runs.
+## cannot hide, and uncached so the shuffle actually re-runs; then vet and
+## test the benchmark module (perfbench/, its own go.mod replacing marchgen
+## with this checkout), so an internal API change that breaks it fails here.
 test:
 	$(GO) test -shuffle=on -count=1 ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

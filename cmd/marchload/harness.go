@@ -288,10 +288,12 @@ func sampleHealthz(hc *http.Client, addr string, col *collector, stop chan struc
 
 // sampleAllocs measures server-side allocations per cached hit: the
 // /metrics runtime mallocs delta across n back-to-back cache-hit requests.
-// The figure includes the full per-request HTTP machinery; the BENCH
-// report tracks its trend, while the zero-allocation claim for the verdict
-// bytes themselves is pinned by a testing.AllocsPerRun unit test in
-// internal/service.
+// The figure covers the whole request: the server's HTTP machinery,
+// decoding, resolving the fault list, the cache key and the write. In
+// internal/service, TestCachedHitThroughHandlerAllocations bounds the same
+// hit through the handler (without the network layer), and
+// TestCachedHitServesStoredBytesWithoutAllocating pins only its last step,
+// the cache lookup and write, at zero.
 func sampleAllocs(hc *http.Client, addr string, n int) (float64, error) {
 	before, err := metricsMallocs(hc, addr)
 	if err != nil {

@@ -32,8 +32,9 @@ const specSchema = "marchcamp/spec/v3"
 // workers can refuse to mix records across incompatible derivations.
 const SpecSchema = specSchema
 
-// MaxSize is the largest memory, in cells, a spec may sweep. /v1/diagnose,
-// which enumerates every fault placement up front, shares the bound.
+// MaxSize is the largest memory, in cells, a spec may sweep. marchd's
+// simulating endpoints (/v1/simulate, /v1/detects, /v1/verify and
+// /v1/diagnose) share the bound.
 const MaxSize = 16
 
 // Generator profiles a spec may sweep.

@@ -11,11 +11,18 @@
 // exactly the space the paper's generator is claimed to handle. The
 // enumeration counts are pinned by tests and recorded in EXPERIMENTS.md.
 //
+// The lists are built afresh on every call; the service resolves a named
+// list per request. linked.Links, the non-allocating form of the predicate,
+// discards the rejected pairs before any Fault is built, so a call costs
+// about one allocation per fault.
+//
 // The package also provides the simple (un-linked) static fault lists used
 // to validate the fault simulator against known literature results.
 package faultlist
 
 import (
+	"slices"
+
 	"marchgen/internal/fp"
 	"marchgen/internal/linked"
 )
@@ -49,66 +56,46 @@ func fp1CouplingCandidates() []fp.FP {
 // LF1s enumerates the single-cell linked faults: every ordered pair of
 // single-cell primitives satisfying the linking predicate.
 func LF1s() []linked.Fault {
-	var out []linked.Fault
-	for _, f1 := range fp1SingleCandidates() {
-		for _, f2 := range fp.AllSingleCellStatic() {
-			if ft, err := linked.NewLF1(f1, f2); err == nil {
-				out = append(out, ft)
-			}
-		}
-	}
-	return out
+	return linkPairs(fp1SingleCandidates(), fp.AllSingleCellStatic(), linked.LF1, linked.NewLF1)
 }
 
 // LF2aas enumerates the two-cell linked faults whose primitives share both
 // the aggressor and the victim.
 func LF2aas() []linked.Fault {
-	var out []linked.Fault
-	for _, f1 := range fp1CouplingCandidates() {
-		for _, f2 := range fp.AllTwoCellStatic() {
-			if ft, err := linked.NewLF2aa(f1, f2); err == nil {
-				out = append(out, ft)
-			}
-		}
-	}
-	return out
+	return linkPairs(fp1CouplingCandidates(), fp.AllTwoCellStatic(), linked.LF2aa, linked.NewLF2aa)
 }
 
 // LF2avs enumerates the two-cell linked faults where a coupling FP1 is
 // masked by a single-cell FP2 on the victim.
 func LF2avs() []linked.Fault {
-	var out []linked.Fault
-	for _, f1 := range fp1CouplingCandidates() {
-		for _, f2 := range fp.AllSingleCellStatic() {
-			if ft, err := linked.NewLF2av(f1, f2); err == nil {
-				out = append(out, ft)
-			}
-		}
-	}
-	return out
+	return linkPairs(fp1CouplingCandidates(), fp.AllSingleCellStatic(), linked.LF2av, linked.NewLF2av)
 }
 
 // LF2vas enumerates the two-cell linked faults where a single-cell FP1 on
 // the victim is masked by a coupling FP2.
 func LF2vas() []linked.Fault {
-	var out []linked.Fault
-	for _, f1 := range fp1SingleCandidates() {
-		for _, f2 := range fp.AllTwoCellStatic() {
-			if ft, err := linked.NewLF2va(f1, f2); err == nil {
-				out = append(out, ft)
-			}
-		}
-	}
-	return out
+	return linkPairs(fp1SingleCandidates(), fp.AllTwoCellStatic(), linked.LF2va, linked.NewLF2va)
 }
 
 // LF3s enumerates the three-cell linked faults of Figure 1: two coupling
 // primitives with distinct aggressors sharing the victim.
 func LF3s() []linked.Fault {
+	return linkPairs(fp1CouplingCandidates(), fp.AllTwoCellStatic(), linked.LF3, linked.NewLF3)
+}
+
+// linkPairs builds, in catalog order (firsts outer, seconds inner), every
+// fault of the given kind that pairs a primitive of firsts with one of
+// seconds. linked.Links rejects most of the pair space without allocating;
+// an accepted pair still goes through the kind's constructor and its full
+// Validate.
+func linkPairs(firsts, seconds []fp.FP, kind linked.Kind, build func(f1, f2 fp.FP) (linked.Fault, error)) []linked.Fault {
 	var out []linked.Fault
-	for _, f1 := range fp1CouplingCandidates() {
-		for _, f2 := range fp.AllTwoCellStatic() {
-			if ft, err := linked.NewLF3(f1, f2); err == nil {
+	for _, f1 := range firsts {
+		for _, f2 := range seconds {
+			if !linked.Links(f1, f2, kind) {
+				continue
+			}
+			if ft, err := build(f1, f2); err == nil {
 				out = append(out, ft)
 			}
 		}
@@ -124,13 +111,7 @@ func List2() []linked.Fault {
 // List1 is the paper's Fault List #1: single-, two- and three-cell static
 // linked faults.
 func List1() []linked.Fault {
-	var out []linked.Fault
-	out = append(out, LF1s()...)
-	out = append(out, LF2aas()...)
-	out = append(out, LF2avs()...)
-	out = append(out, LF2vas()...)
-	out = append(out, LF3s()...)
-	return out
+	return slices.Concat(LF1s(), LF2aas(), LF2avs(), LF2vas(), LF3s())
 }
 
 // Realistic filters a fault list down to the truly masking pairs (see

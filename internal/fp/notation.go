@@ -10,27 +10,31 @@ import (
 // coupling fault. The aggressor part appears first, separated from the victim
 // part by ';', exactly as in Definition 3.
 func (f FP) String() string {
-	var b strings.Builder
-	b.WriteByte('<')
+	var buf [24]byte
+	return string(f.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the notation String renders to b and returns the
+// extended buffer, so encoders can render primitives without a string per
+// primitive.
+func (f FP) AppendTo(b []byte) []byte {
+	b = append(b, '<')
 	if f.Cells == 2 {
-		b.WriteString(f.AInit.String())
+		b = append(b, f.AInit.String()...)
 		if f.Trigger == TrigOp && f.OpRole == RoleAggressor {
-			b.WriteString(f.Op.String())
-			b.WriteString(f.Op2.String())
+			b = f.Op2.appendTo(f.Op.appendTo(b))
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
-	b.WriteString(f.VInit.String())
+	b = append(b, f.VInit.String()...)
 	if f.Trigger == TrigOp && f.OpRole == RoleVictim {
-		b.WriteString(f.Op.String())
-		b.WriteString(f.Op2.String())
+		b = f.Op2.appendTo(f.Op.appendTo(b))
 	}
-	b.WriteByte('/')
-	b.WriteString(f.F.String())
-	b.WriteByte('/')
-	b.WriteString(f.R.String())
-	b.WriteByte('>')
-	return b.String()
+	b = append(b, '/')
+	b = append(b, f.F.String()...)
+	b = append(b, '/')
+	b = append(b, f.R.String()...)
+	return append(b, '>')
 }
 
 // sensPart is one parsed component of the sensitizing sequence S: a state

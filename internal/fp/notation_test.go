@@ -1,6 +1,8 @@
 package fp
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 )
 
@@ -98,6 +100,30 @@ func TestFPStringRoundTrip(t *testing.T) {
 		if parsed != f {
 			t.Errorf("round trip of %v gave %v", f, parsed)
 		}
+	}
+}
+
+// fpStringDigest is the SHA-256 of String for every catalog primitive (48
+// static, 66 dynamic, 2 data retention), one per line, captured before
+// String became a wrapper around AppendTo.
+const fpStringDigest = "0cc5bdf6f2c1610bfdccc794af4b8b90244cba6480365b1b6ad2e35202008672"
+
+func TestFPStringPinnedAndAppendTo(t *testing.T) {
+	h := sha256.New()
+	for _, f := range append(append(AllStatic(), AllDynamic()...), DRFs...) {
+		s := f.String()
+		fmt.Fprintln(h, s)
+		if got := string(f.AppendTo([]byte("x"))); got != "x"+s {
+			t.Errorf("AppendTo of %s appended %q", s, got)
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != fpStringDigest {
+		t.Fatalf("catalog String digest %s, want %s", got, fpStringDigest)
+	}
+	// Out-of-alphabet fields keep their diagnostic renderings.
+	odd := FP{Cells: 2, AInit: Value(7), Trigger: TrigOp, OpRole: RoleAggressor, Op: Op{Kind: OpKind(9), Data: Value(5)}}
+	if got, want := odd.String(), "<Value(7)Op(9,Value(5));0/0/0>"; got != want {
+		t.Errorf("odd FP renders %q, want %q", got, want)
 	}
 }
 

@@ -154,20 +154,27 @@ func (o Op) IsZero() bool { return o.Kind == OpNone }
 // String renders the operation in the paper's notation: "w0", "w1", "r0",
 // "r1", "r" (read without expectation) or "t".
 func (o Op) String() string {
+	var buf [8]byte
+	return string(o.appendTo(buf[:0]))
+}
+
+// appendTo appends the notation String renders to b.
+func (o Op) appendTo(b []byte) []byte {
 	switch o.Kind {
 	case OpNone:
-		return ""
+		return b
 	case OpWrite:
-		return "w" + o.Data.String()
+		return append(append(b, 'w'), o.Data.String()...)
 	case OpRead:
+		b = append(b, 'r')
 		if o.Data == VX {
-			return "r"
+			return b
 		}
-		return "r" + o.Data.String()
+		return append(b, o.Data.String()...)
 	case OpWait:
-		return "t"
+		return append(b, 't')
 	default:
-		return fmt.Sprintf("Op(%d,%s)", uint8(o.Kind), o.Data)
+		return fmt.Appendf(b, "Op(%d,%s)", uint8(o.Kind), o.Data)
 	}
 }
 

@@ -15,13 +15,45 @@ type faultJSON struct {
 }
 
 // MarshalJSON encodes the fault with its taxonomy kind and primitive
-// notations (bindings are implied by the kind).
+// notations (bindings are implied by the kind). It writes exactly the bytes
+// json.Marshal writes for the equivalent faultJSON — cache keys and stored
+// documents hash and embed these bytes — but into one buffer, without
+// reflection or a string per primitive.
 func (f Fault) MarshalJSON() ([]byte, error) {
-	w := faultJSON{Kind: f.Kind.String()}
-	for _, b := range f.FPs {
-		w.FPs = append(w.FPs, b.FP.String())
+	b := make([]byte, 0, 32+32*len(f.FPs))
+	b = append(b, `{"kind":`...)
+	b = appendJSONString(b, f.Kind.String())
+	if len(f.FPs) == 0 {
+		return append(b, `,"fps":null}`...), nil
 	}
-	return json.Marshal(w)
+	b = append(b, `,"fps":[`...)
+	var notation [24]byte
+	for i, fb := range f.FPs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, fb.FP.AppendTo(notation[:0]))
+	}
+	return append(b, "]}"...), nil
+}
+
+// appendJSONString appends s as json.Marshal quotes it. s is a kind name
+// or an FP notation, both printable ASCII, so the only bytes to escape are
+// the quote, the backslash and json's HTML-unsafe '<', '>' and '&'.
+func appendJSONString[S string | []byte](b []byte, s S) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\\':
+			b = append(b, '\\', c)
+		case '<', '>', '&':
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
 }
 
 // UnmarshalJSON decodes and re-validates a fault from its wire form.

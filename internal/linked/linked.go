@@ -213,6 +213,50 @@ func AggressorFinal(f fp.FP) fp.Value {
 	return f.AInit
 }
 
+// linkRule names the first linking condition a pair of primitives breaks,
+// in the order CheckLink tests them; linkOK means the pair links.
+type linkRule uint8
+
+const (
+	linkOK linkRule = iota
+	linkFP1StateTriggered
+	linkFP2StateTriggered
+	linkFP1KeepsState
+	linkFP1Misreads
+	linkNotMasking
+	linkVictimState
+	linkAggressorState
+)
+
+// linkRuleOf evaluates the linking conditions once, without allocating.
+func linkRuleOf(f1, f2 fp.FP, kind Kind) linkRule {
+	switch {
+	case f1.Trigger != fp.TrigOp:
+		return linkFP1StateTriggered
+	case f2.Trigger != fp.TrigOp:
+		return linkFP2StateTriggered
+	case !f1.ChangesState():
+		return linkFP1KeepsState
+	case f1.Misreads():
+		return linkFP1Misreads
+	case f2.F != f1.F.Not():
+		return linkNotMasking
+	case f2.VInit.IsBinary() && f2.VInit != f1.F:
+		return linkVictimState
+	}
+	if kind == LF2aa && f2.AInit.IsBinary() {
+		if af := AggressorFinal(f1); af.IsBinary() && f2.AInit != af {
+			return linkAggressorState
+		}
+	}
+	return linkOK
+}
+
+// Links reports whether f1 → f2 satisfies the linking conditions of
+// CheckLink. It allocates nothing, so enumerators can reject the bulk of
+// the pair space before building a Fault.
+func Links(f1, f2 fp.FP, kind Kind) bool { return linkRuleOf(f1, f2, kind) == linkOK }
+
 // CheckLink verifies the linking conditions of Definition 6 (and the state
 // chaining of Definition 7) between two primitives destined to share a
 // victim:
@@ -226,31 +270,26 @@ func AggressorFinal(f fp.FP) fp.Value {
 //  4. For kinds where both primitives constrain the same aggressor cell
 //     (LF2aa), FP2's required aggressor state must equal the state S1 leaves
 //     in the aggressor (the full-state chaining I2 = Fv1 of Definition 7).
+//
+// The error names the first condition the pair breaks.
 func CheckLink(f1, f2 fp.FP, kind Kind) error {
-	if f1.Trigger != fp.TrigOp {
+	switch linkRuleOf(f1, f2, kind) {
+	case linkFP1StateTriggered:
 		return fmt.Errorf("FP1 %v must be operation-triggered (state faults are excluded from the linked lists, see DESIGN.md)", f1)
-	}
-	if f2.Trigger != fp.TrigOp {
+	case linkFP2StateTriggered:
 		return fmt.Errorf("FP2 %v must be operation-triggered", f2)
-	}
-	if !f1.ChangesState() {
+	case linkFP1KeepsState:
 		return fmt.Errorf("FP1 %v does not corrupt stored data and cannot be masked", f1)
-	}
-	if f1.Misreads() {
+	case linkFP1Misreads:
 		return fmt.Errorf("FP1 %v is detected by its own sensitizing read and cannot be masked", f1)
-	}
-	if f2.F != f1.F.Not() {
+	case linkNotMasking:
 		return fmt.Errorf("FP2 %v does not mask FP1 %v: F2 must be the complement of F1", f2, f1)
-	}
-	if f2.VInit.IsBinary() && f2.VInit != f1.F {
+	case linkVictimState:
 		return fmt.Errorf("FP2 %v cannot follow FP1 %v: required victim state %s differs from the faulty state %s left by FP1 (I2 = Fv1)",
 			f2, f1, f2.VInit, f1.F)
-	}
-	if kind == LF2aa && f2.AInit.IsBinary() {
-		if af := AggressorFinal(f1); af.IsBinary() && f2.AInit != af {
-			return fmt.Errorf("FP2 %v cannot follow FP1 %v on the same aggressor: required aggressor state %s differs from the state %s left by S1",
-				f2, f1, f2.AInit, af)
-		}
+	case linkAggressorState:
+		return fmt.Errorf("FP2 %v cannot follow FP1 %v on the same aggressor: required aggressor state %s differs from the state %s left by S1",
+			f2, f1, f2.AInit, AggressorFinal(f1))
 	}
 	return nil
 }
@@ -262,7 +301,7 @@ func CheckLink(f1, f2 fp.FP, kind Kind) error {
 // at or after S2 without needing an isolating observation; Hamdioui et al.
 // call only the truly masking pairs "realistic".
 func TrulyMasks(f1, f2 fp.FP) bool {
-	if CheckLink(f1, f2, Simple) != nil { // Simple: skip kind-specific aggressor check
+	if !Links(f1, f2, Simple) { // Simple: skip kind-specific aggressor check
 		return false
 	}
 	goodV := f1.GoodVictimFinal() // fault-free victim value after S1

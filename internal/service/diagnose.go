@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"marchgen"
-	"marchgen/internal/campaign"
 )
 
 // handleDiagnose is POST /v1/diagnose: adaptive fault localization from
@@ -42,9 +41,8 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		cfg = *req.Config
 	}
 	cfg = cfg.Canonical()
-	// Localize enumerates every instance up front, outside the job deadline.
-	if cfg.Size > campaign.MaxSize {
-		writeError(w, http.StatusBadRequest, "config.size %d exceeds the maximum of %d cells", cfg.Size, campaign.MaxSize)
+	if err := checkSize(cfg); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	key, err := diagnoseKey(faults, cfg, canon)

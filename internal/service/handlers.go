@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"marchgen"
+	"marchgen/internal/campaign"
 	"marchgen/internal/optimize"
 )
 
@@ -251,6 +252,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		cfg = *req.Config
 	}
 	cfg = cfg.Canonical()
+	if err := checkSize(cfg); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	key, err := verifyKey(test, faults, cfg)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
@@ -398,6 +403,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		cfg = defaultSimConfig()
 	}
+	if err := checkSize(cfg); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	if shed := s.admit.acquire(classSimulate); shed != nil {
 		s.metrics.shed(string(classSimulate))
 		writeShed(w, shed)
@@ -496,6 +505,10 @@ func (s *Server) handleDetects(w http.ResponseWriter, r *http.Request) {
 	if req.Config != nil {
 		cfg = *req.Config
 	}
+	if err := checkSize(cfg); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	if shed := s.admit.acquire(classSimulate); shed != nil {
 		s.metrics.shed(string(classSimulate))
 		writeShed(w, shed)
@@ -581,4 +594,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // configs.
 func defaultSimConfig() marchgen.SimConfig {
 	return marchgen.SimConfig{Size: 4, ExhaustiveOrders: true}
+}
+
+// checkSize bounds the memory a simulating request may ask for. Simulation
+// cost grows about with the cube of the size, and the work does not stop at
+// the request's deadline (the simulator and the cross-check take no
+// context; diagnosis enumerates every placement up front), so the bound is
+// checked before admission.
+func checkSize(cfg marchgen.SimConfig) error {
+	if cfg.Size > campaign.MaxSize {
+		return fmt.Errorf("config.size %d exceeds the maximum of %d cells", cfg.Size, campaign.MaxSize)
+	}
+	return nil
 }

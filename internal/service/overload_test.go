@@ -152,11 +152,12 @@ type discardWriter struct{ n int }
 
 func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
 
-// TestCachedHitServesStoredBytesWithoutAllocating pins the cached-hit SLO:
-// serving a cached verdict document is a map lookup plus one Write of the
-// stored canonical bytes — zero per-request heap allocations. (The HTTP
-// plumbing around it allocates, of course; marchload tracks that full
-// figure as allocs_per_cached_hit. This guards the part we own.)
+// TestCachedHitServesStoredBytesWithoutAllocating pins the tail of the
+// cached-hit path: once the key is known, serving the stored document is a
+// map lookup plus one Write of the stored canonical bytes — zero heap
+// allocations. It does not cover the request: decoding, resolving the
+// fault list and deriving the key come first and do allocate;
+// TestCachedHitThroughHandlerAllocations bounds the whole hit.
 func TestCachedHitServesStoredBytesWithoutAllocating(t *testing.T) {
 	c := newResultCache(8)
 	key := strings.Repeat("ab", 32)
@@ -176,6 +177,36 @@ func TestCachedHitServesStoredBytesWithoutAllocating(t *testing.T) {
 	}
 	if sink.n == 0 {
 		t.Fatal("nothing written")
+	}
+}
+
+// TestCachedHitThroughHandlerAllocations bounds the allocations of a whole
+// List #2 /v1/generate cache hit through Server.Handler(): routing, body
+// decoding, resolving the named list, the cache key, the lookup and the
+// write, plus httptest's request and recorder. Resolving the list and
+// encoding the key are the costly steps; the bound fails if either goes
+// back to allocating per rejected primitive pair or per encoded field.
+func TestCachedHitThroughHandlerAllocations(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	const body = `{"list":"list2"}`
+	w := do(t, s, "POST", "/v1/generate", body)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("cold POST: status %d: %s", w.Code, w.Body.String())
+	}
+	if j := pollJob(t, s, decode[jobEnvelope](t, w).Job.ID); j.Status != JobDone {
+		t.Fatalf("job = %+v, want done", j)
+	}
+
+	h := s.Handler()
+	allocs := testing.AllocsPerRun(50, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/generate", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("hit: status %d, X-Cache %q", rec.Code, rec.Header().Get("X-Cache"))
+		}
+	})
+	if allocs > 250 {
+		t.Fatalf("a List #2 cache hit allocates %.0f times through the handler, want at most 250", allocs)
 	}
 }
 

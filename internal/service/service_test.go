@@ -367,6 +367,7 @@ func TestSimulateEndpoint(t *testing.T) {
 		`{"march":{"spec":"^(r0,w1"},"list":"list2"}`,
 		`{"march":{"spec":"^(r0,w1)"},"list":"list2"}`, // inconsistent: read 0 never established
 		`{"list":"list2"}`, // no march at all
+		`{"march":{"name":"March SL"},"list":"list2","config":{"size":17}}`, // memory too large
 	} {
 		if w := do(t, s, "POST", "/v1/simulate", body); w.Code != http.StatusBadRequest {
 			t.Errorf("body %s: status %d, want 400", body, w.Code)
@@ -403,6 +404,9 @@ func TestDetectsEndpoint(t *testing.T) {
 
 	if w := do(t, s, "POST", "/v1/detects", `{"march":{"name":"MATS+"}}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("missing fault: %d, want 400", w.Code)
+	}
+	if w := do(t, s, "POST", "/v1/detects", `{"march":{"name":"MATS+"},"fault":`+fault+`,"config":{"size":17}}`); w.Code != http.StatusBadRequest {
+		t.Fatalf("memory too large: %d, want 400", w.Code)
 	}
 }
 
@@ -690,10 +694,11 @@ func TestVerifyBadRequests(t *testing.T) {
 	cases := []string{
 		`{`,                // malformed JSON
 		`{"list":"list2"}`, // no march test
-		`{"march":{"name":"nope"},"list":"list2"}`,           // unknown test
-		`{"march":{"name":"March SS"}}`,                      // no faults
-		`{"march":{"name":"March SS"},"list":"nope"}`,        // unknown list
-		`{"march":{"name":"March SS"},"list":"list2","x":1}`, // unknown field
+		`{"march":{"name":"nope"},"list":"list2"}`,                          // unknown test
+		`{"march":{"name":"March SS"}}`,                                     // no faults
+		`{"march":{"name":"March SS"},"list":"nope"}`,                       // unknown list
+		`{"march":{"name":"March SS"},"list":"list2","x":1}`,                // unknown field
+		`{"march":{"name":"March SS"},"list":"list2","config":{"size":17}}`, // memory too large
 	}
 	for _, body := range cases {
 		if w := do(t, s, "POST", "/v1/verify", body); w.Code != http.StatusBadRequest {
