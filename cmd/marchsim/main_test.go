@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -98,5 +100,29 @@ func TestListTests(t *testing.T) {
 	}
 	if !strings.Contains(out, "March SL") || !strings.Contains(out, "MATS+") {
 		t.Fatalf("library listing incomplete:\n%s", out)
+	}
+}
+
+// TestTraceBytesPinned pins the rendered -trace output byte for byte: the
+// SHA-256 of stdout for five (test, list) pairs that cover linked faults
+// (March SS × List #1), dynamic faults (March C- × dynamic), wait steps
+// (March G × simple), the masked LF1 (March LF1 × List #2) and MATS+'s
+// simple misses. A changed digest means users read a different trace:
+// re-take it only for a deliberate change to trace semantics or rendering.
+func TestTraceBytesPinned(t *testing.T) {
+	for _, c := range []struct{ march, list, digest string }{
+		{"March SS", "list1", "f4c3f6fade16c7ae990ee6cb4f8640bb9505bf8e073ed89fc26f12435af3397a"},
+		{"March C-", "dynamic", "7677bae0c5f73850f8c7a8fa94b2091e23185aae1a251d0238b3cff2589976a1"},
+		{"March G", "simple", "3f3d752f37a64454ef889e61ea99ff3743ae7722d5a15c0618058fb2829686c9"},
+		{"March LF1", "list2", "37e0598d894b47ca7974dacadff71476d4060786ff5ef043fd999755365a6f81"},
+		{"MATS+", "simple", "eb3bd65c09bdb3ab8a3ee6d2dbb0d0ca20412e3ceda9a6edbc0c1bde307b3590"},
+	} {
+		code, out, errOut := runCmd("-march", c.march, "-list", c.list, "-missed", "1000", "-trace")
+		if code != exitMiss {
+			t.Fatalf("%s × %s: exit = %d, want %d; stderr: %s", c.march, c.list, code, exitMiss, errOut)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != c.digest {
+			t.Errorf("%s × %s: trace output digest %s, want %s", c.march, c.list, got, c.digest)
+		}
 	}
 }

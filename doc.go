@@ -27,10 +27,11 @@
 //     library (March SL, LF1, ABL, RABL, ABL1, ...).
 //   - internal/sim — the memory fault simulator used to certify every
 //     generated test, with dynamic-fault arming and witness tracing.
-//     Production paths run on compiled simulation schedules (op-stream
-//     tries with a precomputed good-machine trace, placement-equivalence
-//     classes, pooled machines) pinned bit-identical to a retained
-//     per-scenario reference interpreter; see DESIGN.md §7.
+//     Verdicts, syndromes and traces all run on compiled simulation
+//     schedules (op-stream tries with a precomputed good-machine trace,
+//     placement-equivalence classes, pooled machines), pinned
+//     bit-identical to the independent reference simulator in
+//     internal/oracle; see DESIGN.md §7 and §11.
 //   - internal/core — the generation algorithm (Section 5, Figure 5),
 //     including the Section 7 order-constrained profiles.
 //   - internal/bist, internal/defect, internal/topo, internal/word,

@@ -194,3 +194,18 @@ func TestAdaptiveLocalizeStableOnIndistinguishable(t *testing.T) {
 		t.Fatalf("pool of one already-used test must stop after round 1, got %d", res.Rounds)
 	}
 }
+
+// TestAdaptiveLocalizeRejectsBadPlacement: the injected instance is a
+// caller's placement, and one the simulator would never enumerate — two
+// fault cells on one address, or a cell outside the array — must be an
+// error, not a syndrome that localizes to unrelated candidates.
+func TestAdaptiveLocalizeRejectsBadPlacement(t *testing.T) {
+	cfst := mustSimple(t, "<0;0/1/->")
+	cfg := sim.Config{Size: 4}
+	for _, placement := range [][]int{{1, 1}, {0, 4}} {
+		res, err := AdaptiveLocalize(cfst, placement, faultlist.SimpleStatic(), march.Lib(), march.MarchCMinus, cfg, 8)
+		if err == nil {
+			t.Errorf("placement %v: accepted, %d candidates", placement, len(res.Candidates))
+		}
+	}
+}

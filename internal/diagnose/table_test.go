@@ -8,15 +8,16 @@ import (
 	"marchgen/internal/fp"
 	"marchgen/internal/linked"
 	"marchgen/internal/march"
+	"marchgen/internal/oracle"
 	"marchgen/internal/sim"
 )
 
-// TestTableMatchesTrace pins the compiled signature table to the reference
-// trace: for every library march, every fault instance and memories of 4
-// and 5 cells, an instance's syndrome is exactly the set of steps
-// sim.TraceScenario marks Detected from the all-zero state with ⇕ run
-// upward. The lists cover one-, two- and three-cell, linked and dynamic
-// faults; List #1 is strided to keep the sweep short.
+// TestTableMatchesTrace pins the compiled signature table to the failing
+// reads the independent oracle traces: for every library march, every fault
+// instance and memories of 4 and 5 cells, an instance's syndrome is exactly
+// the set of reads oracle.FailingReads reports from the all-zero state with
+// ⇕ run upward. The lists cover one-, two- and three-cell, linked and
+// dynamic faults; List #1 is strided to keep the sweep short.
 func TestTableMatchesTrace(t *testing.T) {
 	const stride = 10
 	var list1 []linked.Fault
@@ -56,19 +57,16 @@ func TestTableMatchesTrace(t *testing.T) {
 					}
 				}
 				for _, e := range d.Entries {
-					s := sim.Scenario{Placement: e.Placement, Init: make([]fp.Value, e.Fault.Cells), Orders: orders}
-					tr, err := sim.TraceScenario(m, e.Fault, s, cfg)
+					s := oracle.Scenario{Placement: e.Placement, Init: make([]fp.Value, e.Fault.Cells), Orders: orders}
+					want := Syndrome{}
+					err := oracle.FailingReads(m, e.Fault, s, oracle.ConfigFromSim(cfg), func(elem, opIdx, addr int) {
+						want[ReadID{Element: elem, Addr: addr, OpIndex: opIdx}] = true
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := Syndrome{}
-					for _, st := range tr.Steps {
-						if st.Detected {
-							want[ReadID{Element: st.Element, Addr: st.Addr, OpIndex: st.OpIndex}] = true
-						}
-					}
 					if !maps.Equal(e.Syndrome, want) {
-						t.Fatalf("%s, %s on %d cells, %s: table %q, trace %q",
+						t.Fatalf("%s, %s on %d cells, %s: table %q, oracle %q",
 							l.name, m.Name, size, e.Candidate, e.Syndrome.Key(), want.Key())
 					}
 					compared++

@@ -344,53 +344,6 @@ func (f FP) MatchesOp(op Op, opRole Role, aState, vState Value) bool {
 	return true
 }
 
-// MatchesFirstOp reports whether applying op to the cell with role opRole
-// arms a dynamic primitive: the operation matches Op and the pre-operation
-// states satisfy the initial conditions. The primitive fires when the very
-// next operation of the stream completes the sequence (MatchesSecondOp).
-func (f FP) MatchesFirstOp(op Op, opRole Role, aState, vState Value) bool {
-	if f.Trigger != TrigOp || !f.IsDynamic() {
-		return false
-	}
-	if opRole != f.OpRole {
-		return false
-	}
-	if op.Kind != f.Op.Kind {
-		return false
-	}
-	if op.Kind == OpWrite && op.Data != f.Op.Data {
-		return false
-	}
-	if f.Cells == 2 && f.AInit.IsBinary() && aState != f.AInit {
-		return false
-	}
-	if f.VInit.IsBinary() && vState != f.VInit {
-		return false
-	}
-	return true
-}
-
-// MatchesSecondOp reports whether an operation applied to the same cell
-// with the same role completes an armed dynamic primitive. State conditions
-// were established at arming time; only the operation itself is checked
-// (reads match regardless of the expected value, which refers to the
-// fault-free machine).
-func (f FP) MatchesSecondOp(op Op, opRole Role) bool {
-	if f.Trigger != TrigOp || !f.IsDynamic() {
-		return false
-	}
-	if opRole != f.OpRole {
-		return false
-	}
-	if op.Kind != f.Op2.Kind {
-		return false
-	}
-	if op.Kind == OpWrite && op.Data != f.Op2.Data {
-		return false
-	}
-	return true
-}
-
 // MatchesState reports whether the current cell states sensitize a
 // state-triggered primitive (SF, CFst).
 func (f FP) MatchesState(aState, vState Value) bool {

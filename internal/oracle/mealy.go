@@ -135,7 +135,11 @@ func inputIndex(addr int, op fp.Op) int {
 // cells initialized, bystanders zero), and reports whether any read
 // detects the fault. The fault-free machine is simulated explicitly as a
 // bit vector alongside the automaton walk.
-func (a *automaton) run(t march.Test, orders []march.AddrOrder, initWord uint32) bool {
+//
+// A nil fail stops the walk at the first detecting read, as a verdict
+// needs; otherwise every detecting read goes to fail (element, operation
+// index, address), the walk runs to the end and the result is false.
+func (a *automaton) run(t march.Test, orders []march.AddrOrder, initWord uint32, fail func(elem, opIdx, addr int)) bool {
 	state := a.settleInitial(int(initWord))
 	good := initWord
 	for ei, e := range t.Elems {
@@ -146,7 +150,7 @@ func (a *automaton) run(t march.Test, orders []march.AddrOrder, initWord uint32)
 			start, stop, step = a.size-1, -1, -1
 		}
 		for addr := start; addr != stop; addr += step {
-			for _, op := range e.Ops {
+			for oi, op := range e.Ops {
 				in := inputIndex(addr, op)
 				tr := a.delta(state, in)
 				state = tr.next
@@ -159,8 +163,11 @@ func (a *automaton) run(t march.Test, orders []march.AddrOrder, initWord uint32)
 					}
 				case fp.OpRead:
 					if tr.out != int8(good>>addr&1) {
-						// Detection anywhere suffices.
-						return true
+						if fail == nil {
+							// Detection anywhere suffices.
+							return true
+						}
+						fail(ei, oi, addr)
 					}
 				}
 			}

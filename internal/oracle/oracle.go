@@ -211,7 +211,7 @@ func Detects(t march.Test, f linked.Fault, cfg Config) (bool, *Scenario, error) 
 					}
 				}
 				for _, orders := range orderSets {
-					if a.run(t, orders, initWord) {
+					if a.run(t, orders, initWord, nil) {
 						continue
 					}
 					init := make([]fp.Value, k)
@@ -246,6 +246,46 @@ func Detects(t march.Test, f linked.Fault, cfg Config) (bool, *Scenario, error) 
 		return false, witness, nil
 	}
 	return true, nil, nil
+}
+
+// FailingReads replays one scenario of the fault and calls fn for every
+// read whose faulty value differs from the fault-free one, in stream order.
+// Unlike a verdict it runs past the first detection: the reads are the
+// syndrome a tester records. It is the reference for internal/sim's
+// per-scenario paths (Schedule.FailingReads and TraceScenario), and takes
+// only the scenarios Detects enumerates: every fault cell at a distinct
+// address, at least one bystander cell, binary initial values and one
+// order per element.
+func FailingReads(t march.Test, f linked.Fault, s Scenario, cfg Config, fn func(elem, opIdx, addr int)) error {
+	size := cfg.size()
+	k := f.Cells
+	if k >= size {
+		return fmt.Errorf("oracle: memory of %d cells cannot place a %d-cell fault with a bystander", size, k)
+	}
+	if len(s.Placement) != k || len(s.Init) != k || len(s.Orders) != len(t.Elems) {
+		return fmt.Errorf("oracle: scenario %s does not fit a %d-cell fault under a %d-element test", s, k, len(t.Elems))
+	}
+	if err := checkOps(t); err != nil {
+		return err
+	}
+	used, initWord := uint32(0), uint32(0)
+	for c, addr := range s.Placement {
+		if addr < 0 || addr >= size || used>>addr&1 == 1 {
+			return fmt.Errorf("oracle: scenario %s: address %d is outside the memory or placed twice", s, addr)
+		}
+		used |= 1 << addr
+		switch s.Init[c] {
+		case fp.V1:
+			initWord |= 1 << addr
+		case fp.V0:
+		default:
+			return fmt.Errorf("oracle: scenario %s: initial values must be 0 or 1", s)
+		}
+	}
+	a := newAutomaton(f, size)
+	a.setPlacement(s.Placement)
+	a.run(t, s.Orders, initWord, fn)
+	return nil
 }
 
 // Simulate runs every fault through the oracle, sequentially (no worker

@@ -46,7 +46,7 @@ import (
 // fold (laneClasses) recovers, for every class, the first missing init
 // background and the lowest missing order-combination leaf — exactly the
 // classResult the scalar runBlock/runTree pair memoizes — and the ordinary
-// placement loop then reconstructs the reference-order witness from it.
+// placement loop then reconstructs the enumeration-order witness from it.
 
 // maxLaneCells is the largest fault cell count the lane engine packs; with
 // k ≤ 3, k!·2^k ≤ 48 lanes fit one uint64 word.
@@ -570,7 +570,7 @@ func (s *Schedule) runLanesAny(m *machine) bool {
 // each permutation's lane block it recovers the scalar runBlock contract:
 // the FIRST missing init background (backgrounds ascending) and, within it,
 // the LOWEST missing orderSets leaf — so the placement loop reconstructs
-// witnesses in exact reference order.
+// witnesses in exact enumeration order.
 func (s *Schedule) laneClasses(m *machine, classes *[classSpace]classResult) {
 	p := &m.plan
 	leafMiss := s.runLanesAll(m)

@@ -20,8 +20,8 @@ func forceScalar(c Config) Config {
 // TestLanesMatchScalar compares the two execution modes of the SAME compiled
 // schedule head-on: for every library test and every shipped fault, verdict,
 // witness and coverage verdict must be identical with lanes on and off.
-// (TestScheduleMatchesReference separately pins both modes against the
-// uncompiled reference path.)
+// (TestScheduleMatchesReference separately pins both modes against
+// internal/oracle.)
 func TestLanesMatchScalar(t *testing.T) {
 	faults := append(faultlist.List2(), faultlist.SimpleStatic()...)
 	faults = append(faults, faultlist.Dynamic()...)
@@ -148,40 +148,6 @@ func TestOutOfRangeBindingError(t *testing.T) {
 	}
 }
 
-// TestNoAggressorStateConditionInert pins the settleCtx/waitCtx guard: a
-// hand-built two-cell primitive bound without an aggressor but carrying a
-// binary aggressor condition can never be sensitized (the reference matchers
-// compare the condition against VX). The compiled paths must agree with the
-// reference instead of indexing faulty[-1].
-func TestNoAggressorStateConditionInert(t *testing.T) {
-	faults := []linked.Fault{
-		// State-triggered (exercises the settleCtx guard).
-		{Kind: linked.Simple, Cells: 2, FPs: []linked.Binding{
-			{FP: fp.MustParseFP("<1;0/1/->"), A: -1, V: 0},
-		}},
-		// Wait-sensitized (exercises the waitCtx guard; March RAW has no t
-		// ops, so pair it with a test that would run waitCtx if any did).
-		{Kind: linked.Simple, Cells: 2, FPs: []linked.Binding{
-			{FP: fp.MustParseFP("<1;0t/1/->"), A: -1, V: 0},
-		}},
-		// Op-triggered, for completeness of the inert-binding handling.
-		{Kind: linked.Simple, Cells: 2, FPs: []linked.Binding{
-			{FP: fp.MustParseFP("<1;0w1/0/->"), A: -1, V: 0},
-		}},
-	}
-	for _, cfg := range []Config{DefaultConfig(), forceScalar(DefaultConfig())} {
-		for _, mt := range []march.Test{march.MATSPlus, march.MarchSL} {
-			for _, f := range faults {
-				refDet, refWit, refErr := referenceDetects(mt, f, cfg)
-				schedDet, schedWit, schedErr := DetectsFault(mt, f, cfg)
-				assertSameOutcome(t, fmt.Sprintf("%s vs inert %s (lanes=%v)",
-					mt.Name, f.ID(), !cfg.scalar),
-					refDet, schedDet, refWit, schedWit, refErr, schedErr)
-			}
-		}
-	}
-}
-
 // placementClassReference is the old O(size·k) implementation: scan every
 // memory address in ascending order and append the digit of the cell placed
 // there. The property test pins the new sort-based rank against it.
@@ -248,29 +214,6 @@ func fourCellFault() linked.Fault {
 		{FP: fp.MustParseFP("<0w1;1/0/->"), A: 1, V: 2},
 		{FP: fp.MustParseFP("<1;0/1/->"), A: 3, V: 2},
 	}}
-}
-
-// TestFourCellFaultUncached is the boundary test for the class-table bound:
-// a 4-cell static fault must degrade to the uncached per-placement path (its
-// ranks would not fit classSpace) and still agree with the reference
-// enumeration — instead of silently corrupting the memoization like an
-// unchecked 64-entry array would.
-func TestFourCellFaultUncached(t *testing.T) {
-	f := fourCellFault()
-	if canClassCache(f) {
-		t.Fatalf("canClassCache accepted a %d-cell fault (maxClassCells=%d)", f.Cells, maxClassCells)
-	}
-	for _, cfg := range []Config{
-		{Size: 5, ExhaustiveOrders: true},
-		{Size: 6, ExhaustiveOrders: true, scalar: true},
-	} {
-		for _, mt := range []march.Test{march.MATSPlus, march.MarchLF1} {
-			refDet, refWit, refErr := referenceDetects(mt, f, cfg)
-			schedDet, schedWit, schedErr := DetectsFault(mt, f, cfg)
-			assertSameOutcome(t, fmt.Sprintf("%s vs 4-cell fault (size=%d)", mt.Name, cfg.Size),
-				refDet, schedDet, refWit, schedWit, refErr, schedErr)
-		}
-	}
 }
 
 // fuzzTests is the pool the fuzzer draws march tests from: a spread of

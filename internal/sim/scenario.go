@@ -8,61 +8,31 @@ import (
 	"marchgen/internal/march"
 )
 
-// forEachScenario enumerates every concrete scenario for a fault under the
-// configuration and invokes fn; enumeration stops early when fn returns
-// false. The callback receives a scenario whose slices are reused across
-// invocations; it must copy them if it retains them.
-//
-// This is the uncompiled reference enumeration; production paths go through
-// Schedule.runTree, which walks the identical scenario space over precompiled
-// op streams (schedule_test.go pins verdict and witness equivalence).
-func forEachScenario(t march.Test, f linked.Fault, cfg Config, fn func(Scenario) bool) error {
-	size := cfg.size()
-	k := f.Cells
-	if k >= size {
-		return fmt.Errorf("sim: memory of %d cells cannot place a %d-cell fault with a bystander", size, k)
+// checkScenario rejects a scenario the simulator cannot run: it must place
+// every fault cell at a distinct address inside the memory, leave at least
+// one bystander cell, and start every fault cell at 0 or 1. Those are
+// exactly the scenarios DetectsFault enumerates. TraceScenario and
+// Schedule.FailingReads share it; it allocates only to report an error.
+func checkScenario(f linked.Fault, placement []int, init []fp.Value, size int) error {
+	if len(placement) != f.Cells || len(init) != f.Cells {
+		return fmt.Errorf("sim: scenario places %d cells with %d initial values, fault has %d", len(placement), len(init), f.Cells)
 	}
-
-	orderSets, err := orderCombinations(t, cfg)
-	if err != nil {
-		return err
+	if f.Cells >= size {
+		return fmt.Errorf("sim: memory of %d cells cannot place a %d-cell fault with a bystander", size, f.Cells)
 	}
-
-	placement := make([]int, k)
-	used := make([]bool, size)
-	init := make([]fp.Value, k)
-
-	var place func(depth int) bool
-	place = func(depth int) bool {
-		if depth == k {
-			// Enumerate initial values of the fault cells.
-			for bits := 0; bits < 1<<k; bits++ {
-				for c := 0; c < k; c++ {
-					init[c] = fp.ValueOf(uint8(bits>>c) & 1)
-				}
-				for _, orders := range orderSets {
-					if !fn(Scenario{Placement: placement, Init: init, Orders: orders}) {
-						return false
-					}
-				}
-			}
-			return true
+	for c, a := range placement {
+		if a < 0 || a >= size {
+			return fmt.Errorf("sim: address %d outside a memory of %d cells", a, size)
 		}
-		for a := 0; a < size; a++ {
-			if used[a] {
-				continue
-			}
-			used[a] = true
-			placement[depth] = a
-			ok := place(depth + 1)
-			used[a] = false
-			if !ok {
-				return false
+		for _, b := range placement[:c] {
+			if a == b {
+				return fmt.Errorf("sim: scenario places two fault cells at address %d", a)
 			}
 		}
-		return true
+		if !init[c].IsBinary() {
+			return fmt.Errorf("sim: fault cell %d starts at %s, not 0 or 1", c, init[c])
+		}
 	}
-	place(0)
 	return nil
 }
 

@@ -14,9 +14,10 @@ import (
 // The operation stream a march test induces on a memory depends only on
 // (test, address orders, memory size) — never on the fault being simulated.
 // The exhaustive simulator, however, fans the same test out over hundreds of
-// faults × placements × initial values × order combinations, and the naive
-// path re-derives the order combinations, the address sequences and the
-// fault-free machine behavior for every single scenario.
+// faults × placements × initial values × order combinations, and a
+// per-scenario interpreter would re-derive the order combinations, the
+// address sequences and the fault-free machine behavior for every single
+// scenario.
 //
 // A Schedule compiles all of that once per (test, config):
 //
@@ -33,6 +34,11 @@ import (
 //
 // Machines are pooled (sync.Pool) across the Simulate/FullCoverage worker
 // fan-out, so steady-state simulation does not allocate per fault.
+//
+// This is the package's one implementation of the fault semantics: verdicts,
+// witnesses, FailingReads and TraceScenario all run runSteps (lanes.go packs
+// the same semantics bit-parallel and is pinned to it). The independent
+// reference is internal/oracle, which tests compare every path against.
 
 // opStep is one operation of a compiled stream.
 type opStep struct {
@@ -81,8 +87,8 @@ type Schedule struct {
 }
 
 // NewSchedule compiles the simulation schedule of a march test under a
-// configuration. It fails only where scenario enumeration would fail: when
-// the exhaustive ⇕ expansion exceeds Config.MaxAnyElements.
+// configuration. It fails only when the exhaustive ⇕ expansion exceeds
+// Config.MaxAnyElements.
 func NewSchedule(t march.Test, cfg Config) (*Schedule, error) {
 	orderSets, err := orderCombinations(t, cfg)
 	if err != nil {
@@ -184,8 +190,8 @@ func compileElemSteps(e march.Element, order march.AddrOrder, size, ei int, writ
 }
 
 // compileStream flattens the test into the operation stream induced by one
-// concrete order assignment (used by TraceScenario, which needs one linear
-// stream rather than the trie).
+// concrete order assignment (used by TraceScenario, which steps one linear
+// stream rather than walking the trie).
 func compileStream(t march.Test, orders []march.AddrOrder, size int) []opStep {
 	n := 0
 	for _, e := range t.Elems {
@@ -225,9 +231,10 @@ func (s *Schedule) ScenarioCount(f linked.Fault) (int, error) {
 func (s *Schedule) getMachine() *machine  { return s.pool.Get().(*machine) }
 func (s *Schedule) putMachine(m *machine) { s.pool.Put(m) }
 
-// forEachPlacement enumerates the placements of k fault cells in exactly
-// the order of the uncompiled reference path; enumeration stops early when
-// fn returns false. The placement slice is reused across invocations.
+// forEachPlacement enumerates the injective placements of k fault cells in
+// ascending depth-first order — the order witnesses are reported in, and
+// the order internal/oracle enumerates; enumeration stops early when fn
+// returns false. The placement slice is reused across invocations.
 func (s *Schedule) forEachPlacement(k int, fn func(placement []int) bool) error {
 	if k >= s.size {
 		return fmt.Errorf("sim: memory of %d cells cannot place a %d-cell fault with a bystander", s.size, k)
@@ -259,9 +266,9 @@ func (s *Schedule) forEachPlacement(k int, fn func(placement []int) bool) error 
 }
 
 // runBlock simulates every initial-value assignment of one placement, in
-// reference order, over the order-combination trie. It reports the first
-// miss as (miss, init bit pattern, orderSets index); needWitness is passed
-// through to runTree.
+// ascending bit-pattern order, over the order-combination trie. It reports
+// the first miss as (miss, init bit pattern, orderSets index); needWitness
+// is passed through to runTree.
 func (s *Schedule) runBlock(m *machine, f linked.Fault, placement []int, init []fp.Value, needWitness bool) (bool, int, int) {
 	k := len(placement)
 	for bits := 0; bits < 1<<k; bits++ {
@@ -429,9 +436,9 @@ func (m *machine) bindFault(f linked.Fault, placement []int) (hasState, hasDynam
 		}
 		if c.aInit != fp.VX && c.aggAddr < 0 {
 			// An aggressor-state condition with no bound aggressor can never
-			// hold (the reference matchers compare it against VX); the
-			// binding is inert. Only hand-built faults reach this — Validate
-			// rejects them — but the simulator must not index address -1.
+			// hold (fp.FP's matchers compare it against VX); the binding is
+			// inert. Only hand-built faults reach this — Validate rejects
+			// them — but the simulator must not index address -1.
 			// victimAddr -1 keeps it out of the trigger loop, the cleared
 			// flags keep it out of the settle and wait scans.
 			c.trigOp = false
@@ -444,9 +451,9 @@ func (m *machine) bindFault(f linked.Fault, placement []int) (hasState, hasDynam
 	return hasState, hasDynamic
 }
 
-// settleCtx is settleStateFaults over the resolved contexts: apply
-// state-triggered primitives until a fixpoint, bounded to avoid oscillation
-// between mutually linked state conditions.
+// settleCtx applies state-triggered primitives (SF, CFst) over the resolved
+// contexts until a fixpoint, bounded to avoid oscillation between mutually
+// linked state conditions.
 func (m *machine) settleCtx() {
 	for iter := 0; iter <= len(m.ctxs); iter++ {
 		progress := false
@@ -476,8 +483,9 @@ func (m *machine) settleCtx() {
 	}
 }
 
-// waitCtx is applyWait over the resolved contexts: time passes for the whole
-// array, sensitizing data retention primitives whose state conditions hold.
+// waitCtx models the wait operation 't' over the resolved contexts: time
+// passes for the whole array, sensitizing data retention primitives whose
+// state conditions hold.
 func (m *machine) waitCtx(hasState bool) {
 	for i := range m.ctxs {
 		c := &m.ctxs[i]
@@ -521,11 +529,13 @@ func (m *machine) load(f linked.Fault, placement []int, init []fp.Value) (hasSta
 // runSteps simulates the fault over one compiled step segment from the
 // machine's current state and reports whether any read detects it. Only the
 // faulty array is simulated; reads compare against the segment's cached good
-// trace. The semantics are exactly those of the reference machine.run/step
-// pair (schedule_test.go pins the equivalence), specialized for speed:
-// bindings are pre-resolved against the placement (bindFault), bystander
-// steps reduce to disarming, and the settle/arming bookkeeping is skipped
-// for faults that cannot need it.
+// trace. Each step applies the paper's semantics in four stages (triggers
+// against the pre-operation state, base operation, fault effects in binding
+// order, state-fault settling), specialized for speed: bindings are
+// pre-resolved against the placement (bindFault), bystander steps reduce to
+// disarming, and the settle/arming bookkeeping is skipped for faults that
+// cannot need it. reference_test.go pins its verdicts, witnesses and traces
+// to internal/oracle.
 //
 // A nil fail stops the run at the first detecting read, as verdicts need;
 // otherwise every detecting read goes to fail and the result is false.
@@ -570,9 +580,13 @@ func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic
 		}
 
 		// 1. Evaluate operation triggers against the pre-operation faulty
-		// state (the specialized evalTriggers). State-triggered and inert
-		// bindings fall out naturally: their opKind is OpNone (never equal
-		// to a read or write) and their victimAddr is -1 respectively.
+		// state: static primitives match on the single operation; dynamic
+		// ones fire when the operation completes a sequence armed on the
+		// previous step, and (re-)arm when it matches their first operation;
+		// whatever this step does not re-arm is disarmed. State-triggered
+		// and inert bindings fall out naturally: their opKind is OpNone
+		// (never equal to a read or write) and their victimAddr is -1
+		// respectively.
 		anyMatched := false
 		for i := range ctxs {
 			c := &ctxs[i]
@@ -670,9 +684,9 @@ func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic
 // prefix settles the whole subtree at once. It reports whether any
 // combination fails to detect the fault and, when needWitness is set, the
 // LOWEST orderSets index among the failing combinations — the combination
-// the reference enumeration would have reported first (depth-first trie
-// order differs from combination order, so the walk cannot just stop at its
-// first miss). With needWitness unset the walk aborts on any miss.
+// enumeration order reports first (depth-first trie order differs from
+// combination order, so the walk cannot just stop at its first miss). With
+// needWitness unset the walk aborts on any miss.
 func (s *Schedule) runTree(m *machine, f linked.Fault, placement []int, init []fp.Value, needWitness bool) (bool, int) {
 	hasState, hasDynamic := m.load(f, placement, init)
 	nb := len(m.ctxs)
@@ -735,15 +749,17 @@ func (s *Schedule) runTree(m *machine, f linked.Fault, placement []int, init []f
 
 // detects reports whether the test detects the fault in every scenario,
 // reusing the caller's machine; witness is the first undetected scenario in
-// reference enumeration order when it does not.
+// enumeration order when it does not: placements in ascending depth-first
+// order, then initial-value bit patterns, then order combinations — the
+// order internal/oracle reports too.
 //
 // Static faults are checked once per placement class (placementClass) rather
 // than once per placement. The witness stays exact: placements are visited
-// in reference order, a class is resolved at its first (i.e. earliest)
+// in enumeration order, a class is resolved at its first (i.e. earliest)
 // member, and class members share their first missing (init, combination)
 // pair — so the first placement whose class misses, combined with the
-// class's recorded miss, is precisely the scenario the uncached enumeration
-// reports first.
+// class's recorded miss, is precisely the scenario the per-placement
+// enumeration reports first.
 //
 // When the fault is lane-eligible (planLanes), every placement class is
 // resolved by one bit-parallel pass up front; the placement loop then only
@@ -803,21 +819,14 @@ func (s *Schedule) DetectsFault(f linked.Fault) (bool, *Scenario, error) {
 // fault cells' initial values) over the schedule's first order combination,
 // every ⇕ upward, and calls fn for every read that detects the fault, in
 // stream order. Unlike a verdict it runs past the first detection: the
-// reads are the syndrome a tester records.
+// reads are the syndrome a tester records. It refuses the scenarios
+// checkScenario refuses.
 func (s *Schedule) FailingReads(f linked.Fault, placement []int, init []fp.Value, fn func(elem, opIdx, addr int)) error {
 	if err := validateBindings(f); err != nil {
 		return err
 	}
-	if len(placement) != f.Cells || len(init) != f.Cells {
-		return fmt.Errorf("sim: scenario places %d cells with %d initial values, fault has %d", len(placement), len(init), f.Cells)
-	}
-	if f.Cells >= s.size {
-		return fmt.Errorf("sim: memory of %d cells cannot place a %d-cell fault with a bystander", s.size, f.Cells)
-	}
-	for _, a := range placement {
-		if a < 0 || a >= s.size {
-			return fmt.Errorf("sim: address %d outside a memory of %d cells", a, s.size)
-		}
+	if err := checkScenario(f, placement, init, s.size); err != nil {
+		return err
 	}
 	m := s.getMachine()
 	defer s.putMachine(m)

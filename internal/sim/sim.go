@@ -3,13 +3,15 @@
 // fault simulator"): it decides whether a march test detects a functional
 // fault.
 //
-// The simulator runs the fault-free ("good") and the faulty machine in
-// lockstep over the operation stream a march test induces on a small memory.
-// Fault primitives are evaluated against the faulty machine's state, so the
-// masking behavior of linked faults (Section 3 of the paper) emerges from
-// the semantics instead of being special-cased: both primitives of a linked
-// pair are simultaneously active and the second naturally cancels the first
-// when the test gives it the chance.
+// The simulator runs the faulty machine over the operation stream a march
+// test induces on a small memory and compares every read with the
+// fault-free ("good") value, which depends only on the test and is compiled
+// once per schedule (schedule.go). Fault primitives are evaluated against
+// the faulty machine's state, so the masking behavior of linked faults
+// (Section 3 of the paper) emerges from the semantics instead of being
+// special-cased: both primitives of a linked pair are simultaneously active
+// and the second naturally cancels the first when the test gives it the
+// chance.
 //
 // A fault model is *detected* by a test only if every concrete scenario is
 // detected: every placement of the fault's cells onto memory addresses,
@@ -23,7 +25,6 @@ import (
 	"strings"
 
 	"marchgen/internal/fp"
-	"marchgen/internal/linked"
 	"marchgen/internal/march"
 )
 
@@ -61,7 +62,7 @@ type Config struct {
 	// planLanes' call alone, made from the fault and the test; lanes never
 	// change verdicts or witnesses. The field exists so this package's
 	// differential tests and benchmarks can pin lanes against the scalar
-	// reference.
+	// path.
 	scalar bool
 }
 
@@ -120,17 +121,17 @@ func (s Scenario) String() string {
 	return b.String()
 }
 
-// machine is a pair of memories simulated in lockstep. For dynamic (m = 2)
-// fault primitives it tracks which bindings are "armed": the first
-// sensitizing operation matched on the immediately preceding step of the
-// operation stream, so the primitive fires if the current operation
+// machine is the faulty memory of the compiled schedule path; the
+// fault-free values come from the schedule's good trace (opStep.good). For
+// dynamic (m = 2) fault primitives it tracks which bindings are "armed": the
+// first sensitizing operation matched on the immediately preceding step of
+// the operation stream, so the primitive fires if the current operation
 // completes the back-to-back sequence on the same cell.
 //
 // A machine is reused across faults and scenarios (Schedule keeps them in a
 // sync.Pool); the per-fault buffers are resized by ensureBindings so faults
 // may bind any number of primitives.
 type machine struct {
-	good   []fp.Value
 	faulty []fp.Value
 	// cellAt maps memory address -> fault cell index (-1 for bystanders).
 	// The compiled schedule path uses it to resolve good-trace values that
@@ -165,7 +166,6 @@ type machine struct {
 
 func newMachine(size int) *machine {
 	return &machine{
-		good:   make([]fp.Value, size),
 		faulty: make([]fp.Value, size),
 		cellAt: make([]int, size),
 	}
@@ -229,185 +229,4 @@ func (m *machine) restore(d, nb int, hasDynamic bool) {
 		copy(m.armed, m.snapArmed[d*nb:(d+1)*nb])
 		copy(m.armedAddr, m.snapArmedAddr[d*nb:(d+1)*nb])
 	}
-}
-
-func (m *machine) reset(f linked.Fault, s Scenario) {
-	m.ensureBindings(len(f.FPs))
-	for i := range m.good {
-		m.good[i] = fp.V0
-		m.faulty[i] = fp.V0
-	}
-	for c, addr := range s.Placement {
-		m.good[addr] = s.Init[c]
-		m.faulty[addr] = s.Init[c]
-	}
-	m.disarm()
-}
-
-// states returns the faulty-machine states of a binding's aggressor and
-// victim cells.
-func (m *machine) states(b linked.Binding, placement []int) (aState, vState fp.Value) {
-	aState = fp.VX
-	if b.A >= 0 {
-		aState = m.faulty[placement[b.A]]
-	}
-	return aState, m.faulty[placement[b.V]]
-}
-
-// settleStateFaults applies state-triggered primitives (SF, CFst) until a
-// fixpoint, bounded to avoid oscillation between mutually linked state
-// conditions. It returns true if any cell changed.
-func (m *machine) settleStateFaults(f linked.Fault, placement []int) bool {
-	changed := false
-	for iter := 0; iter <= len(f.FPs); iter++ {
-		progress := false
-		for _, b := range f.FPs {
-			if b.FP.Trigger != fp.TrigState {
-				continue
-			}
-			aState, vState := m.states(b, placement)
-			if b.FP.MatchesState(aState, vState) && m.faulty[placement[b.V]] != b.FP.F {
-				m.faulty[placement[b.V]] = b.FP.F
-				progress = true
-				changed = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	return changed
-}
-
-// applyWait models the wait operation 't': time passes for the whole array,
-// sensitizing data retention faults on any fault cell whose state matches.
-func (m *machine) applyWait(f linked.Fault, placement []int) {
-	for _, b := range f.FPs {
-		if b.FP.Trigger != fp.TrigOp || b.FP.Op.Kind != fp.OpWait {
-			continue
-		}
-		aState, vState := m.states(b, placement)
-		if b.FP.MatchesOp(fp.Wait, fp.RoleVictim, aState, vState) {
-			m.faulty[placement[b.V]] = b.FP.F
-		}
-	}
-	m.settleStateFaults(f, placement)
-}
-
-// evalTriggers evaluates operation triggers against the pre-operation
-// faulty state. Static primitives match on the single operation; dynamic
-// ones fire when the current operation completes a sequence armed on the
-// previous step, and (re-)arm when it matches their first operation. The
-// returned slice is the machine's matched scratch buffer, valid until the
-// next step.
-func (m *machine) evalTriggers(f linked.Fault, placement []int, addr int, op fp.Op) []bool {
-	matched, nextArmed, nextArmedAddr := m.matched, m.nextArmed, m.nextArmedAddr
-	for i := range matched {
-		matched[i] = false
-		nextArmed[i] = false
-	}
-	for i, b := range f.FPs {
-		if b.FP.Trigger != fp.TrigOp {
-			continue
-		}
-		var role fp.Role
-		switch {
-		case placement[b.V] == addr:
-			role = fp.RoleVictim
-		case b.A >= 0 && placement[b.A] == addr:
-			role = fp.RoleAggressor
-		default:
-			continue
-		}
-		aState, vState := m.states(b, placement)
-		if b.FP.IsDynamic() {
-			if m.armed[i] && m.armedAddr[i] == addr && b.FP.MatchesSecondOp(op, role) {
-				matched[i] = true
-			} else if b.FP.MatchesFirstOp(op, role, aState, vState) {
-				nextArmed[i] = true
-				nextArmedAddr[i] = addr
-			}
-			continue
-		}
-		if b.FP.MatchesOp(op, role, aState, vState) {
-			matched[i] = true
-		}
-	}
-	// Back-to-back means consecutive in the operation stream: whatever this
-	// step did not re-arm is disarmed.
-	m.armed, m.nextArmed = nextArmed, m.armed
-	m.armedAddr, m.nextArmedAddr = nextArmedAddr, m.armedAddr
-	return matched
-}
-
-// applyEffects applies the fault effects of the matched bindings, in binding
-// order (FP1 before FP2, so the linked masking sequence plays out
-// deterministically), and returns the possibly overridden faulty read value.
-func (m *machine) applyEffects(f linked.Fault, placement []int, addr int, isRead bool, matched []bool, retFaulty fp.Value) fp.Value {
-	for i, b := range f.FPs {
-		if !matched[i] {
-			continue
-		}
-		m.faulty[placement[b.V]] = b.FP.F
-		if isRead && placement[b.V] == addr && b.FP.OpRole == fp.RoleVictim && b.FP.R.IsBinary() {
-			retFaulty = b.FP.R
-		}
-	}
-	return retFaulty
-}
-
-// step applies one march operation to address addr and reports whether the
-// operation was a read that detected the fault (faulty return value differs
-// from the fault-free one), along with the read values of both machines
-// (VX for non-reads).
-func (m *machine) step(f linked.Fault, placement []int, addr int, op fp.Op) (bool, fp.Value, fp.Value) {
-	if op.Kind == fp.OpWait {
-		m.applyWait(f, placement)
-		m.disarm() // a wait breaks back-to-back sequences
-		return false, fp.VX, fp.VX
-	}
-
-	// 1. Evaluate operation triggers against the pre-operation faulty state.
-	matched := m.evalTriggers(f, placement, addr, op)
-
-	// 2. Base operation semantics on both machines.
-	retGood, retFaulty := fp.VX, fp.VX
-	isRead := op.Kind == fp.OpRead
-	switch op.Kind {
-	case fp.OpWrite:
-		m.good[addr] = op.Data
-		m.faulty[addr] = op.Data
-	case fp.OpRead:
-		retGood = m.good[addr]
-		retFaulty = m.faulty[addr]
-	}
-
-	// 3. Fault effects.
-	retFaulty = m.applyEffects(f, placement, addr, isRead, matched, retFaulty)
-
-	// 4. State-triggered primitives settle on the new state.
-	m.settleStateFaults(f, placement)
-
-	return isRead && retFaulty != retGood, retGood, retFaulty
-}
-
-// run simulates the full test for one scenario and reports whether any read
-// detects the fault. It is the uncompiled reference path: the compiled
-// schedule (schedule.go) must produce bit-identical verdicts, which
-// schedule_test.go asserts for every library test and shipped fault list.
-func (m *machine) run(t march.Test, f linked.Fault, s Scenario, size int) bool {
-	m.reset(f, s)
-	m.settleStateFaults(f, s.Placement)
-	for ei, e := range t.Elems {
-		for _, addr := range s.Orders[ei].Addresses(size) {
-			for _, op := range e.Ops {
-				if det, _, _ := m.step(f, s.Placement, addr, op); det {
-					// Detection anywhere suffices; subsequent state is
-					// irrelevant once detected.
-					return true
-				}
-			}
-		}
-	}
-	return false
 }

@@ -44,8 +44,10 @@ type Trace struct {
 // TraceScenario replays one scenario of a fault under a march test and
 // records every operation: the tool behind "why does this test miss this
 // fault". The whole run is recorded even after the first detection. It
-// steps the reference two-machine pair, which makes it the reference for
-// Schedule.FailingReads as well.
+// drives the compiled scalar path (runSteps) one step at a time over the
+// scenario's stream and reads the machine's cells between steps, so a
+// trace shows exactly the semantics verdicts and Schedule.FailingReads
+// run.
 func TraceScenario(t march.Test, f linked.Fault, s Scenario, cfg Config) (*Trace, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -54,44 +56,72 @@ func TraceScenario(t march.Test, f linked.Fault, s Scenario, cfg Config) (*Trace
 		return nil, err
 	}
 	size := cfg.size()
-	if len(s.Placement) != f.Cells {
-		return nil, fmt.Errorf("sim: scenario places %d cells, fault has %d", len(s.Placement), f.Cells)
+	if err := checkScenario(f, s.Placement, s.Init, size); err != nil {
+		return nil, err
 	}
 	if len(s.Orders) != len(t.Elems) {
 		return nil, fmt.Errorf("sim: scenario resolves %d orders, test has %d elements", len(s.Orders), len(t.Elems))
 	}
 
 	m := newMachine(size)
-	m.reset(f, s)
-	m.settleStateFaults(f, s.Placement)
-
-	tr := &Trace{Test: t, Fault: f, Scenario: *cloneScenario(s)}
-	snapshot := func() ([]fp.Value, []fp.Value) {
-		g := make([]fp.Value, f.Cells)
-		fl := make([]fp.Value, f.Cells)
-		for i, addr := range s.Placement {
-			g[i] = m.good[addr]
-			fl[i] = m.faulty[addr]
-		}
-		return g, fl
-	}
-
-	// The compiled stream provides the (element, op, addr) sequence; the
-	// trace still runs the full two-machine reference step because it
-	// records the good machine's cell values at every step.
+	hasState, hasDynamic := m.load(f, s.Placement, s.Init)
 	steps := compileStream(t, s.Orders, size)
+	tr := &Trace{Test: t, Fault: f, Scenario: *cloneScenario(s), Steps: make([]TraceStep, 0, len(steps))}
+
+	// The machine holds only the faulty memory. The fault cells' good
+	// values start at Init and follow the stream's writes; one backing
+	// array holds the four cell snapshots of every step.
+	k := f.Cells
+	good := append([]fp.Value(nil), s.Init...)
+	vals := make([]fp.Value, 4*k*len(steps))
+	snapshot := func(faulty bool) []fp.Value {
+		out := vals[:k:k]
+		vals = vals[k:]
+		for c, addr := range s.Placement {
+			out[c] = good[c]
+			if faulty {
+				out[c] = m.faulty[addr]
+			}
+		}
+		return out
+	}
+	detected := false
+	fail := func(_, _, _ int) { detected = true }
+
 	for i := range steps {
 		cs := &steps[i]
-		gb, fb := snapshot()
 		step := TraceStep{
 			Element: cs.elem, OpIndex: cs.opIdx, Addr: cs.addr, Op: cs.op,
-			GoodBefore: gb, FaultyBefore: fb,
+			GoodBefore: snapshot(false), FaultyBefore: snapshot(true),
+			GoodRet: fp.VX, FaultyRet: fp.VX,
 		}
-		detected, retGood, retFaulty := m.step(f, s.Placement, cs.addr, cs.op)
-		step.GoodRet, step.FaultyRet = retGood, retFaulty
+		detected = false
+		m.runSteps(s.Init, steps[i:i+1], hasState, hasDynamic, fail)
+		cell := m.cellAt[cs.addr]
+		switch cs.op.Kind {
+		case fp.OpRead:
+			// The good return is the compiled good trace, or the cell's
+			// initial value before the stream first writes it. Every value
+			// is binary, so a detecting read returns its complement.
+			step.GoodRet = cs.good
+			if !cs.goodKnown {
+				step.GoodRet = fp.V0
+				if cell >= 0 {
+					step.GoodRet = s.Init[cell]
+				}
+			}
+			step.FaultyRet = step.GoodRet
+			if detected {
+				step.FaultyRet = step.GoodRet.Not()
+			}
+		case fp.OpWrite:
+			if cell >= 0 {
+				good[cell] = cs.op.Data
+			}
+		}
 		step.Detected = detected
-		ga, fa := snapshot()
-		step.GoodAfter, step.FaultyAfter = ga, fa
+		step.GoodAfter, step.FaultyAfter = snapshot(false), snapshot(true)
+		gb, fb, ga, fa := step.GoodBefore, step.FaultyBefore, step.GoodAfter, step.FaultyAfter
 		for i := range f.FPs {
 			// A primitive "fired" when its victim's faulty value diverged
 			// from (or converged back to) the good machine at this step.
@@ -103,9 +133,7 @@ func TraceScenario(t march.Test, f linked.Fault, s Scenario, cfg Config) (*Trace
 			}
 		}
 		tr.Steps = append(tr.Steps, step)
-		if detected {
-			tr.Detected = true
-		}
+		tr.Detected = tr.Detected || detected
 	}
 	return tr, nil
 }

@@ -102,44 +102,35 @@ func TestTraceDetectedFault(t *testing.T) {
 	}
 }
 
-// The trace agrees with DetectsFault on the scenario outcome.
-func TestTraceAgreesWithSimulator(t *testing.T) {
-	lf, err := linked.NewLF2aa(fp.MustParseFP("<0w1;0/1/->"), fp.MustParseFP("<1w0;1/0/->"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []march.Test{march.MarchCMinus, march.MarchSL, march.MATSPlus} {
-		tr := traceScenario(t, m, lf, fp.V0)
-		// Replay the same scenario with the plain simulator.
-		mach := newMachine(4)
-		same := mach.run(m, lf, tr.Scenario, 4)
-		if same != tr.Detected {
-			t.Errorf("%s: trace says detected=%v, simulator says %v", m.Name, tr.Detected, same)
-		}
-	}
-}
-
+// TestTraceScenarioValidation: TraceScenario refuses, with an error rather
+// than a panic, every scenario DetectsFault would never enumerate.
 func TestTraceScenarioValidation(t *testing.T) {
 	sf, err := linked.NewSimple(fp.MustParseFP("<0w1/0/->"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wrong placement arity.
-	_, err = TraceScenario(march.MATSPlus, sf, Scenario{
-		Placement: []int{0, 1},
-		Init:      []fp.Value{fp.V0, fp.V0},
-		Orders:    []march.AddrOrder{march.Up, march.Up, march.Down},
-	}, DefaultConfig())
-	if err == nil {
-		t.Error("placement arity mismatch must error")
+	cfst, err := linked.NewSimple(fp.MustParseFP("<0;0/1/->"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Wrong order arity.
-	_, err = TraceScenario(march.MATSPlus, sf, Scenario{
-		Placement: []int{0},
-		Init:      []fp.Value{fp.V0},
-		Orders:    []march.AddrOrder{march.Up},
-	}, DefaultConfig())
-	if err == nil {
-		t.Error("order arity mismatch must error")
+	orders := []march.AddrOrder{march.Up, march.Up, march.Down}
+	for _, bad := range []struct {
+		name string
+		f    linked.Fault
+		s    Scenario
+		cfg  Config
+	}{
+		{"placement arity", sf, Scenario{Placement: []int{0, 1}, Init: []fp.Value{fp.V0, fp.V0}, Orders: orders}, DefaultConfig()},
+		{"order arity", sf, Scenario{Placement: []int{0}, Init: []fp.Value{fp.V0}, Orders: orders[:1]}, DefaultConfig()},
+		{"address outside the memory", sf, Scenario{Placement: []int{7}, Init: []fp.Value{fp.V0}, Orders: orders}, DefaultConfig()},
+		{"negative address", sf, Scenario{Placement: []int{-1}, Init: []fp.Value{fp.V0}, Orders: orders}, DefaultConfig()},
+		{"init shorter than placement", cfst, Scenario{Placement: []int{0, 1}, Init: []fp.Value{fp.V0}, Orders: orders}, DefaultConfig()},
+		{"no bystander", sf, Scenario{Placement: []int{0}, Init: []fp.Value{fp.V0}, Orders: orders}, Config{Size: 1}},
+		{"duplicate addresses", cfst, Scenario{Placement: []int{1, 1}, Init: []fp.Value{fp.V0, fp.V0}, Orders: orders}, DefaultConfig()},
+		{"non-binary initial value", sf, Scenario{Placement: []int{0}, Init: []fp.Value{fp.VX}, Orders: orders}, DefaultConfig()},
+	} {
+		if _, err := TraceScenario(march.MATSPlus, bad.f, bad.s, bad.cfg); err == nil {
+			t.Errorf("%s: accepted", bad.name)
+		}
 	}
 }
