@@ -269,6 +269,12 @@ func Run(ctx context.Context, spec Spec, root string, opts RunOptions) (Summary,
 			emit(Event{Kind: EventShardCommitted, Shard: next - 1, Committed: next})
 		}
 	}
+	if firstErr == nil && next < len(shards) {
+		// The dispatcher stops handing out shards once the context dies, so
+		// a cancellation that lands before a shard starts leaves no shard
+		// error behind; without this a cut-short campaign reads as done.
+		firstErr = runCtx.Err()
+	}
 	if firstErr != nil {
 		return Summary{}, firstErr
 	}

@@ -73,6 +73,22 @@ func TestRunSingleUnitCampaign(t *testing.T) {
 	}
 }
 
+// A campaign whose context is cancelled before any shard starts stopped
+// short: Run must say so with the context's error, never with the summary
+// of a complete campaign. The dispatcher races the cancellation against
+// the first hand-off, so the run is repeated.
+func TestRunCancelledBeforeFirstShardIsInterrupted(t *testing.T) {
+	spec := sweepSpec()
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		sum, err := Run(ctx, spec, t.TempDir(), RunOptions{Workers: 1})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v, summary %+v; want context.Canceled", i, err, sum)
+		}
+	}
+}
+
 // TestKillResumeByteIdentical is the acceptance-criteria integration test:
 // a campaign killed mid-run (after some shards committed, with a torn
 // partial append in the data file — the on-disk state SIGKILL between and

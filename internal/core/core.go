@@ -173,7 +173,13 @@ type Stats struct {
 	RepairElements int
 	// LengthBeforeMinimize is the candidate length entering phase 3.
 	LengthBeforeMinimize int
-	// Simulations counts full-coverage candidate evaluations.
+	// Simulations counts candidate evaluations: one per fault a walker
+	// step checks, one per fault-list simulation of a candidate (each
+	// repair round starts with one, each minimizer check is one), and one
+	// per repair trial × missing fault. It counts verdicts, not stream
+	// replays: a repair trial resumes from a checkpoint of the candidate
+	// and simulates only the appended element, but counts what a
+	// from-scratch trial counted.
 	Simulations int
 	// Duration is the wall-clock generation time (the CPU-time column of
 	// Table 1).
@@ -321,18 +327,4 @@ func testExit(t march.Test) fp.Value {
 		v = exitValue(e.Ops, v)
 	}
 	return v
-}
-
-// uncovered returns the faults the candidate does not yet detect.
-func uncovered(t march.Test, faults []linked.Fault, cfg sim.Config, st *Stats) ([]linked.Fault, error) {
-	st.Simulations++
-	r := sim.Simulate(t, faults, cfg)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	var out []linked.Fault
-	for _, res := range r.Missed() {
-		out = append(out, res.Fault)
-	}
-	return out, nil
 }

@@ -112,16 +112,27 @@ func buildTemplates() []template {
 // Operations to each memory cell" to the coupling faults whose excitation
 // and observation live on different cells. Termination is guaranteed by the
 // March SL element shapes in the template library.
+//
+// Every trial of a round extends the same candidate, so the candidate is
+// simulated once per round into a checkpoint (sim.Schedule.Checkpoint) and
+// each trial resumes the missed faults from it, simulating only the
+// appended element.
 func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim.Config, opts Options, st *Stats) (march.Test, error) {
 	templates := buildTemplates()
 	for {
 		if err := ctx.Err(); err != nil {
 			return cand, err
 		}
-		missing, err := uncovered(cand, faults, cfg, st)
+		st.Simulations++
+		sched, err := sim.NewSchedule(cand, cfg)
 		if err != nil {
 			return cand, err
 		}
+		cp, err := sched.Checkpoint(faults)
+		if err != nil {
+			return cand, err
+		}
+		missing := cp.Missed()
 		if len(missing) == 0 {
 			return cand, nil
 		}
@@ -142,24 +153,19 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 			if tpl.entry.IsBinary() && !v.IsBinary() {
 				continue // cannot prove consistency on unknown entry value
 			}
+			elem := march.NewElement(tpl.order, tpl.ops...)
 			trial := cand.Clone()
-			trial.Elems = append(trial.Elems, march.NewElement(tpl.order, tpl.ops...))
+			trial.Elems = append(trial.Elems, elem)
 			if trial.CheckConsistency() != nil {
 				continue
 			}
-			// One compiled schedule per trial candidate, shared across the
-			// whole missing-fault scan.
-			sched, err := sim.NewSchedule(trial, cfg)
+			detected, err := cp.Resume(elem)
+			st.Simulations += len(missing)
 			if err != nil {
 				return cand, err
 			}
 			gain := 0
-			for _, f := range missing {
-				det, _, err := sched.DetectsFault(f)
-				st.Simulations++
-				if err != nil {
-					return cand, err
-				}
+			for _, det := range detected {
 				if det {
 					gain++
 				}

@@ -178,6 +178,9 @@ func (r Report) Err() error {
 // When it does not, the returned witness is the first undetected scenario
 // in the reference enumeration order.
 func Detects(t march.Test, f linked.Fault, cfg Config) (bool, *Scenario, error) {
+	if err := checkBindings(f); err != nil {
+		return false, nil, err
+	}
 	size := cfg.size()
 	if f.Cells >= size {
 		return false, nil, fmt.Errorf("oracle: memory of %d cells cannot place a %d-cell fault with a bystander", size, f.Cells)
@@ -257,6 +260,9 @@ func Detects(t march.Test, f linked.Fault, cfg Config) (bool, *Scenario, error) 
 // address, at least one bystander cell, binary initial values and one
 // order per element.
 func FailingReads(t march.Test, f linked.Fault, s Scenario, cfg Config, fn func(elem, opIdx, addr int)) error {
+	if err := checkBindings(f); err != nil {
+		return err
+	}
 	size := cfg.size()
 	k := f.Cells
 	if k >= size {
@@ -342,6 +348,22 @@ func expandOrders(t march.Test, cfg Config) ([][]march.AddrOrder, error) {
 		out = append(out, orders)
 	}
 	return out, nil
+}
+
+// checkBindings rejects faults whose binding indices lie outside the
+// fault's cells. linked.Binding.Validate enforces the same ranges, but a
+// hand-built fault bypasses it, and the automaton indexes the placement with
+// every binding's victim and aggressor.
+func checkBindings(f linked.Fault) error {
+	for i, b := range f.FPs {
+		if b.V < 0 || b.V >= f.Cells {
+			return fmt.Errorf("oracle: binding %d (%s): victim index %d outside the fault's %d cells", i, b.FP.ID(), b.V, f.Cells)
+		}
+		if b.A < -1 || b.A >= f.Cells {
+			return fmt.Errorf("oracle: binding %d (%s): aggressor index %d outside the fault's %d cells", i, b.FP.ID(), b.A, f.Cells)
+		}
+	}
+	return nil
 }
 
 // checkOps rejects operations the automaton's input alphabet cannot encode

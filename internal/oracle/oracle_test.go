@@ -8,6 +8,7 @@ import (
 	"marchgen/internal/fp"
 	"marchgen/internal/linked"
 	"marchgen/internal/march"
+	"marchgen/internal/sim"
 )
 
 func mustSimple(t *testing.T, spec string) linked.Fault {
@@ -143,6 +144,35 @@ func TestErrorPaths(t *testing.T) {
 	sf := mustSimple(t, "<1/0/->")
 	if _, _, err := Detects(manyAny, sf, cfg); err == nil || !strings.Contains(err.Error(), "capped") {
 		t.Errorf("13 ⇕ elements must exceed the expansion cap, got err=%v", err)
+	}
+}
+
+// A hand-built fault can bind a cell index outside its cells (Validate
+// would reject it, but nothing forces a caller to run Validate). The oracle
+// must refuse it with an error on every entry point, as internal/sim does,
+// so CrossCheck sees two errors and reports agreement.
+func TestOutOfRangeBindingIsAnError(t *testing.T) {
+	f := mustSimple(t, "<0;0w1/0/->")
+	aggressor := f
+	aggressor.FPs = append([]linked.Binding(nil), f.FPs...)
+	aggressor.FPs[0].A = f.Cells
+	victim := f
+	victim.FPs = append([]linked.Binding(nil), f.FPs...)
+	victim.FPs[0].V = -1
+	for name, bad := range map[string]linked.Fault{"aggressor": aggressor, "victim": victim} {
+		if _, _, err := Detects(march.MarchSL, bad, DefaultConfig()); err == nil {
+			t.Errorf("%s: Detects accepted an out-of-range binding", name)
+		}
+		s := Scenario{Placement: []int{0, 1}, Init: []fp.Value{fp.V0, fp.V0}, Orders: make([]march.AddrOrder, len(march.MarchSL.Elems))}
+		for i := range s.Orders {
+			s.Orders[i] = march.Up
+		}
+		if err := FailingReads(march.MarchSL, bad, s, DefaultConfig(), func(int, int, int) {}); err == nil {
+			t.Errorf("%s: FailingReads accepted an out-of-range binding", name)
+		}
+		if diffs := CrossCheck(march.MarchSL, []linked.Fault{bad}, sim.DefaultConfig()); len(diffs) != 0 {
+			t.Errorf("%s: CrossCheck reports %v, want agreement (both sides error)", name, diffs)
+		}
 	}
 }
 

@@ -157,17 +157,26 @@ func (s *Schedule) Simulate(faults []linked.Fault) Report {
 		return Report{Test: s.test}
 	}
 	results := make([]Result, len(faults))
+	s.fanOut(len(faults), func(m *machine, i int) {
+		results[i] = s.result(m, faults[i])
+	})
+	return Report{Test: s.test, Results: results}
+}
+
+// fanOut calls fn once for every index below n across Config.Workers
+// goroutines, each with its own machine from the schedule's pool.
+func (s *Schedule) fanOut(n int, fn func(m *machine, i int)) {
 	workers := s.cfg.workers()
-	if workers > len(faults) {
-		workers = len(faults)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
 		m := s.getMachine()
 		defer s.putMachine(m)
-		for i := range faults {
-			results[i] = s.result(m, faults[i])
+		for i := 0; i < n; i++ {
+			fn(m, i)
 		}
-		return Report{Test: s.test, Results: results}
+		return
 	}
 	var wg sync.WaitGroup
 	var next atomic.Int64
@@ -179,13 +188,12 @@ func (s *Schedule) Simulate(faults []linked.Fault) Report {
 			defer s.putMachine(m)
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(faults) {
+				if i >= n {
 					return
 				}
-				results[i] = s.result(m, faults[i])
+				fn(m, i)
 			}
 		}()
 	}
 	wg.Wait()
-	return Report{Test: s.test, Results: results}
 }

@@ -1,0 +1,190 @@
+package sim
+
+import (
+	"testing"
+
+	"marchgen/internal/faultlist"
+	"marchgen/internal/fp"
+	"marchgen/internal/linked"
+	"marchgen/internal/march"
+)
+
+// resumeAgainstScratch checks a checkpoint of prefix against compiling
+// prefix+e from scratch under the same configuration.
+func resumeAgainstScratch(t *testing.T, prefix march.Test, e march.Element, faults []linked.Fault, cfg Config) {
+	t.Helper()
+	s, err := NewSchedule(prefix, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := s.Checkpoint(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cp.Resume(e)
+	if err != nil {
+		t.Fatalf("%s + %s: %v", prefix, e, err)
+	}
+	ext := prefix.Clone()
+	ext.Elems = append(ext.Elems, e)
+	full, err := NewSchedule(ext, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range cp.Missed() {
+		det, _, err := full.DetectsFault(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != det {
+			t.Errorf("%s + %s (scalar %t, exhaustive %t), %s: resumed %t, from scratch %t",
+				prefix, e, cfg.scalar, cfg.ExhaustiveOrders, f.ID(), got[i], det)
+		}
+	}
+}
+
+// The lane resume against the scalar engine: with lanes forced off every
+// fault takes the from-scratch fallback, so the two checkpoints must agree
+// verdict for verdict. internal/core's TestCheckpointResumeMatchesFromScratch
+// sweeps the library × every repair template; this pins the lane states
+// themselves to the scalar path.
+func TestResumeLanesMatchScalar(t *testing.T) {
+	faults := append(faultlist.List1(), faultlist.Dynamic()...)
+	elems := []march.Element{
+		march.NewElement(march.Up, fp.R0, fp.W1),
+		march.NewElement(march.Down, fp.R1, fp.W0, fp.R0),
+		march.NewElement(march.Any, fp.R0),
+		march.NewElement(march.Down, fp.W1, fp.R1, fp.R1),
+	}
+	for _, cfg := range []Config{{Size: 4}, DefaultConfig()} {
+		for j := 0; j <= len(march.MarchCMinus.Elems); j++ {
+			prefix := march.MarchCMinus.Clone()
+			prefix.Elems = prefix.Elems[:j]
+			lanes, err := NewSchedule(prefix, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scalar, err := NewSchedule(prefix, forceScalar(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lcp, err := lanes.Checkpoint(faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scp, err := scalar.Checkpoint(faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(lcp.Missed()) != len(scp.Missed()) {
+				t.Fatalf("%s: lanes miss %d faults, scalar %d", prefix, len(lcp.Missed()), len(scp.Missed()))
+			}
+			for _, e := range elems {
+				lv, err := lcp.Resume(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sv, err := scp.Resume(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, f := range lcp.Missed() {
+					if lv[i] != sv[i] {
+						t.Errorf("%s + %s (exhaustive %t), %s: lanes %t, scalar %t",
+							prefix, e, cfg.ExhaustiveOrders, f.ID(), lv[i], sv[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// An appended ⇕ element resolves as the configuration says: up when lazy,
+// both orders when exhaustive. Past Config.MaxAnyElements the resume
+// refuses the extended test with NewSchedule's own error, and only under
+// exhaustive orders; it never narrows the element to one order.
+func TestResumeAnyElement(t *testing.T) {
+	faults := append(faultlist.List2(), faultlist.SimpleStatic()...)
+	prefix := march.MustParse("two-any", "c(w0) c(r0,w1) ^(r1,w0)")
+	anyElem := march.NewElement(march.Any, fp.R0, fp.W1, fp.R1)
+	for _, cfg := range []Config{{Size: 4}, DefaultConfig(), {Size: 5, ExhaustiveOrders: true}} {
+		resumeAgainstScratch(t, prefix, anyElem, faults, cfg)
+	}
+
+	capped := Config{Size: 4, ExhaustiveOrders: true, MaxAnyElements: 2}
+	s, err := NewSchedule(prefix, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := s.Checkpoint(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cp.Resume(anyElem)
+	ext := prefix.Clone()
+	ext.Elems = append(ext.Elems, anyElem)
+	_, want := NewSchedule(ext, capped)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("past the ⇕ cap: Resume error %v, NewSchedule error %v", err, want)
+	}
+	if _, err := cp.Resume(march.NewElement(march.Up, fp.R0)); err != nil {
+		t.Errorf("a ⇑ element does not raise the ⇕ count: %v", err)
+	}
+	lazy := capped
+	lazy.ExhaustiveOrders = false
+	resumeAgainstScratch(t, prefix, anyElem, faults, lazy)
+}
+
+// Edge prefixes and elements: the empty test (resume starts from the
+// scenario's initial state, whose good values are the initial values), a
+// prefix that writes nothing, elements with a don't-care write (the
+// extended schedule cannot use lanes, so every fault resumes from scratch;
+// the lane words would read the don't-care as 0 and let ⇑(w-,r0) sensitize
+// a read disturb the scalar path does not) and an element with a wait.
+func TestResumeEdgeCases(t *testing.T) {
+	faults := append(faultlist.List2(), faultlist.SimpleStatic()...)
+	faults = append(faults, faultlist.Dynamic()...)
+	wx := fp.Op{Kind: fp.OpWrite, Data: fp.VX}
+	cases := []struct {
+		prefix march.Test
+		e      march.Element
+	}{
+		{march.Test{Name: "empty"}, march.NewElement(march.Up, fp.R0, fp.W1, fp.R1)},
+		{march.MustParse("reads", "^(r0) v(r0,r0)"), march.NewElement(march.Down, fp.W1, fp.R1)},
+		{march.MustParse("mats", "c(w0) ^(r0,w1)"), march.NewElement(march.Down, fp.R1, wx, fp.R0)},
+		{march.MustParse("init", "c(w0)"), march.NewElement(march.Up, wx, fp.R0)},
+		{march.MustParse("mats", "c(w0) ^(r0,w1)"), march.NewElement(march.Up, fp.R1, fp.Wait, fp.R1)},
+	}
+	for _, c := range cases {
+		for _, cfg := range []Config{{Size: 4}, DefaultConfig()} {
+			resumeAgainstScratch(t, c.prefix, c.e, faults, cfg)
+		}
+	}
+}
+
+// The checkpoint fails with the first simulation error in fault-list order,
+// the error Simulate's Report.Err returns.
+func TestCheckpointFirstError(t *testing.T) {
+	good := faultlist.List2()[0]
+	bad := good
+	bad.FPs = append([]linked.Binding(nil), good.FPs...)
+	bad.FPs[0].V = good.Cells
+	threeCell := faultlist.List1()[len(faultlist.List1())-1]
+	if threeCell.Cells != 3 {
+		t.Fatalf("%s has %d cells, want a three-cell fault", threeCell.ID(), threeCell.Cells)
+	}
+	for _, faults := range [][]linked.Fault{
+		{good, bad, threeCell},
+		{good, threeCell, bad},
+	} {
+		s, err := NewSchedule(march.MarchCMinus, Config{Size: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.Simulate(faults).Err()
+		_, err = s.Checkpoint(faults)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("Checkpoint error %v, Report.Err %v", err, want)
+		}
+	}
+}

@@ -37,8 +37,9 @@ import (
 //
 // This is the package's one implementation of the fault semantics: verdicts,
 // witnesses, FailingReads and TraceScenario all run runSteps (lanes.go packs
-// the same semantics bit-parallel and is pinned to it). The independent
-// reference is internal/oracle, which tests compare every path against.
+// the same semantics bit-parallel and is pinned to it; resume.go continues a
+// lane run after one more element). The independent reference is
+// internal/oracle, which tests compare every path against.
 
 // opStep is one operation of a compiled stream.
 type opStep struct {
