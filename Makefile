@@ -29,10 +29,12 @@ race:
 	./scripts/race.sh
 
 ## stress: the interleaving gate — the concurrent-client and cluster tests,
-## whose assertions must hold under any goroutine schedule, repeated 20
-## times at 1, 2 and 4 CPUs.
+## and the simulator fan-out's lowest-index stop (its miss and error must be
+## the sequential scan's at any worker count), whose assertions must hold
+## under any goroutine schedule, repeated 20 times at 1, 2 and 4 CPUs.
 stress:
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster' ./internal/service/ ./internal/fabric/
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$' ./internal/sim/
 
 ## bench: simulator and generator throughput benchmarks.
 bench:

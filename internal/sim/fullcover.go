@@ -2,7 +2,6 @@ package sim
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"marchgen/internal/linked"
 	"marchgen/internal/march"
@@ -28,82 +27,32 @@ func FullCoverage(t march.Test, faults []linked.Fault, cfg Config) (bool, *linke
 }
 
 // FullCoverage reports whether the schedule's test detects every fault in
-// the list, fanning out across Config.Workers goroutines with early
-// cancellation. See the package-level FullCoverage for the semantics.
+// the list, fanning out across Config.Workers goroutines and stopping at the
+// first miss or error in fault-list order. The miss is a pointer into
+// faults. See the package-level FullCoverage for the semantics.
 func (s *Schedule) FullCoverage(faults []linked.Fault) (bool, *linked.Fault, error) {
-	if len(faults) == 0 {
-		return true, nil, nil
+	var failed struct { // the lowest index that failed to simulate
+		sync.Mutex
+		i   int
+		err error
 	}
-	workers := s.cfg.workers()
-	if workers > len(faults) {
-		workers = len(faults)
-	}
-	if workers <= 1 {
-		m := s.getMachine()
-		defer s.putMachine(m)
-		for i := range faults {
-			miss, err := s.missesFault(m, faults[i])
-			if err != nil {
-				return false, nil, err
+	failed.i = len(faults)
+	i := s.fanOut(len(faults), func(m *machine, i int) bool {
+		det, _, err := s.detects(m, faults[i], false)
+		if err != nil {
+			failed.Lock()
+			if i < failed.i {
+				failed.i, failed.err = i, err
 			}
-			if miss {
-				return false, &faults[i], nil
-			}
+			failed.Unlock()
 		}
+		return err != nil || !det
+	})
+	switch {
+	case i == len(faults):
 		return true, nil, nil
+	case i == failed.i:
+		return false, nil, failed.err
 	}
-
-	// Parallel scan with deterministic outcome: the first event (miss or
-	// error) in fault-list order wins, exactly as in the sequential path.
-	// bound is the lowest fault index with a recorded event; workers stop
-	// claiming new indices at or above it, but every index below it is
-	// still simulated to completion, so the minimum is exact.
-	var (
-		next  atomic.Int64
-		bound atomic.Int64
-		mu    sync.Mutex
-		evErr error
-		wg    sync.WaitGroup
-	)
-	bound.Store(int64(len(faults)))
-	record := func(i int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if int64(i) < bound.Load() {
-			bound.Store(int64(i))
-			evErr = err
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := s.getMachine()
-			defer s.putMachine(m)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(faults) || int64(i) >= bound.Load() {
-					return
-				}
-				miss, err := s.missesFault(m, faults[i])
-				if err != nil {
-					record(i, err)
-					return
-				}
-				if miss {
-					record(i, nil)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	idx := int(bound.Load())
-	if idx >= len(faults) {
-		return true, nil, nil
-	}
-	if evErr != nil {
-		return false, nil, evErr
-	}
-	return false, &faults[idx], nil
+	return false, &faults[i], nil
 }

@@ -30,8 +30,9 @@ import (
 //     effects become masked set/clear, and a read accumulates a detect mask
 //     by XOR-ing the lanes' faulty read values against the shared good
 //     trace;
-//   - the order-choice trie is walked exactly like the scalar runTree, with
-//     k+1 words of snapshot per depth instead of a full memory image.
+//   - the order-choice trie is walked by the same Schedule.walk as the
+//     scalar runner (walkLanes), with k+1 words of snapshot per depth
+//     instead of a full memory image.
 //
 // Eligibility (planLanes) is conservative: any binding whose semantics do
 // not decompose into per-lane bitwise steps — dynamic (armed) primitives,
@@ -410,8 +411,8 @@ func (p *lanePlan) runSteps(steps []opStep, vs *[maxLaneCells]uint64, detect uin
 }
 
 // laneInitState seeds the lane state for a fresh block: every cell holds its
-// background bit, then state faults settle — the lane image of runTree's
-// reset + initial settleCtx.
+// background bit, then state faults settle — the lane image of
+// machine.load's reset + initial settleCtx.
 func (p *lanePlan) laneInitState(vs *[maxLaneCells]uint64) {
 	for c := 0; c < maxLaneCells; c++ {
 		vs[c] = 0
@@ -426,154 +427,60 @@ func (p *lanePlan) laneInitState(vs *[maxLaneCells]uint64) {
 
 const laneSnapWords = maxLaneCells + 1 // k cell words + the detect mask
 
-// runLanesAll walks the order-choice trie once for all lanes and fills the
-// machine's per-leaf miss masks: bit l of laneLeafMiss[leaf] is set when
-// lane l fails to detect the fault under order combination leaf. Subtrees
-// whose prefix already detects in every lane are pruned whole, leaving their
-// leaves at the all-detected zero mask.
-func (s *Schedule) runLanesAll(m *machine) []uint64 {
-	p := &m.plan
-	if cap(m.laneLeafMiss) < len(s.orderSets) {
-		m.laneLeafMiss = make([]uint64, len(s.orderSets))
-	}
-	leafMiss := m.laneLeafMiss[:len(s.orderSets)]
-	for i := range leafMiss {
-		leafMiss[i] = 0
-	}
-	var vs [maxLaneCells]uint64
-	p.laneInitState(&vs)
-	detect := uint64(0)
-
-	if len(s.roots) == 0 {
-		// A test with no elements performs no reads: every lane misses the
-		// single (empty) order combination.
-		leafMiss[0] = p.full
-		return leafMiss
-	}
-
-	depth := len(s.test.Elems) + 1
-	if cap(m.laneSnap) < depth*laneSnapWords {
-		m.laneSnap = make([]uint64, depth*laneSnapWords)
-	}
-	snap := m.laneSnap[:depth*laneSnapWords]
-	save := func(d int) {
-		o := d * laneSnapWords
-		copy(snap[o:o+maxLaneCells], vs[:])
-		snap[o+maxLaneCells] = detect
-	}
-	restore := func(d int) {
-		o := d * laneSnapWords
-		copy(vs[:], snap[o:o+maxLaneCells])
-		detect = snap[o+maxLaneCells]
-	}
-
-	var walk func(idx, d int)
-	walk = func(idx, d int) {
-		seg := &s.segs[idx]
-		detect = p.runSteps(seg.steps, &vs, detect)
-		if detect == p.full {
-			return // every lane detected under this prefix
-		}
-		if seg.leaf >= 0 {
-			leafMiss[seg.leaf] = ^detect & p.full
-			return
-		}
-		if len(seg.children) == 1 {
-			walk(seg.children[0], d+1)
-			return
-		}
-		save(d)
-		for ci, ch := range seg.children {
-			if ci > 0 {
-				restore(d)
-			}
-			walk(ch, d+1)
-		}
-	}
-
-	if len(s.roots) > 1 {
-		save(0)
-	}
-	for ri, r := range s.roots {
-		if ri > 0 {
-			restore(0)
-		}
-		walk(r, 1)
-	}
-	return leafMiss
-}
-
-// runLanesAny is the missesFault variant of the walk: it stops at the first
-// leaf any lane misses, without filling the per-leaf masks.
-func (s *Schedule) runLanesAny(m *machine) bool {
+// walkLanes walks the order-choice trie (Schedule.walk) once for all lanes
+// of the planned fault, from their initial state, and calls leaf with the
+// orderSets index, cell words and detect mask of every leaf some lane
+// reaches undetected; leaf stops the walk by returning false. The words go
+// by value: a pointer handed to a func value escapes, one allocation per
+// fault.
+func (s *Schedule) walkLanes(m *machine, leaf func(l int, vs [maxLaneCells]uint64, detect uint64) bool) {
 	p := &m.plan
 	var vs [maxLaneCells]uint64
 	p.laneInitState(&vs)
 	detect := uint64(0)
-
-	if len(s.roots) == 0 {
-		return true
+	n := len(s.test.Elems) * laneSnapWords
+	if cap(m.laneSnap) < n {
+		m.laneSnap = make([]uint64, n)
 	}
-
-	depth := len(s.test.Elems) + 1
-	if cap(m.laneSnap) < depth*laneSnapWords {
-		m.laneSnap = make([]uint64, depth*laneSnapWords)
-	}
-	snap := m.laneSnap[:depth*laneSnapWords]
-
-	var walk func(idx, d int) bool
-	walk = func(idx, d int) bool {
-		seg := &s.segs[idx]
-		detect = p.runSteps(seg.steps, &vs, detect)
-		if detect == p.full {
-			return false
-		}
-		if seg.leaf >= 0 {
-			return true // some lane reached the end of the test undetected
-		}
-		if len(seg.children) == 1 {
-			return walk(seg.children[0], d+1)
-		}
-		o := d * laneSnapWords
-		copy(snap[o:o+maxLaneCells], vs[:])
-		snap[o+maxLaneCells] = detect
-		for ci, ch := range seg.children {
-			if ci > 0 {
-				copy(vs[:], snap[o:o+maxLaneCells])
-				detect = snap[o+maxLaneCells]
-			}
-			if walk(ch, d+1) {
-				return true
-			}
-		}
-		return false
-	}
-
-	if len(s.roots) > 1 {
-		copy(snap[:maxLaneCells], vs[:])
-		snap[maxLaneCells] = detect
-	}
-	for ri, r := range s.roots {
-		if ri > 0 {
-			copy(vs[:], snap[:maxLaneCells])
-			detect = snap[maxLaneCells]
-		}
-		if walk(r, 1) {
-			return true
-		}
-	}
-	return false
+	snap := m.laneSnap[:n]
+	s.walk(
+		func(steps []opStep) bool {
+			detect = p.runSteps(steps, &vs, detect)
+			return detect == p.full
+		},
+		func(d int) {
+			o := d * laneSnapWords
+			copy(snap[o:o+maxLaneCells], vs[:])
+			snap[o+maxLaneCells] = detect
+		},
+		func(d int) {
+			o := d * laneSnapWords
+			copy(vs[:], snap[o:o+maxLaneCells])
+			detect = snap[o+maxLaneCells]
+		},
+		func(l int) bool { return leaf(l, vs, detect) })
 }
 
 // laneClasses resolves every placement class of the planned fault with one
-// bit-parallel trie walk and writes the results into the class table. For
-// each permutation's lane block it recovers the scalar runBlock contract:
+// bit-parallel trie walk and writes the results into the class table. The
+// walk fills the machine's per-leaf miss masks: bit l of laneLeafMiss[leaf]
+// is set when lane l fails to detect the fault under order combination
+// leaf, and pruned leaves keep the all-detected zero mask. For each
+// permutation's lane block the fold recovers the scalar runBlock contract:
 // the FIRST missing init background (backgrounds ascending) and, within it,
 // the LOWEST missing orderSets leaf — so the placement loop reconstructs
 // witnesses in exact enumeration order.
 func (s *Schedule) laneClasses(m *machine, classes *[classSpace]classResult) {
 	p := &m.plan
-	leafMiss := s.runLanesAll(m)
+	if cap(m.laneLeafMiss) < len(s.orderSets) {
+		m.laneLeafMiss = make([]uint64, len(s.orderSets))
+	}
+	leafMiss := m.laneLeafMiss[:len(s.orderSets)]
+	clear(leafMiss)
+	s.walkLanes(m, func(l int, _ [maxLaneCells]uint64, detect uint64) bool {
+		leafMiss[l] = ^detect & p.full
+		return true
+	})
 	lanesPerPerm := 1 << p.k
 	for pi, key := range p.classKeys {
 		base := pi * lanesPerPerm

@@ -157,29 +157,35 @@ func (s *Schedule) Simulate(faults []linked.Fault) Report {
 		return Report{Test: s.test}
 	}
 	results := make([]Result, len(faults))
-	s.fanOut(len(faults), func(m *machine, i int) {
+	s.fanOut(len(faults), func(m *machine, i int) bool {
 		results[i] = s.result(m, faults[i])
+		return false
 	})
 	return Report{Test: s.test, Results: results}
 }
 
-// fanOut calls fn once for every index below n across Config.Workers
-// goroutines, each with its own machine from the schedule's pool.
-func (s *Schedule) fanOut(n int, fn func(m *machine, i int)) {
-	workers := s.cfg.workers()
-	if workers > n {
-		workers = n
-	}
+// fanOut calls fn for the indices below n across Config.Workers goroutines,
+// each with its own machine from the schedule's pool, and returns the lowest
+// index at which fn returned true, or n when it never did. Indices are
+// claimed in ascending order; once fn has returned true at index i no index
+// above i starts, but every index below i still runs, so the result is the
+// index a sequential scan stops at, whatever the number of workers.
+func (s *Schedule) fanOut(n int, fn func(m *machine, i int) (stop bool)) int {
+	workers := min(s.cfg.workers(), n)
 	if workers <= 1 {
 		m := s.getMachine()
 		defer s.putMachine(m)
 		for i := 0; i < n; i++ {
-			fn(m, i)
+			if fn(m, i) {
+				return i
+			}
 		}
-		return
+		return n
 	}
+	// Both counters in one heap object: one allocation per fan-out, not two.
+	var claim struct{ next, lowest atomic.Int64 }
+	claim.lowest.Store(int64(n))
 	var wg sync.WaitGroup
-	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -187,13 +193,22 @@ func (s *Schedule) fanOut(n int, fn func(m *machine, i int)) {
 			m := s.getMachine()
 			defer s.putMachine(m)
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i := claim.next.Add(1) - 1
+				if i >= claim.lowest.Load() {
 					return
 				}
-				fn(m, i)
+				if fn(m, int(i)) {
+					// Lower the bound to i unless a lower index stopped first.
+					for low := claim.lowest.Load(); i < low; low = claim.lowest.Load() {
+						if claim.lowest.CompareAndSwap(low, i) {
+							break
+						}
+					}
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	return int(claim.lowest.Load())
 }

@@ -20,7 +20,7 @@ import (
 //   - per lane-planned fault, the lane end state at every order-combination
 //     leaf the prefix leaves undetected in some lane: the k cell words and
 //     the detect mask. A leaf every lane detects stays detected whatever
-//     follows, so it is dropped, as the trie walks prune it.
+//     follows, so it is dropped, as the trie walk prunes it.
 //   - the good trace entering the appended element. It is the same at every
 //     leaf: an element applies all its operations to every address, so after
 //     a whole element every cell has seen the same operations whichever way
@@ -67,26 +67,30 @@ func (s *Schedule) Checkpoint(faults []linked.Fault) (*Checkpoint, error) {
 		err  error
 	}
 	outs := make([]outcome, len(faults))
-	s.fanOut(len(faults), func(m *machine, i int) {
+	if i := s.fanOut(len(faults), func(m *machine, i int) bool {
 		o, f := &outs[i], faults[i]
-		if err := validateBindings(f); err != nil {
-			o.err = err
-			return
+		if o.err = validateBindings(f); o.err != nil {
+			return true
 		}
 		if canClassCache(f) && s.planLanes(m, f) {
-			if states := s.laneLeafStates(m); len(states) > 0 {
-				o.miss = true
-				o.lane = laneResume{plan: m.plan.clone(), states: states}
+			k := m.plan.k
+			s.walkLanes(m, func(_ int, vs [maxLaneCells]uint64, detect uint64) bool {
+				o.lane.states = append(append(o.lane.states, vs[:k]...), detect)
+				return true
+			})
+			if o.miss = len(o.lane.states) > 0; o.miss {
+				o.lane.plan = m.plan.clone()
 			}
-			return
+			return false
 		}
-		o.miss, o.err = s.missesFault(m, f)
-	})
+		det, _, err := s.detects(m, f, false)
+		o.miss, o.err = !det, err
+		return err != nil
+	}); i < len(faults) {
+		return nil, outs[i].err
+	}
 	c := &Checkpoint{sched: s}
 	for i := range outs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
-		}
 		if outs[i].miss {
 			c.missed = append(c.missed, faults[i])
 			c.resume = append(c.resume, outs[i].lane)
@@ -165,83 +169,12 @@ func (c *Checkpoint) Resume(e march.Element) ([]bool, error) {
 	m := full.getMachine()
 	defer full.putMachine(m)
 	for _, i := range scratch {
-		miss, err := full.missesFault(m, c.missed[i])
-		if err != nil {
+		var err error
+		if detected[i], _, err = full.detects(m, c.missed[i], false); err != nil {
 			return nil, err
 		}
-		detected[i] = !miss
 	}
 	return detected, nil
-}
-
-// laneLeafStates walks the order-choice trie like runLanesAll and returns
-// the lane end state at every leaf some lane reaches undetected: k cell
-// words, then the detect mask. A test with no elements ends where it starts.
-func (s *Schedule) laneLeafStates(m *machine) []uint64 {
-	p := &m.plan
-	var vs [maxLaneCells]uint64
-	p.laneInitState(&vs)
-	detect := uint64(0)
-	var out []uint64
-	keep := func() {
-		out = append(out, vs[:p.k]...)
-		out = append(out, detect)
-	}
-	if len(s.roots) == 0 {
-		keep()
-		return out
-	}
-
-	depth := len(s.test.Elems) + 1
-	if cap(m.laneSnap) < depth*laneSnapWords {
-		m.laneSnap = make([]uint64, depth*laneSnapWords)
-	}
-	snap := m.laneSnap[:depth*laneSnapWords]
-	save := func(d int) {
-		o := d * laneSnapWords
-		copy(snap[o:o+maxLaneCells], vs[:])
-		snap[o+maxLaneCells] = detect
-	}
-	restore := func(d int) {
-		o := d * laneSnapWords
-		copy(vs[:], snap[o:o+maxLaneCells])
-		detect = snap[o+maxLaneCells]
-	}
-
-	var walk func(idx, d int)
-	walk = func(idx, d int) {
-		seg := &s.segs[idx]
-		detect = p.runSteps(seg.steps, &vs, detect)
-		if detect == p.full {
-			return
-		}
-		if seg.leaf >= 0 {
-			keep()
-			return
-		}
-		if len(seg.children) == 1 {
-			walk(seg.children[0], d+1)
-			return
-		}
-		save(d)
-		for ci, ch := range seg.children {
-			if ci > 0 {
-				restore(d)
-			}
-			walk(ch, d+1)
-		}
-	}
-
-	if len(s.roots) > 1 {
-		save(0)
-	}
-	for ri, r := range s.roots {
-		if ri > 0 {
-			restore(0)
-		}
-		walk(r, 1)
-	}
-	return out
 }
 
 // clone copies the plan off the pooled machine, which replans it for the

@@ -38,8 +38,10 @@ import (
 // This is the package's one implementation of the fault semantics: verdicts,
 // witnesses, FailingReads and TraceScenario all run runSteps (lanes.go packs
 // the same semantics bit-parallel and is pinned to it; resume.go continues a
-// lane run after one more element). The independent reference is
-// internal/oracle, which tests compare every path against.
+// lane run after one more element). Verdicts, lane classes and checkpoints
+// all walk the order-choice trie through one walk (Schedule.walk). The
+// independent reference is internal/oracle, which tests compare every path
+// against.
 
 // opStep is one operation of a compiled stream.
 type opStep struct {
@@ -115,8 +117,8 @@ func NewSchedule(t march.Test, cfg Config) (*Schedule, error) {
 // to the path's choices, so leaves map 1:1 onto orderSets (bit j of the
 // index is the j-th ⇕ element's choice). Note the trie's depth-first leaf
 // order is NOT ascending leaf index — combination enumeration varies the
-// FIRST ⇕ element fastest — which is why runTree tracks the minimum missed
-// leaf index instead of stopping at the first miss.
+// FIRST ⇕ element fastest — which is why the witness walks track the minimum
+// missed leaf index instead of stopping at the first miss.
 func (s *Schedule) compileTree() {
 	t := s.test
 	exhaustive := s.cfg.ExhaustiveOrders && len(s.orderSets) > 1
@@ -163,6 +165,48 @@ func (s *Schedule) compileTree() {
 	} else {
 		s.roots = append(s.roots, build(0, 0, 0, first, written, lastWrite))
 	}
+}
+
+// walk runs the order-choice trie depth first over a caller's simulation
+// state; it is the package's one walk of the trie, shared by the scalar
+// runner (runTree) and the lane engine (walkLanes). run advances the state
+// over one segment's steps and reports whether every scenario under the
+// prefix is detected, which prunes the segment's subtree. Where element d
+// is a ⇕ with two segments, save(d) snapshots the state before the first
+// and restore(d) rewinds it before the second, so slots d run below the
+// test's element count. leaf is called with the orderSets index of every
+// leaf reached undetected, in depth-first order, and stops the walk by
+// returning false. A test with no elements performs no reads, so its one
+// combination, leaf 0, is reached undetected.
+func (s *Schedule) walk(run func(steps []opStep) bool, save, restore func(d int), leaf func(l int) bool) {
+	if len(s.roots) == 0 {
+		leaf(0)
+		return
+	}
+	var visit func(next []int, d int) bool
+	visit = func(next []int, d int) bool {
+		if len(next) > 1 {
+			save(d)
+		}
+		for i, idx := range next {
+			if i > 0 {
+				restore(d)
+			}
+			seg := &s.segs[idx]
+			if run(seg.steps) {
+				continue
+			}
+			if seg.leaf >= 0 {
+				if !leaf(seg.leaf) {
+					return false
+				}
+			} else if !visit(seg.children, d+1) {
+				return false
+			}
+		}
+		return true
+	}
+	visit(s.roots, 0)
 }
 
 // compileElemSteps flattens one element under one concrete order,
@@ -680,79 +724,35 @@ func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic
 }
 
 // runTree simulates every order combination of one (placement, init) block
-// by walking the segment trie: combinations sharing a prefix of order
-// choices share one simulation of it, and a detection inside a shared
-// prefix settles the whole subtree at once. It reports whether any
+// by walking the segment trie on the scalar machine. It reports whether any
 // combination fails to detect the fault and, when needWitness is set, the
 // LOWEST orderSets index among the failing combinations — the combination
-// enumeration order reports first (depth-first trie order differs from
-// combination order, so the walk cannot just stop at its first miss). With
-// needWitness unset the walk aborts on any miss.
+// enumeration order reports first. With needWitness unset the walk stops at
+// its first miss.
 func (s *Schedule) runTree(m *machine, f linked.Fault, placement []int, init []fp.Value, needWitness bool) (bool, int) {
 	hasState, hasDynamic := m.load(f, placement, init)
 	nb := len(m.ctxs)
-
-	if len(s.roots) == 0 {
-		// A test with no elements performs no reads: every combination (there
-		// is exactly one) misses.
-		return true, 0
-	}
-
-	depth := len(s.test.Elems) + 1
-	m.ensureSnapshots(depth*s.size, depth*nb)
+	m.ensureSnapshots(len(s.test.Elems)*s.size, len(s.test.Elems)*nb)
 	missLeaf := -1
-
-	var walk func(idx, d int)
-	walk = func(idx, d int) {
-		seg := &s.segs[idx]
-		if m.runSteps(init, seg.steps, hasState, hasDynamic, nil) {
-			return // every combination under this prefix is detected
-		}
-		if seg.leaf >= 0 {
-			if missLeaf < 0 || seg.leaf < missLeaf {
-				missLeaf = seg.leaf
+	s.walk(
+		func(steps []opStep) bool { return m.runSteps(init, steps, hasState, hasDynamic, nil) },
+		func(d int) { m.save(d, nb, hasDynamic) },
+		func(d int) { m.restore(d, nb, hasDynamic) },
+		func(l int) bool {
+			if missLeaf < 0 || l < missLeaf {
+				missLeaf = l
 			}
-			return
-		}
-		if len(seg.children) == 1 {
-			walk(seg.children[0], d+1)
-			return
-		}
-		m.save(d, nb, hasDynamic)
-		for ci, ch := range seg.children {
-			if ci > 0 {
-				if missLeaf >= 0 && !needWitness {
-					return
-				}
-				m.restore(d, nb, hasDynamic)
-			}
-			walk(ch, d+1)
-		}
-	}
-
-	if len(s.roots) > 1 {
-		m.save(0, nb, hasDynamic)
-	}
-	for ri, r := range s.roots {
-		if ri > 0 {
-			if missLeaf >= 0 && !needWitness {
-				break
-			}
-			m.restore(0, nb, hasDynamic)
-		}
-		walk(r, 1)
-	}
-	if missLeaf < 0 {
-		return false, 0
-	}
-	return true, missLeaf
+			return needWitness
+		})
+	return missLeaf >= 0, missLeaf
 }
 
 // detects reports whether the test detects the fault in every scenario,
-// reusing the caller's machine; witness is the first undetected scenario in
-// enumeration order when it does not: placements in ascending depth-first
-// order, then initial-value bit patterns, then order combinations — the
-// order internal/oracle reports too.
+// reusing the caller's machine. With needWitness set, witness is the first
+// undetected scenario in enumeration order when it does not: placements in
+// ascending depth-first order, then initial-value bit patterns, then order
+// combinations — the order internal/oracle reports too. Unset, the
+// simulation stops at the first miss and the witness is nil.
 //
 // Static faults are checked once per placement class (placementClass) rather
 // than once per placement. The witness stays exact: placements are visited
@@ -765,15 +765,26 @@ func (s *Schedule) runTree(m *machine, f linked.Fault, placement []int, init []f
 // When the fault is lane-eligible (planLanes), every placement class is
 // resolved by one bit-parallel pass up front; the placement loop then only
 // reads the table, so the witness construction is shared with — and exactly
-// as precise as — the scalar path.
-func (s *Schedule) detects(m *machine, f linked.Fault) (bool, *Scenario, error) {
+// as precise as — the scalar path. A verdict alone needs no placement loop:
+// every placement belongs to one of the k! classes the lanes cover, so "any
+// lane misses any leaf" is exactly "any scenario misses".
+func (s *Schedule) detects(m *machine, f linked.Fault, needWitness bool) (bool, *Scenario, error) {
 	if err := validateBindings(f); err != nil {
 		return false, nil, err
 	}
 	k := f.Cells
 	useClasses := canClassCache(f)
+	lanes := useClasses && s.planLanes(m, f)
+	if lanes && !needWitness {
+		detected := true
+		s.walkLanes(m, func(int, [maxLaneCells]uint64, uint64) bool {
+			detected = false
+			return false
+		})
+		return detected, nil, nil
+	}
 	var classes [classSpace]classResult
-	if useClasses && s.planLanes(m, f) {
+	if lanes {
 		s.laneClasses(m, &classes)
 	}
 	init := make([]fp.Value, k)
@@ -784,22 +795,24 @@ func (s *Schedule) detects(m *machine, f linked.Fault) (bool, *Scenario, error) 
 		if useClasses {
 			cr := &classes[placementClass(placement)]
 			if !cr.done {
-				miss, bits, leaf := s.runBlock(m, f, placement, init, true)
+				miss, bits, leaf := s.runBlock(m, f, placement, init, needWitness)
 				*cr = classResult{done: true, miss: miss, initBits: bits, leaf: leaf}
 			}
 			r = *cr
 		} else {
-			r.miss, r.initBits, r.leaf = s.runBlock(m, f, placement, init, true)
+			r.miss, r.initBits, r.leaf = s.runBlock(m, f, placement, init, needWitness)
 		}
-		if r.miss {
-			detected = false
+		if !r.miss {
+			return true
+		}
+		detected = false
+		if needWitness {
 			for c := 0; c < k; c++ {
 				init[c] = fp.ValueOf(uint8(r.initBits>>c) & 1)
 			}
 			witness = cloneScenario(Scenario{Placement: placement, Init: init, Orders: s.orderSets[r.leaf]})
-			return false
 		}
-		return true
+		return false
 	})
 	if err != nil {
 		return false, nil, err
@@ -813,7 +826,7 @@ func (s *Schedule) detects(m *machine, f linked.Fault) (bool, *Scenario, error) 
 func (s *Schedule) DetectsFault(f linked.Fault) (bool, *Scenario, error) {
 	m := s.getMachine()
 	defer s.putMachine(m)
-	return s.detects(m, f)
+	return s.detects(m, f, true)
 }
 
 // FailingReads simulates one scenario of the fault (a placement and the
@@ -838,50 +851,9 @@ func (s *Schedule) FailingReads(f linked.Fault, placement []int, init []fp.Value
 	return nil
 }
 
-// missesFault reports whether the test fails to detect the fault in at
-// least one scenario, reusing the caller's machine.
-//
-// Lane-eligible faults skip the placement loop entirely: the bit-parallel
-// pass covers every placement class at once (every placement belongs to one
-// of the k! classes, and planLanes guarantees all of them fit in the lanes),
-// so "any lane misses any leaf" is exactly "any scenario misses".
-func (s *Schedule) missesFault(m *machine, f linked.Fault) (bool, error) {
-	if err := validateBindings(f); err != nil {
-		return false, err
-	}
-	k := f.Cells
-	useClasses := canClassCache(f)
-	if useClasses && s.planLanes(m, f) {
-		return s.runLanesAny(m), nil
-	}
-	var classes [classSpace]classResult
-	init := make([]fp.Value, k)
-	miss := false
-	err := s.forEachPlacement(k, func(placement []int) bool {
-		if useClasses {
-			cr := &classes[placementClass(placement)]
-			if !cr.done {
-				missed, _, _ := s.runBlock(m, f, placement, init, false)
-				*cr = classResult{done: true, miss: missed}
-			}
-			if cr.miss {
-				miss = true
-				return false
-			}
-			return true
-		}
-		if missed, _, _ := s.runBlock(m, f, placement, init, false); missed {
-			miss = true
-			return false
-		}
-		return true
-	})
-	return miss, err
-}
-
 // result simulates one fault to a Result, reusing the caller's machine.
 func (s *Schedule) result(m *machine, f linked.Fault) Result {
-	det, witness, err := s.detects(m, f)
+	det, witness, err := s.detects(m, f, true)
 	if err != nil {
 		return Result{Fault: f, Err: err}
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"marchgen/internal/faultlist"
@@ -73,36 +74,57 @@ func TestScheduleScenarioCount(t *testing.T) {
 }
 
 // TestFullCoverageDeterministic pins the parallel scan's contract: whatever
-// Config.Workers is, the reported miss is the one the sequential fault-list
-// scan hits first.
+// Config.Workers is, the scan ends where the sequential fault-list scan
+// does — at the same miss, returned as a pointer into the caller's slice,
+// or at the same error. A fault that fails to simulate sits right before or
+// right after the first miss, so the two race in neighbouring workers.
 func TestFullCoverageDeterministic(t *testing.T) {
-	faults := faultlist.List1()
+	list := faultlist.List1()
 	test := march.MarchSS // misses part of List1, so there is a miss to race for
 
 	seqCfg := DefaultConfig()
 	seqCfg.Workers = 1
-	full, seqMiss, err := FullCoverage(test, faults, seqCfg)
+	full, seqMiss, err := FullCoverage(test, list, seqCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full || seqMiss == nil {
 		t.Fatalf("%s unexpectedly covers List1", test.Name)
 	}
+	first := slices.IndexFunc(list, func(f linked.Fault) bool { return f.ID() == seqMiss.ID() })
 
-	for _, workers := range []int{2, 4, 8} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		for rep := 0; rep < 3; rep++ {
-			full, miss, err := FullCoverage(test, faults, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if full || miss == nil {
-				t.Fatalf("workers=%d rep=%d: got full coverage, want miss", workers, rep)
-			}
-			if miss.ID() != seqMiss.ID() {
-				t.Fatalf("workers=%d rep=%d: missed %s, sequential scan misses %s first",
-					workers, rep, miss.ID(), seqMiss.ID())
+	bad := faultlist.List2()[0] // victim index out of range: an error, not a verdict
+	bad.FPs = append([]linked.Binding(nil), bad.FPs...)
+	bad.FPs[0].V = bad.Cells
+	wantErr := validateBindings(bad)
+	for _, c := range []struct {
+		name     string
+		faults   []linked.Fault
+		wantMiss int // index of the first miss, -1 when the bad fault comes first
+	}{
+		{"List1", list, first},
+		{"error before the first miss", slices.Insert(slices.Clone(list), first, bad), -1},
+		{"error after the first miss", slices.Insert(slices.Clone(list), first+1, bad), first},
+	} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			for rep := 0; rep < 3; rep++ {
+				full, miss, err := FullCoverage(test, c.faults, cfg)
+				if c.wantMiss < 0 {
+					if err == nil || err.Error() != wantErr.Error() || full || miss != nil {
+						t.Fatalf("%s workers=%d rep=%d: got (%v, %v, %v), want the bad fault's error %q",
+							c.name, workers, rep, full, miss, err, wantErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s workers=%d rep=%d: %v", c.name, workers, rep, err)
+				}
+				if full || miss != &c.faults[c.wantMiss] {
+					t.Fatalf("%s workers=%d rep=%d: got (%v, %v), sequential scan misses &faults[%d] (%s) first",
+						c.name, workers, rep, full, miss, c.wantMiss, seqMiss.ID())
+				}
 			}
 		}
 	}

@@ -151,14 +151,15 @@ type machine struct {
 	// schedule path (bindFault), reused across scenarios.
 	ctxs []bindCtx
 	// snapFaulty, snapArmed and snapArmedAddr are the per-depth state
-	// snapshots of the order-choice trie walk (Schedule.runTree): slot d of
-	// snapFaulty holds size cells, slot d of the armed pair holds one entry
-	// per binding.
+	// snapshots the scalar runner (runTree) keeps for the order-choice trie
+	// walk (Schedule.walk): slot d of snapFaulty holds size cells, slot d of
+	// the armed pair holds one entry per binding.
 	snapFaulty    []fp.Value
 	snapArmed     []bool
 	snapArmedAddr []int
 	// plan, laneLeafMiss and laneSnap are the bit-parallel engine's per-fault
-	// plan and scratch buffers (lanes.go), reused across faults like ctxs.
+	// plan, per-leaf miss masks and walk snapshots (lanes.go), reused across
+	// faults like ctxs.
 	plan         lanePlan
 	laneLeafMiss []uint64
 	laneSnap     []uint64
