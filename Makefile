@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race stress bench bench-sim bench-opt opt-test diag-test serve smoke chaos cluster-test fuzz verify-oracle load-test check
+.PHONY: build test vet fmt-check race stress bench bench-sim bench-gen bench-opt opt-test diag-test serve smoke chaos cluster-test fuzz verify-oracle load-test check
 
 build:
 	$(GO) build ./...
@@ -29,12 +29,13 @@ race:
 	./scripts/race.sh
 
 ## stress: the interleaving gate — the concurrent-client and cluster tests,
-## and the simulator fan-out's lowest-index stop (its miss and error must be
-## the sequential scan's at any worker count), whose assertions must hold
-## under any goroutine schedule, repeated 20 times at 1, 2 and 4 CPUs.
+## and the simulator fan-out's lowest-index stop (its miss and error, and the
+## boundary checkpoint's missed sets and first misses, must be the
+## sequential scan's at any worker count), whose assertions must hold under
+## any goroutine schedule, repeated 20 times at 1, 2 and 4 CPUs.
 stress:
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster' ./internal/service/ ./internal/fabric/
-	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$' ./internal/sim/
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$|TestCheckpointDeterministic$$' ./internal/sim/
 
 ## bench: simulator and generator throughput benchmarks.
 bench:
@@ -45,6 +46,15 @@ bench:
 ## written by internal/sim's TestBenchRecord.
 bench-sim:
 	$(GO) test -count=1 -v -run '^TestBenchRecord$$' ./internal/sim -args -benchrecord $(CURDIR)/BENCH_sim.json
+
+## bench-gen: regenerate BENCH_gen.json — the CPU time of the three Table-1
+## generation rows (median and quartiles of 11 runs, on one P and at
+## GOMAXPROCS) for this checkout next to a base commit (BASE, default HEAD),
+## built from git archive and run alternately; written by the root
+## package's TestBenchGen.
+BASE ?= HEAD
+bench-gen:
+	$(GO) test -count=1 -v -timeout 30m -run '^TestBenchGen$$' . -args -benchgen $(CURDIR)/BENCH_gen.json -benchgen-base $(BASE)
 
 ## bench-opt: regenerate BENCH_opt.json — the search-based optimizer run
 ## against the paper's Table 1 baselines (37n / 35n for List #1, 9n for

@@ -174,11 +174,12 @@ type Stats struct {
 	// LengthBeforeMinimize is the candidate length entering phase 3.
 	LengthBeforeMinimize int
 	// Simulations counts candidate evaluations: one per fault a walker
-	// step checks, one per fault-list simulation of a candidate (each
-	// repair round starts with one, each minimizer check is one), and one
-	// per repair trial × missing fault. It counts verdicts, not stream
-	// replays: a repair trial resumes from a checkpoint of the candidate
-	// and simulates only the appended element, but counts what a
+	// step checks, one per fault-list check of a candidate (each repair
+	// round starts with one, each minimizer check is one), and one per
+	// repair trial × missing fault. It counts verdicts, not stream
+	// replays: repair and minimize trials resume from a checkpoint of the
+	// candidate and simulate only the elements from the edited one on (a
+	// repair trial, only the appended element), but count what a
 	// from-scratch trial counted.
 	Simulations int
 	// Duration is the wall-clock generation time (the CPU-time column of
@@ -252,14 +253,15 @@ func GenerateContext(ctx context.Context, faults []linked.Fault, opts Options) (
 		if round > 0 {
 			cfg = opts.finalConfig()
 		}
-		cand, err = repair(ctx, cand, faults, cfg, opts, st)
+		var cp *sim.Checkpoint
+		cand, cp, err = repair(ctx, cand, faults, cfg, opts, st)
 		if err != nil {
 			return Result{}, err
 		}
 		st.LengthBeforeMinimize = cand.Length()
 
 		if !opts.SkipMinimize {
-			cand, err = minimize(ctx, cand, faults, cfg, opts, st)
+			cand, err = minimize(ctx, cand, cp, opts, st)
 			if err != nil {
 				return Result{}, err
 			}

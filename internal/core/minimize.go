@@ -24,27 +24,74 @@ import (
 //
 // The result is non-redundant in the paper's sense: no single operation can
 // be removed without losing coverage.
-func minimize(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim.Config, opts Options, st *Stats) (march.Test, error) {
-	acceptsWith := func(c sim.Config) func(march.Test) (bool, error) {
-		return func(t march.Test) (bool, error) {
-			// The accept predicate runs before every candidate simulation, so
-			// checking the context here bounds a cancellation's latency to one
-			// full-coverage evaluation.
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-			if len(t.Elems) == 0 || t.Validate() != nil || t.CheckConsistency() != nil {
-				return false, nil
-			}
-			st.Simulations++
-			full, _, err := sim.FullCoverage(t, faults, c)
-			return full, err
+//
+// Every trial keeps the candidate's elements before the one it edits, so
+// the trials run on cp, the candidate's checkpoint under the configuration
+// repair ran with (repair hands it over): a trial that edits element i
+// resumes from boundary i, simulating only the elements from i on. An
+// accepted trial is committed to the checkpoint, which then holds the new
+// candidate's states without another simulation. The checkpoint's fault
+// list is the accept predicate's own copy, scanned fail-first: a fault a
+// trial misses moves to the front, so the next trial that misses it is
+// rejected after one fault. Only the ⇕ relaxation, judged under the
+// exhaustive configuration, simulates its trials from scratch.
+func minimize(ctx context.Context, cand march.Test, cp *sim.Checkpoint, opts Options, st *Stats) (march.Test, error) {
+	// admissible runs before every candidate simulation, so checking the
+	// context here bounds a cancellation's latency to one full-coverage
+	// evaluation.
+	admissible := func(t march.Test) (bool, error) {
+		if err := ctx.Err(); err != nil {
+			return false, err
 		}
+		return len(t.Elems) > 0 && t.Validate() == nil && t.CheckConsistency() == nil, nil
 	}
-	accepts := acceptsWith(cfg)
+	// accepts judges a trial that keeps the candidate's first b elements.
+	accepts := func(t march.Test, b int) (bool, error) {
+		if ok, err := admissible(t); !ok {
+			return false, err
+		}
+		st.Simulations++
+		full, miss, err := cp.Covers(b, t.Elems[b:])
+		if err != nil {
+			return false, err
+		}
+		if !full {
+			cp.MoveToFront(miss)
+			return false, nil
+		}
+		cp.Commit()
+		return true, nil
+	}
 	// Order relaxation must be judged under the exhaustive configuration:
 	// with lazy ⇕ resolution, turning ⇓ into ⇕ silently becomes ⇑.
-	acceptsExhaustive := acceptsWith(opts.finalConfig())
+	exhaustive := opts.finalConfig()
+	acceptsRelaxed := func(t march.Test, i int) (bool, error) {
+		if ok, err := admissible(t); !ok {
+			return false, err
+		}
+		st.Simulations++
+		faults := cp.Faults()
+		full, miss, err := sim.FullCoverage(t, faults, exhaustive)
+		if err != nil {
+			return false, err
+		}
+		if !full {
+			for j := range faults {
+				if &faults[j] == miss {
+					cp.MoveToFront(j)
+					break
+				}
+			}
+			return false, nil
+		}
+		// Bring the checkpoint, kept under the search configuration, to the
+		// relaxed test.
+		if _, err := cp.Resume(i, t.Elems[i:], nil); err != nil {
+			return false, err
+		}
+		cp.Commit()
+		return true, nil
+	}
 
 	for {
 		changed := false
@@ -53,7 +100,7 @@ func minimize(ctx context.Context, cand march.Test, faults []linked.Fault, cfg s
 		for i := len(cand.Elems) - 1; i >= 0; i-- {
 			trial := cand.Clone()
 			trial.Elems = append(trial.Elems[:i], trial.Elems[i+1:]...)
-			ok, err := accepts(trial)
+			ok, err := accepts(trial, i)
 			if err != nil {
 				return cand, err
 			}
@@ -72,7 +119,7 @@ func minimize(ctx context.Context, cand march.Test, faults []linked.Fault, cfg s
 				trial := cand.Clone()
 				ops := trial.Elems[i].Ops
 				trial.Elems[i].Ops = append(ops[:j], ops[j+1:]...)
-				ok, err := accepts(trial)
+				ok, err := accepts(trial, i)
 				if err != nil {
 					return cand, err
 				}
@@ -84,7 +131,7 @@ func minimize(ctx context.Context, cand march.Test, faults []linked.Fault, cfg s
 		}
 
 		if opts.Aggressive {
-			aggr, aggrChanged, err := aggressivePass(cand, accepts, acceptsExhaustive)
+			aggr, aggrChanged, err := aggressivePass(cand, accepts, acceptsRelaxed)
 			if err != nil {
 				return cand, err
 			}
@@ -99,8 +146,10 @@ func minimize(ctx context.Context, cand march.Test, faults []linked.Fault, cfg s
 }
 
 // aggressivePass tries pairwise operation removal within an element and
-// merging adjacent elements with the same address order.
-func aggressivePass(cand march.Test, accepts, acceptsExhaustive func(march.Test) (bool, error)) (march.Test, bool, error) {
+// merging adjacent elements with the same address order, then relaxes fixed
+// orders to ⇕. Both predicates take the trial and the index of the element
+// it edits.
+func aggressivePass(cand march.Test, accepts, acceptsRelaxed func(march.Test, int) (bool, error)) (march.Test, bool, error) {
 	changed := false
 
 	// Pairwise removal within one element.
@@ -116,7 +165,7 @@ func aggressivePass(cand march.Test, accepts, acceptsExhaustive func(march.Test)
 				ops = append(ops[:a], ops[a+1:]...)
 				ops = append(ops[:b], ops[b+1:]...)
 				trial.Elems[i].Ops = ops
-				ok, err := accepts(trial)
+				ok, err := accepts(trial, i)
 				if err != nil {
 					return cand, changed, err
 				}
@@ -139,7 +188,7 @@ func aggressivePass(cand march.Test, accepts, acceptsExhaustive func(march.Test)
 			append(append([]fp.Op(nil), trial.Elems[i].Ops...), trial.Elems[i+1].Ops...)...)
 		trial.Elems = append(trial.Elems[:i], trial.Elems[i+1:]...)
 		trial.Elems[i] = merged
-		ok, err := accepts(trial)
+		ok, err := accepts(trial, i)
 		if err != nil {
 			return cand, changed, err
 		}
@@ -158,7 +207,7 @@ func aggressivePass(cand march.Test, accepts, acceptsExhaustive func(march.Test)
 		}
 		trial := cand.Clone()
 		trial.Elems[i].Order = march.Any
-		ok, err := acceptsExhaustive(trial)
+		ok, err := acceptsRelaxed(trial, i)
 		if err != nil {
 			return cand, changed, err
 		}

@@ -114,27 +114,41 @@ func buildTemplates() []template {
 // March SL element shapes in the template library.
 //
 // Every trial of a round extends the same candidate, so the candidate is
-// simulated once per round into a checkpoint (sim.Schedule.Checkpoint) and
-// each trial resumes the missed faults from it, simulating only the
-// appended element.
-func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim.Config, opts Options, st *Stats) (march.Test, error) {
+// simulated once into a checkpoint (sim.Schedule.Checkpoint) and each trial
+// resumes the missed faults from its last element boundary, simulating only
+// the appended element. The chosen element is committed to the checkpoint,
+// so the next round starts from the extended candidate without simulating
+// it again. repair returns that checkpoint with the repaired candidate,
+// for the minimizer to start from.
+func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim.Config, opts Options, st *Stats) (march.Test, *sim.Checkpoint, error) {
 	templates := buildTemplates()
+	sched, err := sim.NewSchedule(cand, cfg)
+	if err != nil {
+		return cand, nil, err
+	}
+	cp, err := sched.Checkpoint(faults)
+	if err != nil {
+		return cand, nil, err
+	}
+	// extend appends e to the candidate and to its checkpoint.
+	extend := func(e march.Element) error {
+		n := len(cand.Elems)
+		cand.Elems = append(cand.Elems, e)
+		if _, err := cp.Resume(n, []march.Element{e}, nil); err != nil {
+			return err
+		}
+		cp.Commit()
+		return nil
+	}
+	var missed []int
 	for {
 		if err := ctx.Err(); err != nil {
-			return cand, err
+			return cand, nil, err
 		}
 		st.Simulations++
-		sched, err := sim.NewSchedule(cand, cfg)
-		if err != nil {
-			return cand, err
-		}
-		cp, err := sched.Checkpoint(faults)
-		if err != nil {
-			return cand, err
-		}
 		missing := cp.Missed()
 		if len(missing) == 0 {
-			return cand, nil
+			return cand, cp, nil
 		}
 
 		v := testExit(cand)
@@ -142,7 +156,7 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 		bestGain := 0
 		for ti, tpl := range templates {
 			if err := ctx.Err(); err != nil {
-				return cand, err
+				return cand, nil, err
 			}
 			if !opts.Orders.Allows(tpl.order) {
 				continue
@@ -159,17 +173,12 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 			if trial.CheckConsistency() != nil {
 				continue
 			}
-			detected, err := cp.Resume(elem)
+			missed, err = cp.Resume(len(cand.Elems), []march.Element{elem}, missed[:0])
 			st.Simulations += len(missing)
 			if err != nil {
-				return cand, err
+				return cand, nil, err
 			}
-			gain := 0
-			for _, det := range detected {
-				if det {
-					gain++
-				}
-			}
+			gain := len(missing) - len(missed)
 			if gain > bestGain || (gain == bestGain && gain > 0 && len(tpl.ops) < len(templates[best].ops)) {
 				best = ti
 				bestGain = gain
@@ -180,13 +189,17 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 			// paper's fault lists, but user-defined faults may need a
 			// re-initialization first).
 			if v != fp.V0 {
-				cand.Elems = append(cand.Elems, march.NewElement(march.Any, fp.W0))
+				if err := extend(march.NewElement(march.Any, fp.W0)); err != nil {
+					return cand, nil, err
+				}
 				continue
 			}
-			return cand, fmt.Errorf("core: repair cannot cover %d faults (first: %s)", len(missing), missing[0].ID())
+			return cand, nil, fmt.Errorf("core: repair cannot cover %d faults (first: %s)", len(missing), missing[0].ID())
 		}
 		tpl := templates[best]
-		cand.Elems = append(cand.Elems, march.NewElement(tpl.order, tpl.ops...))
+		if err := extend(march.NewElement(tpl.order, tpl.ops...)); err != nil {
+			return cand, nil, err
+		}
 		st.RepairElements++
 	}
 }

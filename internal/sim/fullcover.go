@@ -37,7 +37,7 @@ func (s *Schedule) FullCoverage(faults []linked.Fault) (bool, *linked.Fault, err
 		err error
 	}
 	failed.i = len(faults)
-	i := s.fanOut(len(faults), func(m *machine, i int) bool {
+	i := s.fanOut(s.cfg.workers(), len(faults), func(m *machine, i int) bool {
 		det, _, err := s.detects(m, faults[i], false)
 		if err != nil {
 			failed.Lock()

@@ -30,9 +30,9 @@ import (
 //     effects become masked set/clear, and a read accumulates a detect mask
 //     by XOR-ing the lanes' faulty read values against the shared good
 //     trace;
-//   - the order-choice trie is walked by the same Schedule.walk as the
-//     scalar runner (walkLanes), with k+1 words of snapshot per depth
-//     instead of a full memory image.
+//   - the order-choice trie is walked by the same trie.walk as the scalar
+//     runner (walkLanes), with k+1 words of snapshot per depth instead of a
+//     full memory image.
 //
 // Eligibility (planLanes) is conservative: any binding whose semantics do
 // not decompose into per-lane bitwise steps — dynamic (armed) primitives,
@@ -427,26 +427,31 @@ func (p *lanePlan) laneInitState(vs *[maxLaneCells]uint64) {
 
 const laneSnapWords = maxLaneCells + 1 // k cell words + the detect mask
 
-// walkLanes walks the order-choice trie (Schedule.walk) once for all lanes
-// of the planned fault, from their initial state, and calls leaf with the
-// orderSets index, cell words and detect mask of every leaf some lane
-// reaches undetected; leaf stops the walk by returning false. The words go
-// by value: a pointer handed to a func value escapes, one allocation per
-// fault.
-func (s *Schedule) walkLanes(m *machine, leaf func(l int, vs [maxLaneCells]uint64, detect uint64) bool) {
-	p := &m.plan
-	var vs [maxLaneCells]uint64
-	p.laneInitState(&vs)
-	detect := uint64(0)
-	n := len(s.test.Elems) * laneSnapWords
+// walkLanes walks the trie (trie.walk) once for all lanes of plan p, from
+// cell words vs and detect mask detect, and calls leaf with the leaf index
+// and detect mask of every leaf some lane reaches undetected; leaf stops the
+// walk by returning false. node, when not nil, is called after every
+// segment some lane leaves undetected, with the segment's depth, the cell
+// words and the detect mask: the boundary states a Checkpoint keeps. The
+// words go by value: a pointer handed to a func value escapes, one
+// allocation per fault.
+func (t *trie) walkLanes(m *machine, p *lanePlan, vs [maxLaneCells]uint64, detect uint64,
+	node func(d int, vs [maxLaneCells]uint64, detect uint64), leaf func(l int, detect uint64) bool) {
+	n := t.elems * laneSnapWords
 	if cap(m.laneSnap) < n {
 		m.laneSnap = make([]uint64, n)
 	}
 	snap := m.laneSnap[:n]
-	s.walk(
-		func(steps []opStep) bool {
+	t.walk(
+		func(d int, steps []opStep) bool {
 			detect = p.runSteps(steps, &vs, detect)
-			return detect == p.full
+			if detect == p.full {
+				return true
+			}
+			if node != nil {
+				node(d, vs, detect)
+			}
+			return false
 		},
 		func(d int) {
 			o := d * laneSnapWords
@@ -458,7 +463,7 @@ func (s *Schedule) walkLanes(m *machine, leaf func(l int, vs [maxLaneCells]uint6
 			copy(vs[:], snap[o:o+maxLaneCells])
 			detect = snap[o+maxLaneCells]
 		},
-		func(l int) bool { return leaf(l, vs, detect) })
+		func(l int) bool { return leaf(l, detect) })
 }
 
 // laneClasses resolves every placement class of the planned fault with one
@@ -477,7 +482,9 @@ func (s *Schedule) laneClasses(m *machine, classes *[classSpace]classResult) {
 	}
 	leafMiss := m.laneLeafMiss[:len(s.orderSets)]
 	clear(leafMiss)
-	s.walkLanes(m, func(l int, _ [maxLaneCells]uint64, detect uint64) bool {
+	var vs [maxLaneCells]uint64
+	p.laneInitState(&vs)
+	s.walkLanes(m, p, vs, 0, nil, func(l int, detect uint64) bool {
 		leafMiss[l] = ^detect & p.full
 		return true
 	})

@@ -157,24 +157,30 @@ func (s *Schedule) Simulate(faults []linked.Fault) Report {
 		return Report{Test: s.test}
 	}
 	results := make([]Result, len(faults))
-	s.fanOut(len(faults), func(m *machine, i int) bool {
+	s.fanOut(s.cfg.workers(), len(faults), func(m *machine, i int) bool {
 		results[i] = s.result(m, faults[i])
 		return false
 	})
 	return Report{Test: s.test, Results: results}
 }
 
-// fanOut calls fn for the indices below n across Config.Workers goroutines,
+// fanOut calls fn for the indices below n across up to workers goroutines,
 // each with its own machine from the schedule's pool, and returns the lowest
 // index at which fn returned true, or n when it never did. Indices are
 // claimed in ascending order; once fn has returned true at index i no index
 // above i starts, but every index below i still runs, so the result is the
-// index a sequential scan stops at, whatever the number of workers.
-func (s *Schedule) fanOut(n int, fn func(m *machine, i int) (stop bool)) int {
-	workers := min(s.cfg.workers(), n)
+// index a sequential scan stops at, whatever the number of workers. The
+// calling goroutine runs index 0 before any other starts, so a stop there
+// (a fail-first caller puts its likeliest stop first) costs no goroutine,
+// and then works as one of the workers.
+func (s *Schedule) fanOut(workers, n int, fn func(m *machine, i int) (stop bool)) int {
+	if n == 0 {
+		return 0
+	}
+	m := s.getMachine()
+	defer s.putMachine(m)
+	workers = min(workers, n)
 	if workers <= 1 {
-		m := s.getMachine()
-		defer s.putMachine(m)
 		for i := 0; i < n; i++ {
 			if fn(m, i) {
 				return i
@@ -182,33 +188,47 @@ func (s *Schedule) fanOut(n int, fn func(m *machine, i int) (stop bool)) int {
 		}
 		return n
 	}
-	// Both counters in one heap object: one allocation per fan-out, not two.
-	var claim struct{ next, lowest atomic.Int64 }
+	if fn(m, 0) {
+		return 0
+	}
+	// Both counters in one heap object, one allocation per fan-out, but on
+	// separate cache lines: every claim writes next, and the workers read
+	// lowest before every index.
+	var claim struct {
+		next   atomic.Int64
+		_      [56]byte
+		lowest atomic.Int64
+	}
+	claim.next.Store(1)
 	claim.lowest.Store(int64(n))
+	work := func(m *machine) {
+		for {
+			i := claim.next.Add(1) - 1
+			if i >= claim.lowest.Load() {
+				return
+			}
+			if fn(m, int(i)) {
+				// Lower the bound to i unless a lower index stopped first.
+				for low := claim.lowest.Load(); i < low; low = claim.lowest.Load() {
+					if claim.lowest.CompareAndSwap(low, i) {
+						break
+					}
+				}
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			m := s.getMachine()
 			defer s.putMachine(m)
-			for {
-				i := claim.next.Add(1) - 1
-				if i >= claim.lowest.Load() {
-					return
-				}
-				if fn(m, int(i)) {
-					// Lower the bound to i unless a lower index stopped first.
-					for low := claim.lowest.Load(); i < low; low = claim.lowest.Load() {
-						if claim.lowest.CompareAndSwap(low, i) {
-							break
-						}
-					}
-					return
-				}
-			}
+			work(m)
 		}()
 	}
+	work(m)
 	wg.Wait()
 	return int(claim.lowest.Load())
 }

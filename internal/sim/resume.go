@@ -1,180 +1,389 @@
 package sim
 
 import (
+	"fmt"
+
 	"marchgen/internal/fp"
 	"marchgen/internal/linked"
 	"marchgen/internal/march"
 )
 
-// Resuming a test after one more element.
+// Resuming a test from an element boundary.
 //
-// The generator's repair phase (internal/core) appends one template element
-// at a time to a candidate test and asks, for every fault the candidate
-// misses, whether the extended test detects it. Every trial of a round
-// shares the candidate as its prefix, so the prefix is simulated once
-// (Schedule.Checkpoint) and each trial runs only the appended element
-// (Checkpoint.Resume).
+// The generator (internal/core) simulates many tests that share a prefix
+// with a test it has simulated already. Repair appends one template element
+// at a time to its candidate; minimize drops an element, an operation or an
+// operation pair, or merges two adjacent elements, and keeps an edit that
+// loses no coverage. Schedule.Checkpoint simulates the test once and keeps
+// every fault's state at every element boundary. Checkpoint.Resume then
+// simulates an edited test, the first b elements followed by a new suffix,
+// from boundary b: it runs only the suffix. Commit makes the checkpoint that
+// of the edited test, keeping the states the resume recorded, so an
+// accepted edit needs no further simulation.
 //
-// A resume needs two things from the prefix:
+// Boundary states are kept per lane-planned fault (planLanes): at every
+// order-choice trie node some lane leaves undetected, the k cell words and
+// the detect mask, tagged with the node's boundary. walkLanes' node callback
+// records them in the one walk that simulates the test. A node every lane
+// detects stays detected whatever follows, so it is dropped, as the walk
+// prunes it; a fault with no state at boundary b is detected by the first b
+// elements, and so by every test that keeps them.
 //
-//   - per lane-planned fault, the lane end state at every order-combination
-//     leaf the prefix leaves undetected in some lane: the k cell words and
-//     the detect mask. A leaf every lane detects stays detected whatever
-//     follows, so it is dropped, as the trie walk prunes it.
-//   - the good trace entering the appended element. It is the same at every
-//     leaf: an element applies all its operations to every address, so after
-//     a whole element every cell has seen the same operations whichever way
-//     the addresses ran. A cell's good value after the prefix is the last
-//     value the prefix writes, and its scenario initial value only when the
-//     prefix writes nothing.
+// The good trace entering the suffix is the same at every node: an element
+// applies all its operations to every address, so after b whole elements
+// every cell's good value is the last value written so far, whichever way
+// the addresses ran, or its initial value if nothing has been written yet.
+// The suffix is compiled against that trace as a trie of its own
+// (compileTrie; its ⇕ resolve as NewSchedule resolves them) and walked from
+// every saved state with the unchanged lanePlan.runSteps. Those are the
+// steps, in the order and from the state, that the edited test's walk runs
+// after its first b elements, so the verdict is the one NewSchedule gives
+// the edited test.
 //
-// The appended element is compiled against that trace under each order it
-// resolves to (⇕: up when lazy, up and down when exhaustive, as compileTree
-// resolves it) and run with the unchanged lanePlan.runSteps from every saved
-// state. Those are the steps, in the order and from the state, that the
-// extended schedule's trie walk would run after the prefix, so the verdict
-// is the one NewSchedule(prefix+element) gives. Faults planLanes declines
-// (dynamic primitives, more than three cells, …) keep no state and are
-// simulated from scratch on the compiled extended test.
+// Faults planLanes declines keep no state: a resume simulates them on the
+// compiled edited test, and so it does every fault when the suffix writes a
+// don't-care, which the lane words cannot hold. A resume from the last
+// boundary skips every fault the checkpointed test detects, lane-planned
+// or not: appending elements never loses a detection.
 
-// Checkpoint is a test simulated once over a fault list, keeping for every
-// fault the test misses what it takes to extend the test by one element
-// without simulating the test again. Resume must not be called concurrently
-// on one Checkpoint.
+// minFanOutSteps is the fewest operation steps, summed over the faults to
+// simulate, for which a resume fans out over Config.Workers: about 0.6 ms
+// of lane simulation at the ~19 ns a step takes on a 2.1 GHz Intel Xeon.
+const minFanOutSteps = 1 << 15
+
+// Checkpoint is a test simulated once over a fault list, keeping every
+// fault's state at every element boundary, so that the test edited from any
+// boundary on simulates only the edit. A Checkpoint is not safe for
+// concurrent use.
 type Checkpoint struct {
-	sched  *Schedule
-	missed []linked.Fault
-	// resume parallels missed: the saved lane state of each missed fault.
-	resume []laneResume
+	// sched is the schedule the checkpoint was built from. It supplies the
+	// configuration and the machine pool; Commit does not recompile it.
+	sched *Schedule
+	// test is the checkpointed test, which Commit advances.
+	test   march.Test
+	faults []linked.Fault
+	states []faultStates // parallel to faults
+	todo   []int         // scratch: the faults a resume simulates
+	// trial is the edit the last resume simulated: the test's first b
+	// elements followed by suffix.
+	trial struct {
+		b      int
+		suffix []march.Element
+		lanes  bool // the suffix writes only binary values
+		// done reports that every fault ran to its verdict, so Commit may
+		// adopt the trial.
+		done bool
+	}
 }
 
-// laneResume is one missed fault's saved lane state: a copy of its lane
-// plan and, per undetected leaf, k cell words followed by the detect mask.
-// A nil plan marks a fault planLanes declined.
-type laneResume struct {
-	plan   *lanePlan
-	states []uint64
+// faultStates is one fault's part of a checkpoint.
+type faultStates struct {
+	// plan is a copy of the fault's lane plan, nil when planLanes declined
+	// the fault.
+	plan *lanePlan
+	// nodes holds, per trie node some lane leaves undetected, the node's
+	// boundary, the k cell words and the detect mask: k+2 words a node,
+	// ordered by boundary. A node's parent is undetected too, so the
+	// boundaries present run from 0 up to the last node's.
+	nodes []uint64
+	// missed reports that the checkpointed test misses the fault.
+	missed bool
+	// next, nextMissed and err are the last resume's nodes past its
+	// boundary, in walk order, its verdict and its simulation error.
+	next       []uint64
+	nextMissed bool
+	err        error
 }
 
 // Checkpoint simulates the schedule's test over the fault list, fanning out
-// like Simulate, and returns the faults it misses, ready to resume. It fails
-// with the first simulation error in fault-list order, the error Simulate's
+// like Simulate, and keeps every fault's boundary states. It fails with the
+// first simulation error in fault-list order, the error Simulate's
 // Report.Err returns.
 func (s *Schedule) Checkpoint(faults []linked.Fault) (*Checkpoint, error) {
-	type outcome struct {
-		miss bool
-		lane laneResume
-		err  error
+	c := &Checkpoint{
+		sched:  s,
+		test:   s.test,
+		faults: append([]linked.Fault(nil), faults...),
+		states: make([]faultStates, len(faults)),
 	}
-	outs := make([]outcome, len(faults))
-	if i := s.fanOut(len(faults), func(m *machine, i int) bool {
-		o, f := &outs[i], faults[i]
-		if o.err = validateBindings(f); o.err != nil {
+	if i := s.fanOut(s.cfg.workers(), len(faults), func(m *machine, i int) bool {
+		fs := &c.states[i]
+		if fs.err = validateBindings(faults[i]); fs.err != nil {
 			return true
 		}
-		if canClassCache(f) && s.planLanes(m, f) {
-			k := m.plan.k
-			s.walkLanes(m, func(_ int, vs [maxLaneCells]uint64, detect uint64) bool {
-				o.lane.states = append(append(o.lane.states, vs[:k]...), detect)
-				return true
-			})
-			if o.miss = len(o.lane.states) > 0; o.miss {
-				o.lane.plan = m.plan.clone()
-			}
-			return false
+		if canClassCache(faults[i]) && s.planLanes(m, faults[i]) {
+			fs.plan = m.plan.clone()
+			var vs [maxLaneCells]uint64
+			fs.plan.laneInitState(&vs)
+			fs.nodes = appendNode(fs.nodes, 0, vs[:fs.plan.k], 0)
 		}
-		det, _, err := s.detects(m, f, false)
-		o.miss, o.err = !det, err
-		return err != nil
+		fs.nextMissed, fs.err = c.simulate(m, i, 0, &s.trie, s, false)
+		return fs.err != nil
 	}); i < len(faults) {
-		return nil, outs[i].err
+		return nil, c.states[i].err
 	}
-	c := &Checkpoint{sched: s}
-	for i := range outs {
-		if outs[i].miss {
-			c.missed = append(c.missed, faults[i])
-			c.resume = append(c.resume, outs[i].lane)
-		}
+	c.todo = make([]int, len(faults))
+	for i := range c.todo {
+		c.todo[i] = i
 	}
+	c.trial.b, c.trial.suffix, c.trial.lanes, c.trial.done = 0, s.test.Elems, s.laneWrites, true
+	c.Commit()
 	return c, nil
 }
 
-// Missed returns the faults the checkpointed test misses, in fault-list
-// order.
-func (c *Checkpoint) Missed() []linked.Fault { return c.missed }
+// Faults returns the checkpoint's copy of the fault list, in the order
+// Resume and Covers scan it (see MoveToFront). It must not be modified.
+func (c *Checkpoint) Faults() []linked.Fault { return c.faults }
 
-// Resume reports, for every missed fault, whether the checkpointed test
-// extended by the element detects it: detected[i] is the verdict
-// DetectsFault gives for Missed()[i] on the schedule of the extended test.
-// A ⇕ element resolves as the configuration resolves it; under exhaustive
-// orders the extended test is refused, as NewSchedule refuses it, when it
-// has more ⇕ elements than Config.MaxAnyElements.
-func (c *Checkpoint) Resume(e march.Element) ([]bool, error) {
-	s := c.sched
-	ext := s.test
-	ext.Elems = append(s.test.Elems[:len(s.test.Elems):len(s.test.Elems)], e)
-
-	orders := []march.AddrOrder{e.Order}
-	if e.Order == march.Any {
-		orders[0] = march.Up
-		if s.cfg.ExhaustiveOrders {
-			if _, err := orderCombinations(ext, s.cfg); err != nil {
-				return nil, err // more ⇕ elements than MaxAnyElements
-			}
-			orders = append(orders, march.Down)
+// Missed returns the faults the checkpointed test misses, in the order of
+// Faults.
+func (c *Checkpoint) Missed() []linked.Fault {
+	var out []linked.Fault
+	for i := range c.states {
+		if c.states[i].missed {
+			out = append(out, c.faults[i])
 		}
 	}
+	return out
+}
 
-	// The good trace after the prefix, uniform over addresses and leaves.
+// MoveToFront moves fault i to the front of Faults, shifting the faults
+// before it back by one. A caller that expects the fault it saw missed last
+// to be missed again moves it first, so Covers rejects the next such test
+// after one fault (fail-first order). Verdicts do not depend on the order.
+// It discards the last resume: Commit cannot follow.
+func (c *Checkpoint) MoveToFront(i int) {
+	c.trial.done = false
+	f, fs := c.faults[i], c.states[i]
+	copy(c.faults[1:i+1], c.faults[:i])
+	copy(c.states[1:i+1], c.states[:i])
+	c.faults[0], c.states[0] = f, fs
+}
+
+// Resume simulates the checkpointed test edited from boundary b, its first
+// b elements followed by suffix, and appends to missed the indices into
+// Faults of the faults the edited test misses, ascending: a fault is missed
+// exactly when DetectsFault on NewSchedule of the edited test says so. The
+// edited test's ⇕ elements resolve as the configuration says; under
+// exhaustive orders an edited test with more ⇕ elements than
+// Config.MaxAnyElements is refused with NewSchedule's error. The checkpoint
+// keeps suffix without copying it; Commit may follow.
+func (c *Checkpoint) Resume(b int, suffix []march.Element, missed []int) ([]int, error) {
+	if _, err := c.resume(b, suffix, false); err != nil {
+		return missed, err
+	}
+	for _, i := range c.todo {
+		if c.states[i].nextMissed {
+			missed = append(missed, i)
+		}
+	}
+	return missed, nil
+}
+
+// Covers is Resume stopping at the first miss: it reports whether the
+// edited test detects every fault and, when it does not, the index into
+// Faults of the first fault it misses. The answer does not depend on
+// Config.Workers. Commit may follow only a Covers that reports full
+// coverage, since a Covers that stops leaves later faults unsimulated.
+func (c *Checkpoint) Covers(b int, suffix []march.Element) (bool, int, error) {
+	i, err := c.resume(b, suffix, true)
+	if err != nil {
+		return false, 0, err
+	}
+	return i == len(c.faults), i, nil
+}
+
+// Commit makes the checkpoint that of the test the last Resume or Covers
+// simulated: the boundary states up to the edit's boundary stay, and the
+// edited test's later ones are the states the resume recorded. It panics
+// when there is no such test or when Covers stopped at a miss.
+//
+// Only the faults the resume simulated change. Every other one is detected
+// by the first b elements, or by the whole test when the edit appends, so
+// it is missed by neither test and has no node past b.
+func (c *Checkpoint) Commit() {
+	t := &c.trial
+	if !t.done {
+		panic("sim: Commit without a completed Resume")
+	}
+	t.done = false
+	c.test.Elems = append(c.test.Elems[:t.b:t.b], t.suffix...)
+	if !t.lanes {
+		// The test writes a don't-care: from now on every fault is
+		// simulated from scratch, as NewSchedule would run it scalar.
+		for i := range c.states {
+			c.states[i].plan, c.states[i].nodes = nil, nil
+		}
+	}
+	for _, i := range c.todo {
+		fs := &c.states[i]
+		fs.missed = fs.nextMissed
+		if fs.plan != nil {
+			fs.nodes = append(fs.nodes[:fs.at(t.b+1)], sortNodes(fs.next, fs.plan.k+2)...)
+		}
+	}
+}
+
+// at returns the offset in nodes of the first node at boundary b or past it.
+func (fs *faultStates) at(b int) int {
+	w := fs.plan.k + 2
+	lo, hi := 0, len(fs.nodes)/w
+	for lo < hi {
+		if mid := (lo + hi) / 2; fs.nodes[mid*w] < uint64(b) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo * w
+}
+
+// depth returns the last boundary with a node. Every lane-planned fault
+// keeps its node at boundary 0, the scenarios' initial state.
+func (fs *faultStates) depth() int {
+	return int(fs.nodes[len(fs.nodes)-fs.plan.k-2])
+}
+
+// sortNodes orders nodes of w words by boundary, keeping walk order within
+// a boundary. A lazy walk records them in that order already; an exhaustive
+// one records a shallower node after deeper ones when it backtracks to a ⇕
+// element's second order.
+func sortNodes(nodes []uint64, w int) []uint64 {
+	lo, hi, sorted := uint64(0), uint64(0), true
+	for o := 0; o < len(nodes); o += w {
+		if o > 0 && nodes[o] < nodes[o-w] {
+			sorted = false
+		}
+		if o == 0 || nodes[o] < lo {
+			lo = nodes[o]
+		}
+		hi = max(hi, nodes[o])
+	}
+	if sorted {
+		return nodes
+	}
+	out := make([]uint64, 0, len(nodes))
+	for b := lo; b <= hi; b++ {
+		for o := 0; o < len(nodes); o += w {
+			if nodes[o] == b {
+				out = append(out, nodes[o:o+w]...)
+			}
+		}
+	}
+	return out
+}
+
+// resume simulates the test edited from boundary b over every fault,
+// fanning out like FullCoverage, and records each fault's verdict and
+// nodes past b. With stop set it stops at the first miss, in fault order,
+// and returns its index; it returns len(c.faults) when no fault stopped it.
+func (c *Checkpoint) resume(b int, suffix []march.Element, stop bool) (int, error) {
+	s := c.sched
+	c.trial.done = false
+	end := len(c.test.Elems)
+	if b < 0 || b > end {
+		return 0, fmt.Errorf("sim: resume from boundary %d of a %d-element test", b, end)
+	}
+	prefix := c.test.Elems[:b:b]
+	if err := checkAnyElements(c.test.Name, anyElements(prefix)+anyElements(suffix), s.cfg); err != nil {
+		return 0, err
+	}
+
+	// The good trace after the prefix, uniform over addresses and nodes.
 	written, last := false, fp.V0
-	for _, pe := range s.test.Elems {
-		for _, op := range pe.Ops {
+	for _, e := range prefix {
+		for _, op := range e.Ops {
 			if op.Kind == fp.OpWrite {
 				written, last = true, op.Data
 			}
 		}
 	}
-	lanes := s.laneWrites
-	steps := make([][]opStep, len(orders))
-	for i, o := range orders {
-		w := make([]bool, s.size)
-		lw := make([]fp.Value, s.size)
-		for a := range w {
-			w[a], lw[a] = written, last
+	sfx := compileTrie(suffix, s.cfg, s.size, written, last)
+
+	// The faults to simulate: every other one is detected by the prefix
+	// (a lane fault with no state at b) or, when the edit only appends, by
+	// the checkpointed test.
+	c.todo = c.todo[:0]
+	var full *Schedule
+	for i := range c.states {
+		fs := &c.states[i]
+		lanes := fs.plan != nil && sfx.laneWrites
+		if b == end && !fs.missed || lanes && fs.depth() < b {
+			continue
 		}
-		steps[i] = compileElemSteps(e, o, s.size, len(s.test.Elems), w, lw)
-	}
-	for _, op := range e.Ops {
-		if op.Kind == fp.OpWrite && !op.Data.IsBinary() {
-			lanes = false // the extended schedule runs every fault scalar
+		fs.next, fs.nextMissed, fs.err = fs.next[:0], false, nil
+		c.todo = append(c.todo, i)
+		if !lanes && full == nil {
+			// It runs on the compiled edited test.
+			ext := c.test
+			ext.Elems = append(prefix, suffix...)
+			var err error
+			if full, err = NewSchedule(ext, s.cfg); err != nil {
+				return 0, err
+			}
 		}
 	}
 
-	detected := make([]bool, len(c.missed))
-	var scratch []int // missed faults simulated from scratch
-	for i := range c.missed {
-		if r := &c.resume[i]; lanes && r.plan != nil {
-			detected[i] = r.plan.resume(r.states, steps)
-		} else {
-			scratch = append(scratch, i)
-		}
+	// A fan-out costs a goroutine, a wake-up and the woken P's spinning;
+	// most resumes are too small to earn them back.
+	workers, steps := 1, 0
+	for i := range sfx.segs {
+		steps += len(sfx.segs[i].steps)
 	}
-	if len(scratch) == 0 {
-		return detected, nil
+	if steps*len(c.todo) >= minFanOutSteps {
+		workers = s.cfg.workers()
 	}
-	full, err := NewSchedule(ext, s.cfg)
-	if err != nil {
-		return nil, err
+	j := s.fanOut(workers, len(c.todo), func(m *machine, j int) bool {
+		fs := &c.states[c.todo[j]]
+		fs.nextMissed, fs.err = c.simulate(m, c.todo[j], b, &sfx, full, stop)
+		return fs.err != nil || stop && fs.nextMissed
+	})
+	if j == len(c.todo) {
+		c.trial.b, c.trial.suffix, c.trial.lanes, c.trial.done = b, suffix, sfx.laneWrites, true
+		return len(c.faults), nil
 	}
-	m := full.getMachine()
-	defer full.putMachine(m)
-	for _, i := range scratch {
-		var err error
-		if detected[i], _, err = full.detects(m, c.missed[i], false); err != nil {
-			return nil, err
-		}
+	if err := c.states[c.todo[j]].err; err != nil {
+		return 0, err
 	}
-	return detected, nil
+	return c.todo[j], nil
+}
+
+// simulate runs fault i of the test edited from boundary b: on lanes, by
+// walking the suffix trie sfx from every node state saved at b and recording
+// the nodes past b into the fault's next states; otherwise on full, the
+// compiled edited test. It reports whether the edited test misses the
+// fault; with stop set a lane walk ends at the first leaf some lane reaches
+// undetected.
+func (c *Checkpoint) simulate(m *machine, i, b int, sfx *trie, full *Schedule, stop bool) (bool, error) {
+	fs := &c.states[i]
+	p := fs.plan
+	if p == nil || !sfx.laneWrites {
+		det, _, err := full.detects(m, c.faults[i], false)
+		return !det, err
+	}
+	w := p.k + 2
+	miss := false
+	for o := fs.at(b); o < len(fs.nodes) && fs.nodes[o] == uint64(b) && !(miss && stop); o += w {
+		var vs [maxLaneCells]uint64
+		copy(vs[:], fs.nodes[o+1:o+w-1])
+		sfx.walkLanes(m, p, vs, fs.nodes[o+w-1],
+			func(d int, vs [maxLaneCells]uint64, detect uint64) {
+				fs.next = appendNode(fs.next, b+d+1, vs[:p.k], detect)
+			},
+			func(int, uint64) bool {
+				miss = true
+				return !stop
+			})
+	}
+	return miss, nil
+}
+
+// appendNode appends one node state: its boundary, cell words and detect
+// mask.
+func appendNode(nodes []uint64, boundary int, vs []uint64, detect uint64) []uint64 {
+	nodes = append(nodes, uint64(boundary))
+	nodes = append(nodes, vs...)
+	return append(nodes, detect)
 }
 
 // clone copies the plan off the pooled machine, which replans it for the
@@ -186,19 +395,4 @@ func (p *lanePlan) clone() *lanePlan {
 	c.matched = make([]uint64, len(p.opCtxs))
 	c.classKeys = nil
 	return &c
-}
-
-// resume runs the appended element, under each of its orders, from every
-// saved leaf state and reports whether every lane detects the fault.
-func (p *lanePlan) resume(states []uint64, steps [][]opStep) bool {
-	for o := 0; o < len(states); o += p.k + 1 {
-		for _, st := range steps {
-			var vs [maxLaneCells]uint64
-			copy(vs[:], states[o:o+p.k])
-			if p.runSteps(st, &vs, states[o+p.k]) != p.full {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"marchgen/internal/faultlist"
@@ -21,26 +22,47 @@ func resumeAgainstScratch(t *testing.T, prefix march.Test, e march.Element, faul
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cp.Resume(e)
+	resumeMatchesScratch(t, cp, prefix, e, cfg)
+}
+
+// resumeMatchesScratch resumes cp, a checkpoint of test, with e appended
+// and compares every fault's verdict with NewSchedule of test+e.
+func resumeMatchesScratch(t *testing.T, cp *Checkpoint, test march.Test, e march.Element, cfg Config) {
+	t.Helper()
+	missed, err := cp.Resume(len(test.Elems), []march.Element{e}, nil)
 	if err != nil {
-		t.Fatalf("%s + %s: %v", prefix, e, err)
+		t.Fatalf("%s + %s: %v", test, e, err)
 	}
-	ext := prefix.Clone()
+	got := detected(missed, len(cp.Faults()))
+	ext := test.Clone()
 	ext.Elems = append(ext.Elems, e)
 	full, err := NewSchedule(ext, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, f := range cp.Missed() {
+	for i, f := range cp.Faults() {
 		det, _, err := full.DetectsFault(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got[i] != det {
 			t.Errorf("%s + %s (scalar %t, exhaustive %t), %s: resumed %t, from scratch %t",
-				prefix, e, cfg.scalar, cfg.ExhaustiveOrders, f.ID(), got[i], det)
+				test, e, cfg.scalar, cfg.ExhaustiveOrders, f.ID(), got[i], det)
 		}
 	}
+}
+
+// detected turns the missed indices Resume returns into per-fault verdicts
+// over n faults.
+func detected(missed []int, n int) []bool {
+	det := make([]bool, n)
+	for i := range det {
+		det[i] = true
+	}
+	for _, i := range missed {
+		det[i] = false
+	}
+	return det
 }
 
 // The lane resume against the scalar engine: with lanes forced off every
@@ -80,15 +102,16 @@ func TestResumeLanesMatchScalar(t *testing.T) {
 				t.Fatalf("%s: lanes miss %d faults, scalar %d", prefix, len(lcp.Missed()), len(scp.Missed()))
 			}
 			for _, e := range elems {
-				lv, err := lcp.Resume(e)
+				lm, err := lcp.Resume(j, []march.Element{e}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sv, err := scp.Resume(e)
+				sm, err := scp.Resume(j, []march.Element{e}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, f := range lcp.Missed() {
+				lv, sv := detected(lm, len(faults)), detected(sm, len(faults))
+				for i, f := range lcp.Faults() {
 					if lv[i] != sv[i] {
 						t.Errorf("%s + %s (exhaustive %t), %s: lanes %t, scalar %t",
 							prefix, e, cfg.ExhaustiveOrders, f.ID(), lv[i], sv[i])
@@ -120,14 +143,14 @@ func TestResumeAnyElement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = cp.Resume(anyElem)
+	_, err = cp.Resume(len(prefix.Elems), []march.Element{anyElem}, nil)
 	ext := prefix.Clone()
 	ext.Elems = append(ext.Elems, anyElem)
 	_, want := NewSchedule(ext, capped)
 	if err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("past the ⇕ cap: Resume error %v, NewSchedule error %v", err, want)
 	}
-	if _, err := cp.Resume(march.NewElement(march.Up, fp.R0)); err != nil {
+	if _, err := cp.Resume(len(prefix.Elems), []march.Element{march.NewElement(march.Up, fp.R0)}, nil); err != nil {
 		t.Errorf("a ⇑ element does not raise the ⇕ count: %v", err)
 	}
 	lazy := capped
@@ -160,10 +183,31 @@ func TestResumeEdgeCases(t *testing.T) {
 			resumeAgainstScratch(t, c.prefix, c.e, faults, cfg)
 		}
 	}
+
+	// Committing the don't-care write takes every fault off lanes; a resume
+	// after it still gives the verdicts of the compiled test.
+	for _, cfg := range []Config{{Size: 4}, DefaultConfig()} {
+		prefix := march.MustParse("mats", "c(w0) ^(r0,w1)")
+		s, err := NewSchedule(prefix, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := s.Checkpoint(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dc := march.NewElement(march.Down, fp.R1, wx, fp.R0)
+		if _, err := cp.Resume(2, []march.Element{dc}, nil); err != nil {
+			t.Fatal(err)
+		}
+		cp.Commit()
+		prefix.Elems = append(prefix.Elems, dc)
+		resumeMatchesScratch(t, cp, prefix, march.NewElement(march.Up, fp.W1, fp.R1), cfg)
+	}
 }
 
 // The checkpoint fails with the first simulation error in fault-list order,
-// the error Simulate's Report.Err returns.
+// the error Simulate's Report.Err returns, at any worker count.
 func TestCheckpointFirstError(t *testing.T) {
 	good := faultlist.List2()[0]
 	bad := good
@@ -177,14 +221,90 @@ func TestCheckpointFirstError(t *testing.T) {
 		{good, bad, threeCell},
 		{good, threeCell, bad},
 	} {
-		s, err := NewSchedule(march.MarchCMinus, Config{Size: 3})
+		for _, workers := range []int{1, 2, 4, 8} {
+			s, err := NewSchedule(march.MarchCMinus, Config{Size: 3, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := s.Simulate(faults).Err()
+			_, err = s.Checkpoint(faults)
+			if err == nil || want == nil || err.Error() != want.Error() {
+				t.Errorf("workers %d: Checkpoint error %v, Report.Err %v", workers, err, want)
+			}
+		}
+	}
+}
+
+// The boundary checkpoint answers as a sequential scan does, whatever
+// Config.Workers is: the same missed set when built, the same missed set
+// from every Resume, the same first miss from every Covers, and the same
+// missed set after a Commit. March SS misses part of List1; dropping each of
+// its elements in turn, and committing one drop, leaves resumes from the
+// first boundaries with enough steps to fan out (minFanOutSteps), so misses
+// race in neighbouring workers.
+func TestCheckpointDeterministic(t *testing.T) {
+	faults := append(faultlist.List1(), faultlist.Dynamic()...)
+	test := march.MarchSS
+	type answers struct {
+		missed []string // built, then after each commit
+		resume [][]int
+		first  []int
+	}
+	ids := func(fs []linked.Fault) []string {
+		var out []string
+		for _, f := range fs {
+			out = append(out, f.ID())
+		}
+		return out
+	}
+	var want answers
+	for _, workers := range []int{1, 2, 4, 8} {
+		s, err := NewSchedule(test, Config{Size: 4, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := s.Simulate(faults).Err()
-		_, err = s.Checkpoint(faults)
-		if err == nil || want == nil || err.Error() != want.Error() {
-			t.Errorf("Checkpoint error %v, Report.Err %v", err, want)
+		cp, err := s.Checkpoint(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got answers
+		got.missed = ids(cp.Missed())
+		cur := test.Clone()
+		for b := len(cur.Elems) - 1; b >= 0; b-- {
+			suffix := cur.Elems[b+1:]
+			if steps := 4 * (march.Test{Elems: suffix}).Length(); b == 0 && steps*len(faults) < minFanOutSteps {
+				// Every fault is open at boundary 0.
+				t.Fatalf("resuming from boundary 0 simulates %d steps, too few to fan out", steps*len(faults))
+			}
+			missed, err := cp.Resume(b, suffix, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.resume = append(got.resume, missed)
+			full, first, err := cp.Covers(b, suffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full != (len(missed) == 0) {
+				t.Errorf("workers %d, dropping element %d: Covers says %t, Resume misses %d", workers, b, full, len(missed))
+			}
+			got.first = append(got.first, first)
+			if b == 4 {
+				if _, err := cp.Resume(b, suffix, nil); err != nil {
+					t.Fatal(err)
+				}
+				cp.Commit()
+				cur.Elems = append(cur.Elems[:b:b], suffix...)
+				got.missed = append(got.missed, ids(cp.Missed())...)
+			}
+		}
+		if workers == 1 {
+			want = got
+			continue
+		}
+		if !slices.Equal(got.missed, want.missed) || !slices.Equal(got.first, want.first) ||
+			!slices.EqualFunc(got.resume, want.resume, slices.Equal[[]int]) {
+			t.Errorf("workers %d answer %v, one worker %v", workers, got, want)
 		}
 	}
 }

@@ -57,12 +57,8 @@ func orderCombinations(t march.Test, cfg Config) ([][]march.AddrOrder, error) {
 		}
 		return [][]march.AddrOrder{resolved}, nil
 	}
-	maxAny := cfg.MaxAnyElements
-	if maxAny <= 0 {
-		maxAny = 12
-	}
-	if len(anyIdx) > maxAny {
-		return nil, fmt.Errorf("sim: test %q has %d ⇕ elements; exhaustive order expansion capped at %d", t.Name, len(anyIdx), maxAny)
+	if err := checkAnyElements(t.Name, len(anyIdx), cfg); err != nil {
+		return nil, err
 	}
 	n := 1 << len(anyIdx)
 	out := make([][]march.AddrOrder, 0, n)
@@ -79,6 +75,31 @@ func orderCombinations(t march.Test, cfg Config) ([][]march.AddrOrder, error) {
 		out = append(out, orders)
 	}
 	return out, nil
+}
+
+// checkAnyElements refuses, under exhaustive orders, a test named name with
+// n ⇕ elements when n exceeds Config.MaxAnyElements: every ⇕ doubles the
+// order combinations.
+func checkAnyElements(name string, n int, cfg Config) error {
+	maxAny := cfg.MaxAnyElements
+	if maxAny <= 0 {
+		maxAny = 12
+	}
+	if cfg.ExhaustiveOrders && n > maxAny {
+		return fmt.Errorf("sim: test %q has %d ⇕ elements; exhaustive order expansion capped at %d", name, n, maxAny)
+	}
+	return nil
+}
+
+// anyElements counts the ⇕ elements.
+func anyElements(elems []march.Element) int {
+	n := 0
+	for _, e := range elems {
+		if e.Order == march.Any {
+			n++
+		}
+	}
+	return n
 }
 
 // cloneScenario deep-copies a scenario for retention as a witness.

@@ -30,7 +30,8 @@ import (
 //     the step executes. A cell's fault-free value is its scenario initial
 //     value until the stream's first write to it, and the last written value
 //     afterwards — so the good machine never needs to be simulated again:
-//     reads compare the faulty value against the cached trace.
+//     reads compare the faulty value against the cached trace. Between
+//     elements the trace is the same at every address (compileElemSteps).
 //
 // Machines are pooled (sync.Pool) across the Simulate/FullCoverage worker
 // fan-out, so steady-state simulation does not allocate per fault.
@@ -38,8 +39,8 @@ import (
 // This is the package's one implementation of the fault semantics: verdicts,
 // witnesses, FailingReads and TraceScenario all run runSteps (lanes.go packs
 // the same semantics bit-parallel and is pinned to it; resume.go continues a
-// lane run after one more element). Verdicts, lane classes and checkpoints
-// all walk the order-choice trie through one walk (Schedule.walk). The
+// lane run from an element boundary). Verdicts, lane classes and
+// checkpoints all walk the order-choice trie through one walk (trie.walk). The
 // independent reference is internal/oracle, which tests compare every path
 // against.
 
@@ -70,23 +71,30 @@ type segment struct {
 	leaf     int   // orderSets index when this is the last element, else -1
 }
 
+// trie is a compiled order-choice trie over a run of march elements: a whole
+// test (Schedule) or the suffix an edited test resumes with (resume.go).
+type trie struct {
+	segs  []segment
+	roots []int // segment indices of the first element's order choices
+	elems int   // number of elements, the trie's depth
+	// laneWrites reports that every write of every element carries a
+	// binary value, a precondition of the one-bit-per-cell lane encoding
+	// (lanes.go). Library tests always satisfy it; only hand-built tests
+	// with don't-care writes force the scalar path.
+	laneWrites bool
+}
+
 // Schedule is a compiled simulation schedule: every fault-independent
 // artifact of simulating one march test under one configuration. Build it
 // once with NewSchedule and share it across the whole fault fan-out; all
 // methods are safe for concurrent use.
 type Schedule struct {
+	trie
 	test      march.Test
 	cfg       Config
 	size      int
 	orderSets [][]march.AddrOrder
-	segs      []segment
-	roots     []int     // segment indices of the first element's order choices
 	pool      sync.Pool // *machine, sized for this schedule's memory
-	// laneWrites reports that every write step of every segment carries a
-	// binary value, a precondition of the one-bit-per-cell lane encoding
-	// (lanes.go). Library tests always satisfy it; only hand-built tests
-	// with don't-care writes force the scalar path.
-	laneWrites bool
 }
 
 // NewSchedule compiles the simulation schedule of a march test under a
@@ -98,88 +106,93 @@ func NewSchedule(t march.Test, cfg Config) (*Schedule, error) {
 		return nil, err
 	}
 	size := cfg.size()
-	s := &Schedule{test: t, cfg: cfg, size: size, orderSets: orderSets}
-	s.compileTree()
-	s.laneWrites = true
-	for i := range s.segs {
-		for j := range s.segs[i].steps {
-			if op := s.segs[i].steps[j].op; op.Kind == fp.OpWrite && !op.Data.IsBinary() {
-				s.laneWrites = false
-			}
-		}
+	s := &Schedule{
+		trie: compileTrie(t.Elems, cfg, size, false, fp.V0),
+		test: t, cfg: cfg, size: size, orderSets: orderSets,
 	}
 	s.pool.New = func() any { return newMachine(size) }
 	return s, nil
 }
 
-// compileTree builds the segment trie. Sibling order within a ⇕ element is
+// compileTrie builds the segment trie of elems on a memory of size cells,
+// entering the first element with every cell's good value entry when
+// entryWritten is set and its initial value otherwise: NewSchedule compiles
+// a whole test from nothing written, a resume the suffix after a prefix
+// (whose good trace is uniform, see resume.go). A ⇕ element runs up, and
+// also down under exhaustive orders. Sibling order within a ⇕ element is
 // Up then Down; the leaf index is the bit pattern orderCombinations assigns
 // to the path's choices, so leaves map 1:1 onto orderSets (bit j of the
 // index is the j-th ⇕ element's choice). Note the trie's depth-first leaf
 // order is NOT ascending leaf index — combination enumeration varies the
 // FIRST ⇕ element fastest — which is why the witness walks track the minimum
 // missed leaf index instead of stopping at the first miss.
-func (s *Schedule) compileTree() {
-	t := s.test
-	exhaustive := s.cfg.ExhaustiveOrders && len(s.orderSets) > 1
+func compileTrie(elems []march.Element, cfg Config, size int, entryWritten bool, entry fp.Value) trie {
+	t := trie{elems: len(elems), laneWrites: true}
+	for _, e := range elems {
+		for _, op := range e.Ops {
+			if op.Kind == fp.OpWrite && !op.Data.IsBinary() {
+				t.laneWrites = false
+			}
+		}
+	}
+	exhaustive := cfg.ExhaustiveOrders
 
-	var build func(ei, anyPos, bits int, order march.AddrOrder, written []bool, lastWrite []fp.Value) int
-	build = func(ei, anyPos, bits int, order march.AddrOrder, written []bool, lastWrite []fp.Value) int {
-		w := append([]bool(nil), written...)
-		lw := append([]fp.Value(nil), lastWrite...)
-		seg := segment{steps: compileElemSteps(t.Elems[ei], order, s.size, ei, w, lw), leaf: -1}
-		if ei == len(t.Elems)-1 {
+	var build func(ei, anyPos, bits int, order march.AddrOrder, written bool, last fp.Value) int
+	build = func(ei, anyPos, bits int, order march.AddrOrder, written bool, last fp.Value) int {
+		steps, written, last := compileElemSteps(elems[ei], order, size, ei, written, last)
+		seg := segment{steps: steps, leaf: -1}
+		if ei == len(elems)-1 {
 			seg.leaf = bits
 		} else {
-			next := t.Elems[ei+1].Order
+			next := elems[ei+1].Order
 			nextAny := anyPos
 			if next == march.Any {
 				if exhaustive {
 					nextAny++
-					seg.children = append(seg.children, build(ei+1, nextAny, bits, march.Up, w, lw))
-					seg.children = append(seg.children, build(ei+1, nextAny, bits|1<<anyPos, march.Down, w, lw))
+					seg.children = append(seg.children, build(ei+1, nextAny, bits, march.Up, written, last))
+					seg.children = append(seg.children, build(ei+1, nextAny, bits|1<<anyPos, march.Down, written, last))
 				} else {
-					seg.children = append(seg.children, build(ei+1, nextAny, bits, march.Up, w, lw))
+					seg.children = append(seg.children, build(ei+1, nextAny, bits, march.Up, written, last))
 				}
 			} else {
-				seg.children = append(seg.children, build(ei+1, nextAny, bits, next, w, lw))
+				seg.children = append(seg.children, build(ei+1, nextAny, bits, next, written, last))
 			}
 		}
-		s.segs = append(s.segs, seg)
-		return len(s.segs) - 1
+		t.segs = append(t.segs, seg)
+		return len(t.segs) - 1
 	}
 
-	if len(t.Elems) == 0 {
-		return
+	if len(elems) == 0 {
+		return t
 	}
-	written := make([]bool, s.size)
-	lastWrite := make([]fp.Value, s.size)
-	first := t.Elems[0].Order
+	first := elems[0].Order
 	if first == march.Any {
 		if exhaustive {
-			s.roots = append(s.roots, build(0, 1, 0, march.Up, written, lastWrite))
-			s.roots = append(s.roots, build(0, 1, 1, march.Down, written, lastWrite))
+			t.roots = append(t.roots, build(0, 1, 0, march.Up, entryWritten, entry))
+			t.roots = append(t.roots, build(0, 1, 1, march.Down, entryWritten, entry))
 		} else {
-			s.roots = append(s.roots, build(0, 1, 0, march.Up, written, lastWrite))
+			t.roots = append(t.roots, build(0, 1, 0, march.Up, entryWritten, entry))
 		}
 	} else {
-		s.roots = append(s.roots, build(0, 0, 0, first, written, lastWrite))
+		t.roots = append(t.roots, build(0, 0, 0, first, entryWritten, entry))
 	}
+	return t
 }
 
 // walk runs the order-choice trie depth first over a caller's simulation
 // state; it is the package's one walk of the trie, shared by the scalar
 // runner (runTree) and the lane engine (walkLanes). run advances the state
-// over one segment's steps and reports whether every scenario under the
-// prefix is detected, which prunes the segment's subtree. Where element d
-// is a ⇕ with two segments, save(d) snapshots the state before the first
-// and restore(d) rewinds it before the second, so slots d run below the
-// test's element count. leaf is called with the orderSets index of every
-// leaf reached undetected, in depth-first order, and stops the walk by
-// returning false. A test with no elements performs no reads, so its one
-// combination, leaf 0, is reached undetected.
-func (s *Schedule) walk(run func(steps []opStep) bool, save, restore func(d int), leaf func(l int) bool) {
-	if len(s.roots) == 0 {
+// over one segment's steps, at depth d (the element's index in the trie),
+// and reports whether every scenario under the prefix is detected, which
+// prunes the segment's subtree. Where element d is a ⇕ with two segments,
+// save(d) snapshots the state before the first and restore(d) rewinds it
+// before the second, so slots d run below the trie's element count. leaf is
+// called with the leaf index of every leaf reached undetected, in
+// depth-first order, and stops the walk by returning false. A trie with no
+// elements performs no reads, so its one combination, leaf 0, is reached
+// undetected.
+func (t *trie) walk(run func(d int, steps []opStep) bool, save, restore func(d int), leaf func(l int) bool) {
+	if len(t.roots) == 0 {
 		leaf(0)
 		return
 	}
@@ -192,8 +205,8 @@ func (s *Schedule) walk(run func(steps []opStep) bool, save, restore func(d int)
 			if i > 0 {
 				restore(d)
 			}
-			seg := &s.segs[idx]
-			if run(seg.steps) {
+			seg := &t.segs[idx]
+			if run(d, seg.steps) {
 				continue
 			}
 			if seg.leaf >= 0 {
@@ -206,32 +219,37 @@ func (s *Schedule) walk(run func(steps []opStep) bool, save, restore func(d int)
 		}
 		return true
 	}
-	visit(s.roots, 0)
+	visit(t.roots, 0)
 }
 
 // compileElemSteps flattens one element under one concrete order,
-// annotating each step with the cached fault-free value of its target cell
-// and updating the written/lastWrite prefix state in place. Any orders
-// iterate upward, matching AddrOrder.Addresses.
-func compileElemSteps(e march.Element, order march.AddrOrder, size, ei int, written []bool, lastWrite []fp.Value) []opStep {
+// annotating each step with the cached fault-free value of its target cell,
+// and returns the good trace after the element. The trace is the same at
+// every address at an element boundary, because an element applies all its
+// operations to every address: a cell's good value is last when written is
+// set and its initial value otherwise. So the element's steps at one address
+// see the same annotations as at any other. Any orders iterate upward,
+// matching AddrOrder.Addresses.
+func compileElemSteps(e march.Element, order march.AddrOrder, size, ei int, written bool, last fp.Value) ([]opStep, bool, fp.Value) {
 	steps := make([]opStep, 0, size*len(e.Ops))
+	w, l := written, last
 	for i := 0; i < size; i++ {
 		addr := i
 		if order == march.Down {
 			addr = size - 1 - i
 		}
+		w, l = written, last
 		for oi, op := range e.Ops {
 			steps = append(steps, opStep{
 				elem: ei, opIdx: oi, addr: addr, op: op,
-				goodKnown: written[addr], good: lastWrite[addr],
+				goodKnown: w, good: l,
 			})
 			if op.Kind == fp.OpWrite {
-				written[addr] = true
-				lastWrite[addr] = op.Data
+				w, l = true, op.Data
 			}
 		}
 	}
-	return steps
+	return steps, w, l
 }
 
 // compileStream flattens the test into the operation stream induced by one
@@ -243,10 +261,11 @@ func compileStream(t march.Test, orders []march.AddrOrder, size int) []opStep {
 		n += size * len(e.Ops)
 	}
 	steps := make([]opStep, 0, n)
-	written := make([]bool, size)
-	lastWrite := make([]fp.Value, size)
+	written, last := false, fp.V0
 	for ei, e := range t.Elems {
-		steps = append(steps, compileElemSteps(e, orders[ei], size, ei, written, lastWrite)...)
+		var es []opStep
+		es, written, last = compileElemSteps(e, orders[ei], size, ei, written, last)
+		steps = append(steps, es...)
 	}
 	return steps
 }
@@ -735,7 +754,7 @@ func (s *Schedule) runTree(m *machine, f linked.Fault, placement []int, init []f
 	m.ensureSnapshots(len(s.test.Elems)*s.size, len(s.test.Elems)*nb)
 	missLeaf := -1
 	s.walk(
-		func(steps []opStep) bool { return m.runSteps(init, steps, hasState, hasDynamic, nil) },
+		func(_ int, steps []opStep) bool { return m.runSteps(init, steps, hasState, hasDynamic, nil) },
 		func(d int) { m.save(d, nb, hasDynamic) },
 		func(d int) { m.restore(d, nb, hasDynamic) },
 		func(l int) bool {
@@ -777,7 +796,9 @@ func (s *Schedule) detects(m *machine, f linked.Fault, needWitness bool) (bool, 
 	lanes := useClasses && s.planLanes(m, f)
 	if lanes && !needWitness {
 		detected := true
-		s.walkLanes(m, func(int, [maxLaneCells]uint64, uint64) bool {
+		var vs [maxLaneCells]uint64
+		m.plan.laneInitState(&vs)
+		s.walkLanes(m, &m.plan, vs, 0, nil, func(int, uint64) bool {
 			detected = false
 			return false
 		})

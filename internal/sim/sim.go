@@ -152,7 +152,7 @@ type machine struct {
 	ctxs []bindCtx
 	// snapFaulty, snapArmed and snapArmedAddr are the per-depth state
 	// snapshots the scalar runner (runTree) keeps for the order-choice trie
-	// walk (Schedule.walk): slot d of snapFaulty holds size cells, slot d of
+	// walk (trie.walk): slot d of snapFaulty holds size cells, slot d of
 	// the armed pair holds one entry per binding.
 	snapFaulty    []fp.Value
 	snapArmed     []bool
