@@ -53,11 +53,11 @@ func TestGeneratedList2NonRedundant(t *testing.T) {
 			if trial.Validate() != nil || trial.CheckConsistency() != nil {
 				continue // removal is structurally impossible: fine
 			}
-			full, _, err := sim.FullCoverage(trial, faults, cfg)
-			if err != nil {
+			r := sim.Simulate(trial, faults, cfg)
+			if err := r.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if full {
+			if r.Full() {
 				t.Errorf("dropping op %d of element %d keeps full coverage: redundant test %s",
 					j, i, res.Test)
 				return

@@ -27,14 +27,15 @@ import (
 //
 // Every trial keeps the candidate's elements before the one it edits, so
 // the trials run on cp, the candidate's checkpoint under the configuration
-// repair ran with (repair hands it over): a trial that edits element i
-// resumes from boundary i, simulating only the elements from i on. An
-// accepted trial is committed to the checkpoint, which then holds the new
-// candidate's states without another simulation. The checkpoint's fault
-// list is the accept predicate's own copy, scanned fail-first: a fault a
-// trial misses moves to the front, so the next trial that misses it is
-// rejected after one fault. Only the ⇕ relaxation, judged under the
-// exhaustive configuration, simulates its trials from scratch.
+// repair ran with (repair hands it over): Covers resumes a trial from the
+// boundary after the elements it shares with the candidate, simulating
+// only the rest. An accepted trial is committed to the checkpoint, which
+// then holds the new candidate's states without another simulation. The
+// checkpoint's fault list is the accept predicate's own copy, scanned
+// fail-first: a fault a trial misses moves to the front, so the next trial
+// that misses it is rejected after one fault. The ⇕ relaxation is judged
+// under the exhaustive configuration, on a second checkpoint of the
+// candidate built at its first trial.
 func minimize(ctx context.Context, cand march.Test, cp *sim.Checkpoint, opts Options, st *Stats) (march.Test, error) {
 	// admissible runs before every candidate simulation, so checking the
 	// context here bounds a cancellation's latency to one full-coverage
@@ -45,13 +46,12 @@ func minimize(ctx context.Context, cand march.Test, cp *sim.Checkpoint, opts Opt
 		}
 		return len(t.Elems) > 0 && t.Validate() == nil && t.CheckConsistency() == nil, nil
 	}
-	// accepts judges a trial that keeps the candidate's first b elements.
-	accepts := func(t march.Test, b int) (bool, error) {
-		if ok, err := admissible(t); !ok {
-			return false, err
-		}
+	// covers judges a trial on a checkpoint: it commits a trial that covers
+	// the list, and otherwise moves the first fault the trial misses to the
+	// front.
+	covers := func(cp *sim.Checkpoint, t march.Test) (bool, error) {
 		st.Simulations++
-		full, miss, err := cp.Covers(b, t.Elems[b:])
+		full, miss, err := cp.Covers(t)
 		if err != nil {
 			return false, err
 		}
@@ -62,31 +62,34 @@ func minimize(ctx context.Context, cand march.Test, cp *sim.Checkpoint, opts Opt
 		cp.Commit()
 		return true, nil
 	}
-	// Order relaxation must be judged under the exhaustive configuration:
-	// with lazy ⇕ resolution, turning ⇓ into ⇕ silently becomes ⇑.
-	exhaustive := opts.finalConfig()
-	acceptsRelaxed := func(t march.Test, i int) (bool, error) {
+	accepts := func(t march.Test) (bool, error) {
 		if ok, err := admissible(t); !ok {
 			return false, err
 		}
-		st.Simulations++
-		faults := cp.Faults()
-		full, miss, err := sim.FullCoverage(t, faults, exhaustive)
-		if err != nil {
+		return covers(cp, t)
+	}
+	// Order relaxation must be judged under the exhaustive configuration:
+	// with lazy ⇕ resolution, turning ⇓ into ⇕ silently becomes ⇑.
+	var relaxed *sim.Checkpoint
+	acceptsRelaxed := func(t march.Test) (bool, error) {
+		if ok, err := admissible(t); !ok {
 			return false, err
 		}
-		if !full {
-			for j := range faults {
-				if &faults[j] == miss {
-					cp.MoveToFront(j)
-					break
-				}
+		if relaxed == nil {
+			sched, err := sim.NewSchedule(cp.Test(), opts.finalConfig())
+			if err != nil {
+				return false, err
 			}
-			return false, nil
+			if relaxed, err = sched.Checkpoint(cp.Faults()); err != nil {
+				return false, err
+			}
+		}
+		if ok, err := covers(relaxed, t); !ok {
+			return false, err
 		}
 		// Bring the checkpoint, kept under the search configuration, to the
 		// relaxed test.
-		if _, err := cp.Resume(i, t.Elems[i:], nil); err != nil {
+		if _, err := cp.Resume(t, nil); err != nil {
 			return false, err
 		}
 		cp.Commit()
@@ -100,7 +103,7 @@ func minimize(ctx context.Context, cand march.Test, cp *sim.Checkpoint, opts Opt
 		for i := len(cand.Elems) - 1; i >= 0; i-- {
 			trial := cand.Clone()
 			trial.Elems = append(trial.Elems[:i], trial.Elems[i+1:]...)
-			ok, err := accepts(trial, i)
+			ok, err := accepts(trial)
 			if err != nil {
 				return cand, err
 			}
@@ -119,7 +122,7 @@ func minimize(ctx context.Context, cand march.Test, cp *sim.Checkpoint, opts Opt
 				trial := cand.Clone()
 				ops := trial.Elems[i].Ops
 				trial.Elems[i].Ops = append(ops[:j], ops[j+1:]...)
-				ok, err := accepts(trial, i)
+				ok, err := accepts(trial)
 				if err != nil {
 					return cand, err
 				}
@@ -147,9 +150,8 @@ func minimize(ctx context.Context, cand march.Test, cp *sim.Checkpoint, opts Opt
 
 // aggressivePass tries pairwise operation removal within an element and
 // merging adjacent elements with the same address order, then relaxes fixed
-// orders to ⇕. Both predicates take the trial and the index of the element
-// it edits.
-func aggressivePass(cand march.Test, accepts, acceptsRelaxed func(march.Test, int) (bool, error)) (march.Test, bool, error) {
+// orders to ⇕.
+func aggressivePass(cand march.Test, accepts, acceptsRelaxed func(march.Test) (bool, error)) (march.Test, bool, error) {
 	changed := false
 
 	// Pairwise removal within one element.
@@ -165,7 +167,7 @@ func aggressivePass(cand march.Test, accepts, acceptsRelaxed func(march.Test, in
 				ops = append(ops[:a], ops[a+1:]...)
 				ops = append(ops[:b], ops[b+1:]...)
 				trial.Elems[i].Ops = ops
-				ok, err := accepts(trial, i)
+				ok, err := accepts(trial)
 				if err != nil {
 					return cand, changed, err
 				}
@@ -188,7 +190,7 @@ func aggressivePass(cand march.Test, accepts, acceptsRelaxed func(march.Test, in
 			append(append([]fp.Op(nil), trial.Elems[i].Ops...), trial.Elems[i+1].Ops...)...)
 		trial.Elems = append(trial.Elems[:i], trial.Elems[i+1:]...)
 		trial.Elems[i] = merged
-		ok, err := accepts(trial, i)
+		ok, err := accepts(trial)
 		if err != nil {
 			return cand, changed, err
 		}
@@ -207,7 +209,7 @@ func aggressivePass(cand march.Test, accepts, acceptsRelaxed func(march.Test, in
 		}
 		trial := cand.Clone()
 		trial.Elems[i].Order = march.Any
-		ok, err := acceptsRelaxed(trial, i)
+		ok, err := acceptsRelaxed(trial)
 		if err != nil {
 			return cand, changed, err
 		}

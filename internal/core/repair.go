@@ -132,9 +132,8 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 	}
 	// extend appends e to the candidate and to its checkpoint.
 	extend := func(e march.Element) error {
-		n := len(cand.Elems)
 		cand.Elems = append(cand.Elems, e)
-		if _, err := cp.Resume(n, []march.Element{e}, nil); err != nil {
+		if _, err := cp.Resume(cand, nil); err != nil {
 			return err
 		}
 		cp.Commit()
@@ -173,7 +172,7 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 			if trial.CheckConsistency() != nil {
 				continue
 			}
-			missed, err = cp.Resume(len(cand.Elems), []march.Element{elem}, missed[:0])
+			missed, err = cp.Resume(trial, missed[:0])
 			st.Simulations += len(missing)
 			if err != nil {
 				return cand, nil, err

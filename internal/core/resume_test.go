@@ -90,7 +90,9 @@ func TestCheckpointResumeMatchesFromScratch(t *testing.T) {
 					continue
 				}
 				checked++
-				got, err := cp.Resume(len(prefix.Elems), []march.Element{e}, nil)
+				ext := prefix.Clone()
+				ext.Elems = append(ext.Elems, e)
+				got, err := cp.Resume(ext, nil)
 				if err != nil {
 					t.Fatalf("%v %q + %s: %v", cfg, prefix, e, err)
 				}
@@ -98,8 +100,6 @@ func TestCheckpointResumeMatchesFromScratch(t *testing.T) {
 				for _, i := range got {
 					resumed[i] = true
 				}
-				ext := prefix.Clone()
-				ext.Elems = append(ext.Elems, e)
 				full, err := sim.NewSchedule(ext, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -201,9 +201,9 @@ func boundaryEdits(t march.Test, b int) []march.Test {
 }
 
 // TestBoundaryResumeMatchesFromScratch is the differential test of the
-// minimizer's resume: a checkpoint of a test, resumed from boundary b with
-// the test's elements from b on edited, must give every fault the verdict
-// of compiling the edited test from scratch and asking DetectsFault, and
+// minimizer's resume: a checkpoint of a test, resumed with the test's
+// elements from boundary b on edited, must give every fault the verdict of
+// compiling the edited test from scratch and asking DetectsFault, and
 // Covers must agree with it. The edits are the minimizer's at every
 // boundary (boundaryEdits); the tests are every library march and the
 // walker's candidate for each named list; the faults are the union of the
@@ -240,7 +240,7 @@ func TestBoundaryResumeMatchesFromScratch(t *testing.T) {
 						continue
 					}
 					checked++
-					missed, err := cp.Resume(b, trial.Elems[b:], nil)
+					missed, err := cp.Resume(trial, nil)
 					if err != nil {
 						t.Fatalf("%v %q from %d as %q: %v", cfg, cur, b, trial, err)
 					}
@@ -270,7 +270,7 @@ func TestBoundaryResumeMatchesFromScratch(t *testing.T) {
 						}
 					}
 
-					covered, first, err := cp.Covers(b, trial.Elems[b:])
+					covered, first, err := cp.Covers(trial)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -284,7 +284,7 @@ func TestBoundaryResumeMatchesFromScratch(t *testing.T) {
 						if checked%3 != 0 {
 							continue
 						}
-						if _, err := cp.Resume(b, trial.Elems[b:], nil); err != nil {
+						if _, err := cp.Resume(trial, nil); err != nil {
 							t.Fatal(err)
 						}
 					case checked%3 != 0:

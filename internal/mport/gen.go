@@ -156,7 +156,7 @@ func Generate(faults []Fault, opts Options) (Test, Report, error) {
 		}
 		for k := 0; k < len(faults); k++ {
 			i := (culprit + k) % len(faults)
-			det, err := detectsEvery(t, faults[i], cfg)
+			det, err := Detects(t, faults[i], cfg)
 			if err != nil {
 				return false, err
 			}

@@ -8,9 +8,11 @@
 // are element-level: insert/delete/replace single operations, delete whole
 // elements, flip an element's address order, split an element in two, merge
 // adjacent elements, and splice element tails between beam survivors.
-// Fitness is full coverage of the target fault list — evaluated with the
-// compiled schedule's early-abort scan and a fail-first fault ordering — with
-// test length and (optionally) BIST cycle cost as tie-breakers.
+// Fitness is full coverage of the target fault list — judged by a
+// checkpoint of the last covering candidate (sim.Checkpoint.Covers), which
+// resumes each candidate from the elements the two share, stops at the
+// first miss and scans the faults fail-first — with test length and
+// (optionally) BIST cycle cost as tie-breakers.
 //
 // The central invariant is certify-before-land: every reported winner is
 // re-certified through core.CertifyWithOracle (production simulator at full
@@ -104,6 +106,30 @@ type Progress struct {
 	BestLength int
 	// Temperature is the current annealing temperature.
 	Temperature float64
+}
+
+// Canonical returns the options with every search default made explicit:
+// the name, seed, budget, beam width, moves per candidate, restarts,
+// initial temperature, cooling and length slack, the simulator
+// configuration (sim.Config.Canonical) and the seed generator's options
+// (core.Options.Canonical). BISTCells and BISTWeight stay as given: zero
+// turns each off. Canonical is idempotent, and the canonical options run
+// the same search as the options they came from. The marchd result cache
+// derives its optimize key from them, so a request that omits the knobs
+// shares an entry with one that spells out their defaults.
+func (o Options) Canonical() Options {
+	o.Name = o.name()
+	o.Seed = o.seed()
+	o.Budget = o.budget()
+	o.BeamWidth = o.beamWidth()
+	o.MovesPerCandidate = o.movesPerCandidate()
+	o.Restarts = o.restarts()
+	o.InitTemp = o.initTemp()
+	o.Cooling = o.cooling()
+	o.LengthSlack = o.lengthSlack()
+	o.Config = o.config().Canonical()
+	o.Generator = o.Generator.Canonical()
+	return o
 }
 
 func (o Options) name() string {
@@ -244,19 +270,25 @@ func RunContext(ctx context.Context, faults []linked.Fault, opts Options) (Resul
 	if err := seed.CheckConsistency(); err != nil {
 		return Result{}, fmt.Errorf("optimize: seed test: %v", err)
 	}
-	full, miss, err := sim.FullCoverage(seed, faults, cfg)
+	// The seed's checkpoint judges every candidate of the search; building
+	// it checks that the seed covers the list. It keeps its own copy of the
+	// fault list, so its fail-first reordering cannot alias the caller's.
+	sched, err := sim.NewSchedule(seed, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("optimize: seed test: %v", err)
 	}
-	if !full {
+	cp, err := sched.Checkpoint(faults)
+	if err != nil {
+		return Result{}, fmt.Errorf("optimize: seed test: %v", err)
+	}
+	if missed := cp.Missed(); len(missed) > 0 {
 		return Result{}, fmt.Errorf("optimize: seed test %q does not cover the fault list (misses %s)",
-			seed.Name, miss.ID())
+			seed.Name, missed[0].ID())
 	}
 
-	// Search. The evaluator owns a private copy of the fault list so its
-	// fail-first reordering cannot alias the caller's slice.
+	// Search.
 	st := &Stats{Faults: len(faults), SeedLength: seed.Length()}
-	s := newSearch(ctx, seed, faults, cfg, opts, st)
+	s := newSearch(ctx, seed, cp, opts, st)
 	best, trace, err := s.run()
 	if err != nil {
 		return Result{}, err

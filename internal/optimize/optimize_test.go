@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -208,5 +209,25 @@ func TestWinnerAgreesWithOracle(t *testing.T) {
 	}
 	if diffs := oracle.CrossCheck(res.Test, list2(t), sim.DefaultConfig()); len(diffs) > 0 {
 		t.Fatalf("oracle divergence on winner: %v", diffs[0])
+	}
+}
+
+// Canonical spells out every default: the zero options and the options
+// with each default written out canonicalize alike, and Canonical is
+// idempotent.
+func TestOptionsCanonical(t *testing.T) {
+	spelled := Options{
+		Name: "March OPT", Seed: 1, Budget: 2000, BeamWidth: 4, MovesPerCandidate: 6,
+		Restarts: 3, InitTemp: 2.0, Cooling: 0.95, LengthSlack: 4, Config: sim.DefaultConfig(),
+	}
+	c := Options{}.Canonical()
+	if !reflect.DeepEqual(c, spelled.Canonical()) {
+		t.Errorf("Canonical of the zero options %+v, of the spelled-out defaults %+v", c, spelled.Canonical())
+	}
+	if !reflect.DeepEqual(c, c.Canonical()) {
+		t.Errorf("Canonical is not idempotent: %+v, then %+v", c, c.Canonical())
+	}
+	if c.Name != "March OPT" || c.Seed != 1 || c.Budget != 2000 || c.BeamWidth != 4 || c.Restarts != 3 {
+		t.Errorf("Canonical() = %+v", c)
 	}
 }

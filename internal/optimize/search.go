@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"marchgen/internal/linked"
 	"marchgen/internal/march"
 	"marchgen/internal/sim"
 )
@@ -51,10 +50,11 @@ func (c candidate) better(d candidate) bool {
 // by annealed mutation, restarted after each cool-down. All state is
 // single-goroutine; determinism comes from the one rng and total orders.
 type search struct {
-	ctx    context.Context
-	rng    *rand.Rand
-	faults []linked.Fault // private copy; reordered fail-first as misses occur
-	cfg    sim.Config
+	ctx context.Context
+	rng *rand.Rand
+	// cp is the coverage judge: a checkpoint of the last candidate that
+	// covered the list, whose fault list it reorders fail-first.
+	cp     *sim.Checkpoint
 	opts   Options
 	st     *Stats
 	seed   march.Test
@@ -62,12 +62,13 @@ type search struct {
 	seen   map[string]bool // ascii → covers, dedupes evaluation spend
 }
 
-func newSearch(ctx context.Context, seed march.Test, faults []linked.Fault, cfg sim.Config, opts Options, st *Stats) *search {
+// newSearch starts a search from the seed test, judged on cp, a checkpoint
+// of the seed.
+func newSearch(ctx context.Context, seed march.Test, cp *sim.Checkpoint, opts Options, st *Stats) *search {
 	return &search{
 		ctx:    ctx,
 		rng:    Rng(opts.seed()),
-		faults: append([]linked.Fault(nil), faults...),
-		cfg:    cfg,
+		cp:     cp,
 		opts:   opts,
 		st:     st,
 		seed:   seed,
@@ -78,10 +79,12 @@ func newSearch(ctx context.Context, seed march.Test, faults []linked.Fault, cfg 
 
 // covers reports whether the candidate fully covers the fault list. It is
 // the budgeted fitness evaluation: structural gates (validity, consistency,
-// length cap) and cache hits are free; only a real simulator scan spends
-// budget. On a miss, the missed fault moves to the front of the working
-// order, so structurally similar failing candidates are rejected by the
-// first scan step next time (fail-first ordering).
+// length cap) and cache hits are free; only a simulation spends budget.
+// The checkpoint resumes the candidate from the elements it shares with the
+// last candidate that covered, and a candidate that covers takes that
+// place. On a miss, the missed fault moves to the front of the
+// checkpoint's scan order, so structurally similar failing candidates are
+// rejected by the first scan step next time (fail-first ordering).
 func (s *search) covers(t march.Test) (bool, error) {
 	if err := s.ctx.Err(); err != nil {
 		return false, err
@@ -100,26 +103,18 @@ func (s *search) covers(t march.Test) (bool, error) {
 		return false, errBudget
 	}
 	s.st.Evaluations++
-	sched, err := sim.NewSchedule(t, s.cfg)
-	if err != nil {
-		// A structurally valid test the schedule compiler rejects (e.g. the
-		// ⇕ expansion cap) is simply not a viable candidate.
-		s.seen[key] = false
-		return false, nil
-	}
-	full, miss, err := sched.FullCoverage(s.faults)
-	if err != nil {
-		return false, err
-	}
-	if !full && miss != nil {
-		for i := range s.faults {
-			if &s.faults[i] == miss {
-				f := s.faults[i]
-				copy(s.faults[1:i+1], s.faults[:i])
-				s.faults[0] = f
-				break
-			}
-		}
+	full, miss, err := s.cp.Covers(t)
+	switch {
+	case err != nil:
+		// Building the checkpoint simulated every fault, so the error is
+		// the candidate's own: a structurally valid test the schedule
+		// compiler rejects (the ⇕ expansion cap) is simply not a viable
+		// candidate.
+		full = false
+	case full:
+		s.cp.Commit()
+	default:
+		s.cp.MoveToFront(miss)
 	}
 	s.seen[key] = full
 	return full, nil
@@ -142,12 +137,11 @@ func (s *search) newCandidate(t march.Test, trace []string) candidate {
 
 // run executes the restarted annealing loop and returns the best
 // full-coverage test found together with its move lineage. Budget
-// exhaustion ends the search normally; only context cancellation and
-// simulator failures are errors.
+// exhaustion ends the search normally; only context cancellation is an
+// error.
 func (s *search) run() (march.Test, []string, error) {
-	// The seed has already been verified to cover the list (RunContext
-	// checked with the package-level FullCoverage); prime the cache so
-	// re-proposing it never spends budget.
+	// The seed covers the list (RunContext built its checkpoint and found
+	// no miss); prime the cache so re-proposing it never spends budget.
 	best := s.newCandidate(s.seed, nil)
 	s.seen[best.ascii] = true
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -149,6 +150,50 @@ func TestOptimizeBadRequests(t *testing.T) {
 		w := do(t, s, "POST", "/v1/optimize", c.body)
 		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), c.wantErr) {
 			t.Errorf("%s: status %d body %s", c.name, w.Code, w.Body.String())
+		}
+	}
+}
+
+// TestOptimizeKeyPinned pins the /v1/optimize cache key of a library seed
+// and of a generated seed, each requested twice: with the search knobs
+// omitted and with every one of them spelled out at its default. Both
+// spellings of a seed derive the same key, whose digest was taken before
+// the service left filling the defaults to optimize.Options.Canonical.
+func TestOptimizeKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		bodies   []string
+		wantHash string
+	}{
+		{"library seed", []string{
+			`{"list":"list2","march":{"name":"March ABL1"}}`,
+			`{"list":"list2","march":{"name":"March ABL1"},"name":"March OPT","seed":1,"budget":2000,"beam_width":4,"restarts":3}`,
+		}, "63b65b75107f6dfd17b05d4e8b999556c9b1bc8bd441be62a1390c663e4413d3"},
+		{"generated seed", []string{
+			`{"list":"list2"}`,
+			`{"list":"list2","name":"March OPT","seed":1,"budget":2000,"beam_width":4,"restarts":3,"generator":{}}`,
+		}, "33d09ea67afb48110bba15032c9dbc2a619b89c94170490decd88f1abf11bfea"},
+	} {
+		for _, body := range c.bodies {
+			var req optimizeRequest
+			if err := decodeBody(httptest.NewRequest("POST", "/v1/optimize", strings.NewReader(body)), &req); err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			faults, err := req.resolve()
+			if err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			seedTest, opts, err := req.options()
+			if err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			key, err := optimizeKey(faults, seedTest, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if key != c.wantHash {
+				t.Errorf("%s: %s keys to %s, want %s", c.name, body, key, c.wantHash)
+			}
 		}
 	}
 }

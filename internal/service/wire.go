@@ -169,7 +169,7 @@ type optimizeRequest struct {
 
 // options resolves the request into explicit optimizer options: the seed
 // test (nil when generated server-side) and every knob with its default
-// filled in.
+// filled in (optimize.Options.Canonical).
 func (req optimizeRequest) options() (*marchgen.March, marchgen.OptimizeOptions, error) {
 	opts := marchgen.OptimizeOptions{
 		Name:       req.Name,
@@ -180,34 +180,16 @@ func (req optimizeRequest) options() (*marchgen.March, marchgen.OptimizeOptions,
 		BISTCells:  req.BISTCells,
 		BISTWeight: req.BISTWeight,
 	}
-	if opts.Name == "" {
-		opts.Name = "March OPT"
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.Budget <= 0 {
-		opts.Budget = 2000
-	}
-	if opts.BeamWidth <= 0 {
-		opts.BeamWidth = 4
-	}
-	if opts.Restarts <= 0 {
-		opts.Restarts = 3
-	}
 	if req.March != nil {
 		t, err := req.March.resolve()
 		if err != nil {
 			return nil, opts, err
 		}
 		opts.SeedTest = &t
-		return &t, opts, nil
-	}
-	if req.Generator != nil {
+	} else if req.Generator != nil {
 		opts.Generator = *req.Generator
 	}
-	opts.Generator = opts.Generator.Canonical()
-	return nil, opts, nil
+	return opts.SeedTest, opts.Canonical(), nil
 }
 
 // optimizeStatsJSON is the wire form of optimizer statistics.

@@ -63,12 +63,23 @@ func benchConfigs() []struct {
 	}
 }
 
+// benchFullCoverage times the from-scratch coverage scan: Covers on a
+// checkpoint of the empty test, which resumes the whole test from boundary 0
+// and stops at the first miss.
 func benchFullCoverage(b *testing.B, t march.Test, faults []linked.Fault, wantFull bool) {
 	b.Helper()
+	s, err := NewSchedule(march.Test{Name: "empty"}, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp, err := s.Checkpoint(faults)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full, _, err := FullCoverage(t, faults, DefaultConfig())
+		full, _, err := cp.Covers(t)
 		if err != nil {
 			b.Fatal(err)
 		}

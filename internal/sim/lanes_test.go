@@ -148,10 +148,12 @@ func TestOutOfRangeBindingError(t *testing.T) {
 				t.Fatalf("fault %d (lanes=%v): DetectsFault = (%v, %v, nil), want error",
 					i, !cfg.scalar, det, wit)
 			}
-			full, _, err := FullCoverage(march.MarchSL, []linked.Fault{f}, cfg)
-			if err == nil {
-				t.Fatalf("fault %d (lanes=%v): FullCoverage = (%v, nil), want error",
-					i, !cfg.scalar, full)
+			s, err := NewSchedule(march.MarchSL, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Checkpoint([]linked.Fault{f}); err == nil {
+				t.Fatalf("fault %d (lanes=%v): Checkpoint built, want error", i, !cfg.scalar)
 			}
 		}
 	}
@@ -313,7 +315,8 @@ func fuzzFault(data []byte) linked.Fault {
 // FuzzLanesVsScalar is the differential fuzz target of the lane engine:
 // whatever fault the bytes decode into — eligible or fallback — the
 // lane-enabled schedule must return exactly the scalar schedule's verdict
-// and witness, for a random march test, size and order mode.
+// and witness, and its verdict-only answer, for a random march test, size
+// and order mode.
 func FuzzLanesVsScalar(f *testing.F) {
 	f.Add([]byte{0, 0}, uint8(0))
 	f.Add([]byte{2, 1, 1, 2, 1, 0, 0, 4, 1, 0}, uint8(1))
@@ -341,11 +344,21 @@ func FuzzLanesVsScalar(f *testing.F) {
 		if (lWit == nil) != (sWit == nil) || (lWit != nil && lWit.String() != sWit.String()) {
 			t.Fatalf("%s vs %s: witness lanes=%v scalar=%v", mt.Name, fault.ID(), lWit, sWit)
 		}
-		lFull, lMiss, _ := FullCoverage(mt, []linked.Fault{fault}, cfg)
-		sFull, sMiss, _ := FullCoverage(mt, []linked.Fault{fault}, scalar)
-		if lFull != sFull || (lMiss == nil) != (sMiss == nil) {
-			t.Fatalf("%s vs %s: FullCoverage lanes=(%v,%v) scalar=(%v,%v)",
-				mt.Name, fault.ID(), lFull, lMiss, sFull, sMiss)
+		verdict := func(cfg Config) (bool, error) {
+			s, err := NewSchedule(mt, cfg)
+			if err != nil {
+				return false, err
+			}
+			m := s.getMachine()
+			defer s.putMachine(m)
+			det, _, err := s.detects(m, fault, false)
+			return det, err
+		}
+		lVerdict, lvErr := verdict(cfg)
+		sVerdict, svErr := verdict(scalar)
+		if (lvErr != nil) != (svErr != nil) || lVerdict != sVerdict {
+			t.Fatalf("%s vs %s: verdict-only detects lanes=(%v,%v) scalar=(%v,%v)",
+				mt.Name, fault.ID(), lVerdict, lvErr, sVerdict, svErr)
 		}
 	})
 }

@@ -52,9 +52,9 @@ func (r Report) Coverage() float64 {
 }
 
 // Full reports whether every fault was detected. An empty fault list is
-// vacuously covered, matching FullCoverage: both answer "does any fault in
-// the list escape the test", and for an empty list none does. (Coverage, a
-// ratio, still reports 0 for an empty list.)
+// vacuously covered, matching Checkpoint.Covers: both answer "does any
+// fault in the list escape the test", and for an empty list none does.
+// (Coverage, a ratio, still reports 0 for an empty list.)
 func (r Report) Full() bool {
 	return r.Detected() == r.Total()
 }

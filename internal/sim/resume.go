@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"slices"
 
 	"marchgen/internal/fp"
 	"marchgen/internal/linked"
@@ -10,16 +10,20 @@ import (
 
 // Resuming a test from an element boundary.
 //
-// The generator (internal/core) simulates many tests that share a prefix
-// with a test it has simulated already. Repair appends one template element
-// at a time to its candidate; minimize drops an element, an operation or an
-// operation pair, or merges two adjacent elements, and keeps an edit that
-// loses no coverage. Schedule.Checkpoint simulates the test once and keeps
-// every fault's state at every element boundary. Checkpoint.Resume then
-// simulates an edited test, the first b elements followed by a new suffix,
-// from boundary b: it runs only the suffix. Commit makes the checkpoint that
-// of the edited test, keeping the states the resume recorded, so an
-// accepted edit needs no further simulation.
+// Every search that judges candidates by fault simulation simulates many
+// tests that share their leading elements with a test it has simulated
+// already. Repair (internal/core) appends one template element at a time
+// to its candidate; minimize drops an element, an operation or an operation
+// pair, merges two adjacent elements or relaxes an element's order to ⇕;
+// the optimizer (internal/optimize) edits one element of a beam member or
+// splices element tails between members. Schedule.Checkpoint simulates a
+// test once and keeps every fault's state at every element boundary.
+// Checkpoint.Resume then simulates any test, given whole, from the boundary
+// b after the leading elements it shares with the checkpointed test (the
+// same address order and the same operations): it runs only the elements
+// from b on, the suffix. Commit makes the checkpoint that of the edited
+// test, keeping the states the resume recorded, so an accepted edit needs
+// no further simulation.
 //
 // Boundary states are kept per lane-planned fault (planLanes): at every
 // order-choice trie node some lane leaves undetected, the k cell words and
@@ -42,9 +46,10 @@ import (
 //
 // Faults planLanes declines keep no state: a resume simulates them on the
 // compiled edited test, and so it does every fault when the suffix writes a
-// don't-care, which the lane words cannot hold. A resume from the last
-// boundary skips every fault the checkpointed test detects, lane-planned
-// or not: appending elements never loses a detection.
+// don't-care, which the lane words cannot hold. When the edited test keeps
+// the whole checkpointed test, a resume skips every fault the checkpointed
+// test detects, lane-planned or not: appending elements never loses a
+// detection.
 
 // minFanOutSteps is the fewest operation steps, summed over the faults to
 // simulate, for which a resume fans out over Config.Workers: about 0.6 ms
@@ -64,12 +69,12 @@ type Checkpoint struct {
 	faults []linked.Fault
 	states []faultStates // parallel to faults
 	todo   []int         // scratch: the faults a resume simulates
-	// trial is the edit the last resume simulated: the test's first b
-	// elements followed by suffix.
+	// trial is the edited test the last resume simulated, which shares its
+	// first b elements with test.
 	trial struct {
-		b      int
-		suffix []march.Element
-		lanes  bool // the suffix writes only binary values
+		test  march.Test
+		b     int
+		lanes bool // the elements from b on write only binary values
 		// done reports that every fault ran to its verdict, so Commit may
 		// adopt the trial.
 		done bool
@@ -126,10 +131,14 @@ func (s *Schedule) Checkpoint(faults []linked.Fault) (*Checkpoint, error) {
 	for i := range c.todo {
 		c.todo[i] = i
 	}
-	c.trial.b, c.trial.suffix, c.trial.lanes, c.trial.done = 0, s.test.Elems, s.laneWrites, true
+	c.trial.test, c.trial.b, c.trial.lanes, c.trial.done = s.test, 0, s.laneWrites, true
 	c.Commit()
 	return c, nil
 }
+
+// Test returns the checkpointed test, which Commit advances. It must not be
+// modified.
+func (c *Checkpoint) Test() march.Test { return c.test }
 
 // Faults returns the checkpoint's copy of the fault list, in the order
 // Resume and Covers scan it (see MoveToFront). It must not be modified.
@@ -160,16 +169,16 @@ func (c *Checkpoint) MoveToFront(i int) {
 	c.faults[0], c.states[0] = f, fs
 }
 
-// Resume simulates the checkpointed test edited from boundary b, its first
-// b elements followed by suffix, and appends to missed the indices into
-// Faults of the faults the edited test misses, ascending: a fault is missed
-// exactly when DetectsFault on NewSchedule of the edited test says so. The
-// edited test's ⇕ elements resolve as the configuration says; under
-// exhaustive orders an edited test with more ⇕ elements than
-// Config.MaxAnyElements is refused with NewSchedule's error. The checkpoint
-// keeps suffix without copying it; Commit may follow.
-func (c *Checkpoint) Resume(b int, suffix []march.Element, missed []int) ([]int, error) {
-	if _, err := c.resume(b, suffix, false); err != nil {
+// Resume simulates the test t, an edit of the checkpointed test, from the
+// boundary after the leading elements the two share, and appends to missed
+// the indices into Faults of the faults t misses, ascending: a fault is
+// missed exactly when DetectsFault on NewSchedule of t says so. t's ⇕
+// elements resolve as the configuration says; under exhaustive orders a
+// test with more ⇕ elements than Config.MaxAnyElements is refused with
+// NewSchedule's error. The checkpoint keeps t's elements without copying
+// them; Commit may follow.
+func (c *Checkpoint) Resume(t march.Test, missed []int) ([]int, error) {
+	if _, err := c.resume(t, false); err != nil {
 		return missed, err
 	}
 	for _, i := range c.todo {
@@ -180,13 +189,13 @@ func (c *Checkpoint) Resume(b int, suffix []march.Element, missed []int) ([]int,
 	return missed, nil
 }
 
-// Covers is Resume stopping at the first miss: it reports whether the
-// edited test detects every fault and, when it does not, the index into
-// Faults of the first fault it misses. The answer does not depend on
-// Config.Workers. Commit may follow only a Covers that reports full
-// coverage, since a Covers that stops leaves later faults unsimulated.
-func (c *Checkpoint) Covers(b int, suffix []march.Element) (bool, int, error) {
-	i, err := c.resume(b, suffix, true)
+// Covers is Resume stopping at the first miss: it reports whether t detects
+// every fault and, when it does not, the index into Faults of the first
+// fault it misses. The answer does not depend on Config.Workers. Commit may
+// follow only a Covers that reports full coverage, since a Covers that
+// stops leaves later faults unsimulated.
+func (c *Checkpoint) Covers(t march.Test) (bool, int, error) {
+	i, err := c.resume(t, true)
 	if err != nil {
 		return false, 0, err
 	}
@@ -194,9 +203,9 @@ func (c *Checkpoint) Covers(b int, suffix []march.Element) (bool, int, error) {
 }
 
 // Commit makes the checkpoint that of the test the last Resume or Covers
-// simulated: the boundary states up to the edit's boundary stay, and the
-// edited test's later ones are the states the resume recorded. It panics
-// when there is no such test or when Covers stopped at a miss.
+// simulated: the boundary states up to the boundary it resumed from stay,
+// and the edited test's later ones are the states the resume recorded. It
+// panics when there is no such test or when Covers stopped at a miss.
 //
 // Only the faults the resume simulated change. Every other one is detected
 // by the first b elements, or by the whole test when the edit appends, so
@@ -207,7 +216,7 @@ func (c *Checkpoint) Commit() {
 		panic("sim: Commit without a completed Resume")
 	}
 	t.done = false
-	c.test.Elems = append(c.test.Elems[:t.b:t.b], t.suffix...)
+	c.test.Elems = append(c.test.Elems[:t.b:t.b], t.test.Elems[t.b:]...)
 	if !t.lanes {
 		// The test writes a don't-care: from now on every fault is
 		// simulated from scratch, as NewSchedule would run it scalar.
@@ -273,21 +282,31 @@ func sortNodes(nodes []uint64, w int) []uint64 {
 	return out
 }
 
-// resume simulates the test edited from boundary b over every fault,
-// fanning out like FullCoverage, and records each fault's verdict and
-// nodes past b. With stop set it stops at the first miss, in fault order,
-// and returns its index; it returns len(c.faults) when no fault stopped it.
-func (c *Checkpoint) resume(b int, suffix []march.Element, stop bool) (int, error) {
+// shared returns the number of leading elements t shares with the
+// checkpointed test: the same address order and the same operations.
+func (c *Checkpoint) shared(t march.Test) int {
+	n := min(len(t.Elems), len(c.test.Elems))
+	for b, e := range t.Elems[:n] {
+		if e.Order != c.test.Elems[b].Order || !slices.Equal(e.Ops, c.test.Elems[b].Ops) {
+			return b
+		}
+	}
+	return n
+}
+
+// resume simulates t over every fault from the boundary b after the
+// elements it shares with the checkpointed test, fanning out like
+// Simulate, and records each fault's verdict and nodes past b. With stop
+// set it stops at the first miss, in fault order, and returns its index; it
+// returns len(c.faults) when no fault stopped it.
+func (c *Checkpoint) resume(t march.Test, stop bool) (int, error) {
 	s := c.sched
 	c.trial.done = false
-	end := len(c.test.Elems)
-	if b < 0 || b > end {
-		return 0, fmt.Errorf("sim: resume from boundary %d of a %d-element test", b, end)
-	}
-	prefix := c.test.Elems[:b:b]
-	if err := checkAnyElements(c.test.Name, anyElements(prefix)+anyElements(suffix), s.cfg); err != nil {
+	if err := checkAnyElements(t.Name, anyElements(t.Elems), s.cfg); err != nil {
 		return 0, err
 	}
+	end, b := len(c.test.Elems), c.shared(t)
+	prefix, suffix := t.Elems[:b], t.Elems[b:]
 
 	// The good trace after the prefix, uniform over addresses and nodes.
 	written, last := false, fp.V0
@@ -315,10 +334,8 @@ func (c *Checkpoint) resume(b int, suffix []march.Element, stop bool) (int, erro
 		c.todo = append(c.todo, i)
 		if !lanes && full == nil {
 			// It runs on the compiled edited test.
-			ext := c.test
-			ext.Elems = append(prefix, suffix...)
 			var err error
-			if full, err = NewSchedule(ext, s.cfg); err != nil {
+			if full, err = NewSchedule(t, s.cfg); err != nil {
 				return 0, err
 			}
 		}
@@ -339,7 +356,7 @@ func (c *Checkpoint) resume(b int, suffix []march.Element, stop bool) (int, erro
 		return fs.err != nil || stop && fs.nextMissed
 	})
 	if j == len(c.todo) {
-		c.trial.b, c.trial.suffix, c.trial.lanes, c.trial.done = b, suffix, sfx.laneWrites, true
+		c.trial.test, c.trial.b, c.trial.lanes, c.trial.done = t, b, sfx.laneWrites, true
 		return len(c.faults), nil
 	}
 	if err := c.states[c.todo[j]].err; err != nil {

@@ -29,13 +29,12 @@ func resumeAgainstScratch(t *testing.T, prefix march.Test, e march.Element, faul
 // and compares every fault's verdict with NewSchedule of test+e.
 func resumeMatchesScratch(t *testing.T, cp *Checkpoint, test march.Test, e march.Element, cfg Config) {
 	t.Helper()
-	missed, err := cp.Resume(len(test.Elems), []march.Element{e}, nil)
+	ext := appended(test, e)
+	missed, err := cp.Resume(ext, nil)
 	if err != nil {
 		t.Fatalf("%s + %s: %v", test, e, err)
 	}
 	got := detected(missed, len(cp.Faults()))
-	ext := test.Clone()
-	ext.Elems = append(ext.Elems, e)
 	full, err := NewSchedule(ext, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +49,13 @@ func resumeMatchesScratch(t *testing.T, cp *Checkpoint, test march.Test, e march
 				test, e, cfg.scalar, cfg.ExhaustiveOrders, f.ID(), got[i], det)
 		}
 	}
+}
+
+// appended returns a copy of test with e appended.
+func appended(test march.Test, e march.Element) march.Test {
+	ext := test.Clone()
+	ext.Elems = append(ext.Elems, e)
+	return ext
 }
 
 // detected turns the missed indices Resume returns into per-fault verdicts
@@ -102,11 +108,11 @@ func TestResumeLanesMatchScalar(t *testing.T) {
 				t.Fatalf("%s: lanes miss %d faults, scalar %d", prefix, len(lcp.Missed()), len(scp.Missed()))
 			}
 			for _, e := range elems {
-				lm, err := lcp.Resume(j, []march.Element{e}, nil)
+				lm, err := lcp.Resume(appended(prefix, e), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sm, err := scp.Resume(j, []march.Element{e}, nil)
+				sm, err := scp.Resume(appended(prefix, e), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,14 +149,13 @@ func TestResumeAnyElement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = cp.Resume(len(prefix.Elems), []march.Element{anyElem}, nil)
-	ext := prefix.Clone()
-	ext.Elems = append(ext.Elems, anyElem)
+	ext := appended(prefix, anyElem)
+	_, err = cp.Resume(ext, nil)
 	_, want := NewSchedule(ext, capped)
 	if err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("past the ⇕ cap: Resume error %v, NewSchedule error %v", err, want)
 	}
-	if _, err := cp.Resume(len(prefix.Elems), []march.Element{march.NewElement(march.Up, fp.R0)}, nil); err != nil {
+	if _, err := cp.Resume(appended(prefix, march.NewElement(march.Up, fp.R0)), nil); err != nil {
 		t.Errorf("a ⇑ element does not raise the ⇕ count: %v", err)
 	}
 	lazy := capped
@@ -196,12 +201,11 @@ func TestResumeEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dc := march.NewElement(march.Down, fp.R1, wx, fp.R0)
-		if _, err := cp.Resume(2, []march.Element{dc}, nil); err != nil {
+		prefix = appended(prefix, march.NewElement(march.Down, fp.R1, wx, fp.R0))
+		if _, err := cp.Resume(prefix, nil); err != nil {
 			t.Fatal(err)
 		}
 		cp.Commit()
-		prefix.Elems = append(prefix.Elems, dc)
 		resumeMatchesScratch(t, cp, prefix, march.NewElement(march.Up, fp.W1, fp.R1), cfg)
 	}
 }
@@ -276,12 +280,13 @@ func TestCheckpointDeterministic(t *testing.T) {
 				// Every fault is open at boundary 0.
 				t.Fatalf("resuming from boundary 0 simulates %d steps, too few to fan out", steps*len(faults))
 			}
-			missed, err := cp.Resume(b, suffix, nil)
+			trial := march.Test{Name: cur.Name, Elems: append(cur.Elems[:b:b], suffix...)}
+			missed, err := cp.Resume(trial, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got.resume = append(got.resume, missed)
-			full, first, err := cp.Covers(b, suffix)
+			full, first, err := cp.Covers(trial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,11 +295,11 @@ func TestCheckpointDeterministic(t *testing.T) {
 			}
 			got.first = append(got.first, first)
 			if b == 4 {
-				if _, err := cp.Resume(b, suffix, nil); err != nil {
+				if _, err := cp.Resume(trial, nil); err != nil {
 					t.Fatal(err)
 				}
 				cp.Commit()
-				cur.Elems = append(cur.Elems[:b:b], suffix...)
+				cur = trial
 				got.missed = append(got.missed, ids(cp.Missed())...)
 			}
 		}

@@ -33,8 +33,8 @@ import (
 //     reads compare the faulty value against the cached trace. Between
 //     elements the trace is the same at every address (compileElemSteps).
 //
-// Machines are pooled (sync.Pool) across the Simulate/FullCoverage worker
-// fan-out, so steady-state simulation does not allocate per fault.
+// Machines are pooled (sync.Pool) across the worker fan-out of Simulate and
+// Checkpoint, so steady-state simulation does not allocate per fault.
 //
 // This is the package's one implementation of the fault semantics: verdicts,
 // witnesses, FailingReads and TraceScenario all run runSteps (lanes.go packs
@@ -275,9 +275,6 @@ func (s *Schedule) Test() march.Test { return s.test }
 
 // Config returns the configuration the schedule was compiled under.
 func (s *Schedule) Config() Config { return s.cfg }
-
-// Streams returns the number of compiled order combinations.
-func (s *Schedule) Streams() int { return len(s.orderSets) }
 
 // ScenarioCount returns the number of concrete scenarios the schedule
 // enumerates for a fault: placements × initial values × order combinations.

@@ -73,74 +73,87 @@ func TestScheduleScenarioCount(t *testing.T) {
 	}
 }
 
-// TestFullCoverageDeterministic pins the parallel scan's contract: whatever
-// Config.Workers is, the scan ends where the sequential fault-list scan
-// does — at the same miss, returned as a pointer into the caller's slice,
-// or at the same error. A fault that fails to simulate sits right before or
-// right after the first miss, so the two race in neighbouring workers.
+// TestFullCoverageDeterministic pins the from-scratch coverage scan's
+// contract: Covers on a checkpoint of the empty test resumes the whole test
+// from boundary 0, and whatever Config.Workers is, it ends where the
+// sequential fault-list scan does, at the same first miss. A fault that
+// fails to simulate, right before or right after that miss, fails the
+// checkpoint's build with its own error at any worker count.
 func TestFullCoverageDeterministic(t *testing.T) {
 	list := faultlist.List1()
 	test := march.MarchSS // misses part of List1, so there is a miss to race for
 
-	seqCfg := DefaultConfig()
-	seqCfg.Workers = 1
-	full, seqMiss, err := FullCoverage(test, list, seqCfg)
+	checkpoint := func(faults []linked.Fault, workers int) (*Checkpoint, error) {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		s, err := NewSchedule(march.Test{Name: "empty"}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Checkpoint(faults)
+	}
+	cp, err := checkpoint(list, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full || seqMiss == nil {
+	full, first, err := cp.Covers(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full {
 		t.Fatalf("%s unexpectedly covers List1", test.Name)
 	}
-	first := slices.IndexFunc(list, func(f linked.Fault) bool { return f.ID() == seqMiss.ID() })
 
 	bad := faultlist.List2()[0] // victim index out of range: an error, not a verdict
 	bad.FPs = append([]linked.Binding(nil), bad.FPs...)
 	bad.FPs[0].V = bad.Cells
 	wantErr := validateBindings(bad)
-	for _, c := range []struct {
-		name     string
-		faults   []linked.Fault
-		wantMiss int // index of the first miss, -1 when the bad fault comes first
-	}{
-		{"List1", list, first},
-		{"error before the first miss", slices.Insert(slices.Clone(list), first, bad), -1},
-		{"error after the first miss", slices.Insert(slices.Clone(list), first+1, bad), first},
-	} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			cfg := DefaultConfig()
-			cfg.Workers = workers
-			for rep := 0; rep < 3; rep++ {
-				full, miss, err := FullCoverage(test, c.faults, cfg)
-				if c.wantMiss < 0 {
-					if err == nil || err.Error() != wantErr.Error() || full || miss != nil {
-						t.Fatalf("%s workers=%d rep=%d: got (%v, %v, %v), want the bad fault's error %q",
-							c.name, workers, rep, full, miss, err, wantErr)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%s workers=%d rep=%d: %v", c.name, workers, rep, err)
-				}
-				if full || miss != &c.faults[c.wantMiss] {
-					t.Fatalf("%s workers=%d rep=%d: got (%v, %v), sequential scan misses &faults[%d] (%s) first",
-						c.name, workers, rep, full, miss, c.wantMiss, seqMiss.ID())
+	for _, workers := range []int{1, 2, 4, 8} {
+		for rep := 0; rep < 3; rep++ {
+			cp, err := checkpoint(list, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, miss, err := cp.Covers(test)
+			if err != nil {
+				t.Fatalf("workers=%d rep=%d: %v", workers, rep, err)
+			}
+			if full || miss != first {
+				t.Fatalf("workers=%d rep=%d: got (%v, %d), the sequential scan misses faults[%d] (%s) first",
+					workers, rep, full, miss, first, list[first].ID())
+			}
+			for _, c := range []struct {
+				name string
+				at   int
+			}{{"error before the first miss", first}, {"error after the first miss", first + 1}} {
+				_, err := checkpoint(slices.Insert(slices.Clone(list), c.at, bad), workers)
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("%s workers=%d rep=%d: got %v, want the bad fault's error %q",
+						c.name, workers, rep, err, wantErr)
 				}
 			}
 		}
 	}
 }
 
-// TestEmptyFaultList pins the aligned empty-list semantics: FullCoverage is
-// vacuously true, Simulate returns an empty report, and that report counts
-// as Full — the three agree that no fault escapes an empty list.
+// TestEmptyFaultList pins the aligned empty-list semantics: a checkpoint of
+// no faults covers every test, Simulate returns an empty report, and that
+// report counts as Full — they agree that no fault escapes an empty list.
 func TestEmptyFaultList(t *testing.T) {
 	cfg := DefaultConfig()
-	full, miss, err := FullCoverage(march.MarchSL, nil, cfg)
+	s, err := NewSchedule(march.MarchSL, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !full || miss != nil {
-		t.Fatalf("FullCoverage(empty) = (%v, %v), want (true, nil)", full, miss)
+	cp, err := s.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, test := range []march.Test{march.MarchSL, march.MarchSS, {Name: "empty"}} {
+		full, first, err := cp.Covers(test)
+		if err != nil || !full || first != 0 {
+			t.Fatalf("Covers(%s) over no faults = (%v, %d, %v), want (true, 0, nil)", test.Name, full, first, err)
+		}
 	}
 	r := Simulate(march.MarchSL, nil, cfg)
 	if r.Total() != 0 || r.Err() != nil {

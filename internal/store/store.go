@@ -325,15 +325,11 @@ func readRecords(dir string, cp Checkpoint) ([]Record, error) {
 // directory (for serving the raw result set over HTTP).
 func DataPath(dir string) string { return filepath.Join(dir, dataName) }
 
-// WriteFileAtomic replaces path with data via a same-directory temp file,
-// fsyncing the file before the rename and the directory after it.
-func WriteFileAtomic(path string, data []byte) error {
-	return WriteFileAtomicFS(iofault.OS{}, path, data)
-}
-
-// WriteFileAtomicFS is WriteFileAtomic through an explicit filesystem.
-// Unlike earlier revisions, a failed directory sync is reported: a
-// rename whose durability is unknown must not be treated as committed.
+// WriteFileAtomicFS replaces path with data through the filesystem fsys
+// (the OS when nil) via a same-directory temp file, fsyncing the file
+// before the rename and the directory after it. A failed directory sync is
+// reported: a rename whose durability is unknown must not be treated as
+// committed.
 func WriteFileAtomicFS(fsys iofault.FS, path string, data []byte) error {
 	if fsys == nil {
 		fsys = iofault.OS{}
