@@ -29,11 +29,12 @@ race:
 	./scripts/race.sh
 
 ## stress: the interleaving gate — the concurrent-client and cluster tests,
-## and the simulator fan-out's lowest-index stop (a checkpoint build's
-## error, and the checkpoint's missed sets and first misses, from scratch
-## and after an edit, must be the sequential scan's at any worker count),
-## whose assertions must hold under any goroutine schedule, repeated 20
-## times at 1, 2 and 4 CPUs.
+## and the simulator fan-out's lowest-index stop (Simulate's results, a
+## checkpoint build's error, and the checkpoint's missed sets and first
+## misses, from scratch and after an edit, must be the sequential scan's at
+## GOMAXPROCS 1, 2, 4 and 8, which the tests set themselves on inputs above
+## the fan-out gate), whose assertions must hold under any goroutine
+## schedule, repeated 20 times at 1, 2 and 4 CPUs.
 stress:
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster' ./internal/service/ ./internal/fabric/
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$|TestCheckpointDeterministic$$' ./internal/sim/
@@ -51,8 +52,8 @@ bench-sim:
 ## bench-gen: regenerate BENCH_gen.json — the CPU time of the three Table-1
 ## generation rows (median and quartiles of 11 runs, on one P and at
 ## GOMAXPROCS) for this checkout next to a base commit (BASE, default HEAD),
-## built from git archive and run alternately; written by the root
-## package's TestBenchGen.
+## built from git archive and run alternately, each row in a process of its
+## own; written by the root package's TestBenchGen.
 BASE ?= HEAD
 bench-gen:
 	$(GO) test -count=1 -v -timeout 30m -run '^TestBenchGen$$' . -args -benchgen $(CURDIR)/BENCH_gen.json -benchgen-base $(BASE)

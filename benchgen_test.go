@@ -21,15 +21,18 @@ import (
 // TestBenchGen writes BENCH_gen.json (make bench-gen): the CPU time of the
 // three Table-1 generation rows, on one P and at GOMAXPROCS, for this
 // checkout and for a base commit, next to each other. It skips unless
-// -benchgen names the output file; with -benchgen - it prints one sample
-// instead, which is how the record runs each binary.
+// -benchgen names the output file; with -benchgen - it prints one sample of
+// each row its subtest selects (-test.run '^TestBenchGen$/^ABL1$') instead,
+// which is how the record runs each binary.
 //
 // The base commit is checked out with git archive into a temporary
 // directory, this file is copied in, and its test binary is built there, so
 // the base needs only the marchgen API this file uses. The two binaries run
-// alternately, one sample each per round, so a change in the host's load
-// falls on both alike. A sample times one generation of every row at each
-// P count, in process CPU time after an untimed warm-up and a collection.
+// alternately, one sample of each row per round, so a change in the host's
+// load falls on both alike. Every sample runs in a process of its own, so
+// no row inherits the scheduler state an earlier row left behind. A sample
+// times one generation of its row at each P count, in process CPU time
+// after an untimed warm-up and a collection.
 var (
 	benchGen     = flag.String("benchgen", "", "write the generation CPU-time record to `FILE` (- prints one sample)")
 	benchGenBase = flag.String("benchgen-base", "HEAD", "base `COMMIT` the record measures next to this checkout")
@@ -47,7 +50,8 @@ var benchGenRows = []struct {
 	{"ABL1", "list2", marchgen.Options{Name: "ABL1-repro"}},
 }
 
-// genSample is one run of every row.
+// genSample is one run of some rows: a sample process times one, a round
+// collects every row.
 type genSample struct {
 	GOMAXPROCS int            `json:"gomaxprocs"`
 	Rows       []genSampleRow `json:"rows"`
@@ -101,12 +105,16 @@ func TestBenchGen(t *testing.T) {
 	case "":
 		t.Skip("no -benchgen FILE given")
 	case "-":
-		s, err := benchGenSample()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewEncoder(os.Stdout).Encode(s); err != nil {
-			t.Fatal(err)
+		for i, row := range benchGenRows {
+			t.Run(row.row, func(t *testing.T) {
+				s, err := benchGenSample(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := json.NewEncoder(os.Stdout).Encode(s); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 		return
 	}
@@ -134,13 +142,14 @@ func TestBenchGen(t *testing.T) {
 
 	var parents, changes []genSample
 	for r := 0; r < benchGenRounds; r++ {
-		p, err := runSample(baseBin)
-		if err != nil {
-			t.Fatalf("base sample: %v", err)
-		}
-		c, err := runSample(os.Args[0])
-		if err != nil {
-			t.Fatalf("change sample: %v", err)
+		var p, c genSample
+		for _, row := range benchGenRows {
+			if err := runSample(baseBin, row.row, &p); err != nil {
+				t.Fatalf("base sample: %v", err)
+			}
+			if err := runSample(os.Args[0], row.row, &c); err != nil {
+				t.Fatalf("change sample: %v", err)
+			}
 		}
 		parents, changes = append(parents, p), append(changes, c)
 		t.Logf("round %d: base %s / change %s", r+1, sampleLine(p), sampleLine(c))
@@ -148,7 +157,7 @@ func TestBenchGen(t *testing.T) {
 
 	rec := genRecord{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Note:       "CPU ms of one core.Generate per Table-1 row (process user+system time), median and quartiles over reps; base and change run alternately, in fresh processes",
+		Note:       "CPU ms of one core.Generate per Table-1 row (process user+system time), median and quartiles over reps; base and change run alternately, each row in a fresh process",
 		GoVersion:  runtime.Version(),
 		NProc:      runtime.NumCPU(),
 		GOMAXPROCS: changes[0].GOMAXPROCS,
@@ -175,42 +184,41 @@ func TestBenchGen(t *testing.T) {
 	}
 }
 
-// benchGenSample times one generation of every row on one P and at the
+// benchGenSample times one generation of row i on one P and at the
 // process's GOMAXPROCS.
-func benchGenSample() (genSample, error) {
+func benchGenSample(i int) (genSample, error) {
 	procs := runtime.GOMAXPROCS(0)
 	s := genSample{GOMAXPROCS: procs}
-	for _, row := range benchGenRows {
-		faults, err := marchgen.FaultListByName(row.list)
+	row := benchGenRows[i]
+	faults, err := marchgen.FaultListByName(row.list)
+	if err != nil {
+		return s, err
+	}
+	if _, err := marchgen.Generate(faults, row.opts); err != nil { // warm-up
+		return s, err
+	}
+	out := genSampleRow{Row: row.row}
+	for _, p := range []int{1, procs} {
+		runtime.GOMAXPROCS(p)
+		runtime.GC()
+		start := processCPU()
+		res, err := marchgen.Generate(faults, row.opts)
+		ms := float64(processCPU()-start) / float64(time.Millisecond)
 		if err != nil {
 			return s, err
 		}
-		if _, err := marchgen.Generate(faults, row.opts); err != nil { // warm-up
-			return s, err
+		out.Test, out.Simulations = res.Test.String(), res.Stats.Simulations
+		if p == 1 {
+			out.CPUMs1P = ms
+		} else {
+			out.CPUMsMaxP = ms
 		}
-		out := genSampleRow{Row: row.row}
-		for _, p := range []int{1, procs} {
-			runtime.GOMAXPROCS(p)
-			runtime.GC()
-			start := processCPU()
-			res, err := marchgen.Generate(faults, row.opts)
-			ms := float64(processCPU()-start) / float64(time.Millisecond)
-			if err != nil {
-				return s, err
-			}
-			out.Test, out.Simulations = res.Test.String(), res.Stats.Simulations
-			if p == 1 {
-				out.CPUMs1P = ms
-			} else {
-				out.CPUMsMaxP = ms
-			}
-		}
-		runtime.GOMAXPROCS(procs)
-		if procs == 1 {
-			out.CPUMsMaxP = out.CPUMs1P
-		}
-		s.Rows = append(s.Rows, out)
 	}
+	runtime.GOMAXPROCS(procs)
+	if procs == 1 {
+		out.CPUMsMaxP = out.CPUMs1P
+	}
+	s.Rows = append(s.Rows, out)
 	return s, nil
 }
 
@@ -263,22 +271,24 @@ func buildBase(dir, root, commit string) (string, error) {
 	return bin, nil
 }
 
-// runSample runs a test binary built with this file for one sample.
-func runSample(bin string) (genSample, error) {
-	var s genSample
-	cmd := exec.Command(bin, "-test.run", "^TestBenchGen$", "-test.count", "1", "-benchgen", "-")
+// runSample runs a test binary built with this file for one sample of the
+// row and adds it to s.
+func runSample(bin, row string, s *genSample) error {
+	cmd := exec.Command(bin, "-test.run", "^TestBenchGen$/^"+row+"$", "-test.count", "1", "-benchgen", "-")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return s, fmt.Errorf("%v\n%s%s", err, out, stderr.Bytes())
+		return fmt.Errorf("%v\n%s%s", err, out, stderr.Bytes())
 	}
 	// The sample is the first line; the test framework's PASS follows.
 	line, _, _ := bytes.Cut(out, []byte("\n"))
-	if err := json.Unmarshal(line, &s); err != nil {
-		return s, fmt.Errorf("sample %q: %v", line, err)
+	var one genSample
+	if err := json.Unmarshal(line, &one); err != nil {
+		return fmt.Errorf("sample %q: %v", line, err)
 	}
-	return s, nil
+	s.GOMAXPROCS, s.Rows = one.GOMAXPROCS, append(s.Rows, one.Rows...)
+	return nil
 }
 
 // summarize folds samples into one record row per Table-1 row.

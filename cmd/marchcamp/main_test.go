@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -281,7 +283,23 @@ func TestReportMixedAxesMatrix(t *testing.T) {
 	if !strings.Contains(out, "frontier") || !strings.Contains(out, "0.5") {
 		t.Fatalf("frontier table missing the weighted point:\n%s", out)
 	}
+	// The records themselves, every axis section included, byte for byte.
+	b, err := os.ReadFile(store.DataPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != mixedAxesResultsSHA || len(b) != mixedAxesResultsSize {
+		t.Fatalf("results.jsonl = sha256 %x (%d bytes), want %s (%d bytes)",
+			sum, len(b), mixedAxesResultsSHA, mixedAxesResultsSize)
+	}
 }
+
+// The store TestReportMixedAxesMatrix builds, captured when the campaign
+// wrote its word and mport sections through types of its own.
+const (
+	mixedAxesResultsSHA  = "713ec1707a5806da6561a28c8f49577f7fa584fbb2bcb0f698be2e22e85bcbf0"
+	mixedAxesResultsSize = 23128
+)
 
 func TestReportAmbiguousRootNeedsID(t *testing.T) {
 	dir := t.TempDir()

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
+	"strings"
 	"testing"
 
 	"marchgen/internal/store"
@@ -51,6 +52,38 @@ func TestBitOrientedCampaignStoreMatchesPreAxisBuild(t *testing.T) {
 	u := Unit{List: "list2", Profile: "standard", Order: "free", Size: 4, Width: 1}
 	if got := u.ID(); got != prePRUnitID {
 		t.Fatalf("unit.ID = %s, want pre-PR %s", got, prePRUnitID)
+	}
+}
+
+// The store of a transparent List #2 unit at width 4, whose generated test
+// refuses the transparent transform: the record keeps the plain word section
+// and the word package's own refusal text. Captured when the campaign graded
+// the word axis itself.
+const (
+	refusalResultsSHA  = "ffe39e2172b8c8f3bf348e0b6a952c5c596f56a7c823436c9be049f16a40ff4e"
+	refusalResultsSize = 503
+	refusalRecordTail  = `"word":{"width":4,"backgrounds":3,"faults":384,"detected":300},` +
+		`"error":"word: transparent transform: test exits at 1, content not restored"}`
+)
+
+// TestTransparentRefusalStorePinned runs the refusing unit end to end and
+// pins its store bytes.
+func TestTransparentRefusalStorePinned(t *testing.T) {
+	spec := Spec{Lists: []string{"list2"}, Widths: []int{4}, Transparent: []bool{true}}
+	root := t.TempDir()
+	if _, err := Run(context.Background(), spec, root, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(store.DataPath(spec.Dir(root)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), refusalRecordTail) {
+		t.Errorf("results.jsonl lacks the refusal %s:\n%s", refusalRecordTail, b)
+	}
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != refusalResultsSHA || len(b) != refusalResultsSize {
+		t.Fatalf("results.jsonl = sha256 %x (%d bytes), want %s (%d bytes)",
+			sum, len(b), refusalResultsSHA, refusalResultsSize)
 	}
 }
 

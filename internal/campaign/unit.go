@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"marchgen/internal/bist"
@@ -11,7 +12,6 @@ import (
 	"marchgen/internal/optimize"
 	"marchgen/internal/oracle"
 	"marchgen/internal/sim"
-	"marchgen/internal/word"
 )
 
 // defaultBISTCells is the array size BIST costs are estimated for when the
@@ -35,36 +35,6 @@ type BISTJSON struct {
 	Elements      int   `json:"elements"`
 	OrderSwitches int   `json:"order_switches"`
 	SingleOrder   bool  `json:"single_order"`
-}
-
-// WordJSON is the word-oriented evaluation of a unit with width > 1: the
-// generated test run against the march-testable intra-word faults of a
-// width-bit word under the standard data-background set.
-type WordJSON struct {
-	Width       int `json:"width"`
-	Backgrounds int `json:"backgrounds"`
-	Faults      int `json:"faults"`
-	Detected    int `json:"detected"`
-	// Transparent fields record the in-field variant of a transparent-axis
-	// unit (Li et al.): the initialization-free test and its coverage under
-	// the representative content set. Omitted for non-transparent units, so
-	// pre-axis records are byte-identical.
-	Transparent         bool   `json:"transparent,omitempty"`
-	TransparentTest     string `json:"transparent_test,omitempty"`
-	TransparentDetected int    `json:"transparent_detected,omitempty"`
-}
-
-// MportJSON is the two-port evaluation of a ports=2 unit: the weak-fault
-// catalog coverage retained by the single-port test when lifted (port B
-// idle), plus the dedicated two-port march the directed constructor builds
-// for the catalog.
-type MportJSON struct {
-	Ports          int    `json:"ports"`
-	Faults         int    `json:"faults"`
-	LiftedDetected int    `json:"lifted_detected"`
-	Test           string `json:"test"`
-	TestLength     int    `json:"test_length"`
-	TestDetected   int    `json:"test_detected"`
 }
 
 // TopoJSON reports how the array shape interacts with logical address
@@ -121,13 +91,15 @@ type UnitResult struct {
 	Coverage CoverageJSON `json:"coverage"`
 	// Simulations is the generator's candidate-evaluation count (the
 	// search-effort column of the sweep).
-	Simulations int           `json:"simulations"`
-	BIST        BISTJSON      `json:"bist"`
-	Word        *WordJSON     `json:"word,omitempty"`
-	Mport       *MportJSON    `json:"mport,omitempty"`
-	Topo        *TopoJSON     `json:"topo,omitempty"`
-	Verify      *VerifyJSON   `json:"verify,omitempty"`
-	Optimize    *OptimizeJSON `json:"optimize,omitempty"`
+	Simulations int      `json:"simulations"`
+	BIST        BISTJSON `json:"bist"`
+	// Word and Mport are the word-width and two-port evaluations of a unit
+	// with width > 1 or ports > 1, graded by core.
+	Word     *core.WordResult  `json:"word,omitempty"`
+	Mport    *core.MportResult `json:"mport,omitempty"`
+	Topo     *TopoJSON         `json:"topo,omitempty"`
+	Verify   *VerifyJSON       `json:"verify,omitempty"`
+	Optimize *OptimizeJSON     `json:"optimize,omitempty"`
 	// Error records a unit-level failure (e.g. a fault list the constrained
 	// generator cannot cover). Failed units are results, not run aborts: the
 	// error text is deterministic and the sweep continues.
@@ -254,7 +226,9 @@ func buildResult(ctx context.Context, u Unit, gen core.Result, err error) (UnitR
 			res.Error = fmt.Sprintf("unknown fault list %q", u.List)
 			return res, nil
 		}
-		diffs := oracle.CrossCheck(gen.Test, faults, sim.Config{Size: u.Size, ExhaustiveOrders: true})
+		// The generator's final report is sim's simulation of the test over
+		// this list under this configuration (generateForUnit).
+		diffs := oracle.CrossCheckReport(gen.Report, faults, sim.Config{Size: u.Size, ExhaustiveOrders: true})
 		vj := &VerifyJSON{Faults: len(faults), Divergences: len(diffs)}
 		if len(diffs) > 0 {
 			vj.First = diffs[0].String()
@@ -263,40 +237,24 @@ func buildResult(ctx context.Context, u Unit, gen core.Result, err error) (UnitR
 	}
 
 	if u.Width > 1 {
-		wfaults := word.TestableIntraWordFaults(u.Width)
-		bgs, err := word.Backgrounds(u.Width)
+		w, err := core.EvaluateWord(ctx, gen.Test, u.Width, u.Transparent)
 		if err != nil {
+			if ctx.Err() != nil {
+				return res, ctx.Err()
+			}
+			if w != nil {
+				// A transparent refusal keeps the plain section, and the
+				// record carries the word package's own text for it.
+				res.Word, err = w, errors.Unwrap(err)
+			}
 			res.Error = err.Error()
 			return res, nil
 		}
-		detected, err := word.Coverage(gen.Test, wfaults, bgs, word.Config{Words: 2, Width: u.Width})
-		if err != nil {
-			res.Error = err.Error()
-			return res, nil
-		}
-		res.Word = &WordJSON{
-			Width: u.Width, Backgrounds: len(bgs),
-			Faults: len(wfaults), Detected: detected,
-		}
-		if u.Transparent {
-			tt, err := word.Transparent(gen.Test)
-			if err != nil {
-				res.Error = err.Error()
-				return res, nil
-			}
-			td, err := word.TransparentCoverage(tt, wfaults, bgs, word.Config{Words: 2, Width: u.Width})
-			if err != nil {
-				res.Error = err.Error()
-				return res, nil
-			}
-			res.Word.Transparent = true
-			res.Word.TransparentTest = tt.String()
-			res.Word.TransparentDetected = td
-		}
+		res.Word = w
 	}
 
 	if u.Ports > 1 {
-		mres, err := core.EvaluateMport(ctx, gen.Test, u.Ports)
+		m, err := core.EvaluateMport(ctx, gen.Test, u.Ports)
 		if err != nil {
 			if ctx.Err() != nil {
 				return res, ctx.Err()
@@ -304,14 +262,7 @@ func buildResult(ctx context.Context, u Unit, gen core.Result, err error) (UnitR
 			res.Error = err.Error()
 			return res, nil
 		}
-		res.Mport = &MportJSON{
-			Ports:          mres.Ports,
-			Faults:         mres.Faults,
-			LiftedDetected: mres.LiftedDetected,
-			Test:           mres.Test,
-			TestLength:     mres.TestLength,
-			TestDetected:   mres.TestDetected,
-		}
+		res.Mport = m
 	}
 	return res, nil
 }

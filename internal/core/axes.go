@@ -84,7 +84,9 @@ func (o Options) validateAxes() error {
 // given width: the march-testable intra-word faults, the standard background
 // set, and — when transparent is set — the in-field transparent variant. It
 // is the single implementation behind Generate's word section, the verify
-// and simulate endpoints, and the campaign word axis.
+// and simulate endpoints, and the campaign word axis. A test that refuses
+// the transparent transform gets the section graded without it, together
+// with an error that wraps the refusal.
 func EvaluateWord(ctx context.Context, t march.Test, width int, transparent bool) (*WordResult, error) {
 	if width <= 1 {
 		return nil, nil
@@ -117,7 +119,7 @@ func EvaluateWord(ctx context.Context, t march.Test, width int, transparent bool
 	if transparent {
 		tt, err := word.Transparent(t)
 		if err != nil {
-			return nil, fmt.Errorf("core: transparent mode: %v", err)
+			return res, fmt.Errorf("core: transparent mode: %w", err)
 		}
 		td := 0
 		for _, f := range faults {

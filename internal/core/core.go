@@ -145,12 +145,7 @@ func (o Options) searchConfig() sim.Config {
 func (o Options) finalConfig() sim.Config {
 	c := o.FinalConfig
 	if c.Size <= 0 {
-		// Substitute the exhaustive default for the model parameters but
-		// keep the Workers bound the caller set: it never changes
-		// verdicts, only how the work is done.
-		d := sim.DefaultConfig()
-		d.Workers = c.Workers
-		c = d
+		c = sim.DefaultConfig()
 	}
 	return c
 }
@@ -280,7 +275,7 @@ func GenerateContext(ctx context.Context, faults []linked.Fault, opts Options) (
 		return Result{}, fmt.Errorf("core: generated test inconsistent: %v", err)
 	}
 	if opts.CertifyWithOracle {
-		if diffs := oracle.CrossCheck(cand, faults, opts.finalConfig()); len(diffs) > 0 {
+		if diffs := oracle.CrossCheckReport(report, faults, opts.finalConfig()); len(diffs) > 0 {
 			return Result{}, fmt.Errorf("core: oracle cross-check found %d divergence(s) on %q; first: %s",
 				len(diffs), cand.Name, diffs[0])
 		}

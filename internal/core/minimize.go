@@ -238,9 +238,7 @@ func Certify(t march.Test, faults []linked.Fault) (sim.Report, error) {
 // candidate that only the fast simulator believes in never lands.
 func CertifyWithOracle(t march.Test, faults []linked.Fault, cfg sim.Config) (sim.Report, error) {
 	if cfg.Size <= 0 {
-		d := sim.DefaultConfig()
-		d.Workers = cfg.Workers
-		cfg = d
+		cfg = sim.DefaultConfig()
 	}
 	if err := t.CheckConsistency(); err != nil {
 		return sim.Report{}, fmt.Errorf("core: certify %q: %v", t.Name, err)
@@ -252,7 +250,7 @@ func CertifyWithOracle(t march.Test, faults []linked.Fault, cfg sim.Config) (sim
 	if !r.Full() {
 		return r, fmt.Errorf("core: certify %q: %d/%d faults covered", t.Name, r.Detected(), r.Total())
 	}
-	if diffs := oracle.CrossCheck(t, faults, cfg); len(diffs) > 0 {
+	if diffs := oracle.CrossCheckReport(r, faults, cfg); len(diffs) > 0 {
 		return r, fmt.Errorf("core: certify %q: oracle cross-check found %d divergence(s); first: %s",
 			t.Name, len(diffs), diffs[0])
 	}

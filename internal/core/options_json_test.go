@@ -52,7 +52,7 @@ func TestOptionsJSONStableBytes(t *testing.T) {
 		Name:            "March GEN",
 		MaxSOLen:        11,
 		MaxRepairRounds: 4,
-		SearchConfig:    sim.Config{Size: 4, MaxAnyElements: 12, Workers: 2},
+		SearchConfig:    sim.Config{Size: 4, MaxAnyElements: 12},
 		FinalConfig:     sim.DefaultConfig(),
 	})
 	if err != nil {

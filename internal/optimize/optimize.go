@@ -198,9 +198,7 @@ func (o Options) lengthSlack() int {
 func (o Options) config() sim.Config {
 	c := o.Config
 	if c.Size <= 0 {
-		d := sim.DefaultConfig()
-		d.Workers = c.Workers
-		c = d
+		c = sim.DefaultConfig()
 	}
 	return c
 }

@@ -33,8 +33,9 @@ func (r Report) Verdicts() []sim.Verdict {
 	return out
 }
 
-// ConfigFromSim maps a sim.Config onto the oracle's scenario-space knobs.
-// The Workers field has no oracle counterpart (the oracle is sequential).
+// ConfigFromSim maps a sim.Config onto the oracle's scenario-space knobs:
+// memory size, ⇕ expansion and its cap. The oracle is sequential; sim's
+// fan-out, which sim decides from the work, has no counterpart here.
 func ConfigFromSim(cfg sim.Config) Config {
 	return Config{
 		Size:             cfg.Size,
@@ -49,7 +50,13 @@ func ConfigFromSim(cfg sim.Config) Config {
 // trace, or one side erroring where the other succeeds. An empty result
 // means the two independent implementations agree on the whole list.
 func CrossCheck(t march.Test, faults []linked.Fault, cfg sim.Config) []sim.VerdictDiff {
-	simRep := sim.Simulate(t, faults, cfg)
-	oraRep := Simulate(t, faults, ConfigFromSim(cfg))
-	return sim.DiffVerdicts(simRep.Verdicts(), oraRep.Verdicts())
+	return CrossCheckReport(sim.Simulate(t, faults, cfg), faults, cfg)
+}
+
+// CrossCheckReport is CrossCheck for a caller that holds the production
+// simulator's report already: rep must be sim.Simulate of rep.Test over the
+// faults under cfg. Only the oracle simulates the test again.
+func CrossCheckReport(rep sim.Report, faults []linked.Fault, cfg sim.Config) []sim.VerdictDiff {
+	oraRep := Simulate(rep.Test, faults, ConfigFromSim(cfg))
+	return sim.DiffVerdicts(rep.Verdicts(), oraRep.Verdicts())
 }

@@ -79,3 +79,22 @@ func TestCrossCheckSeesDivergence(t *testing.T) {
 		t.Errorf("length mismatch not reported: %v", diffs)
 	}
 }
+
+// TestCrossCheckReportDiffsTheReportInHand: CrossCheckReport judges the
+// report it is given rather than simulating the test with sim again, so it
+// agrees with CrossCheck on sim's own report and sees a verdict doctored in
+// that report.
+func TestCrossCheckReportDiffsTheReportInHand(t *testing.T) {
+	faults := faultlist.List2()
+	cfg := sim.DefaultConfig()
+	rep := sim.Simulate(march.MarchLF1, faults, cfg)
+	if got, want := CrossCheckReport(rep, faults, cfg), CrossCheck(march.MarchLF1, faults, cfg); len(got) != 0 || len(want) != 0 {
+		t.Fatalf("CrossCheckReport %v, CrossCheck %v: want agreement", got, want)
+	}
+	rep.Results = append([]sim.Result(nil), rep.Results...)
+	rep.Results[0].Detected = !rep.Results[0].Detected
+	diffs := CrossCheckReport(rep, faults, cfg)
+	if len(diffs) == 0 || diffs[0].Fault != faults[0].ID() {
+		t.Fatalf("doctored verdict of %s not reported: %v", faults[0].ID(), diffs)
+	}
+}

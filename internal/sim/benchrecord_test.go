@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"os/exec"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,12 +38,20 @@ type benchEntry struct {
 	SpeedupVsScalar float64 `json:"speedup_vs_scalar,omitempty"`
 }
 
+// benchFile is the record; its header carries the fields BENCH_gen.json
+// does, so a reader knows what machine and which code each number is from.
 type benchFile struct {
-	Generated string       `json:"generated"`
-	Config    string       `json:"config"`
-	Note      string       `json:"note"`
-	Baseline  []benchEntry `json:"baseline"`
-	Current   []benchEntry `json:"current"`
+	Generated  string       `json:"generated"`
+	Commit     string       `json:"commit"`
+	GoVersion  string       `json:"go_version"`
+	NProc      int          `json:"nproc"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	Reps       int          `json:"reps"`
+	Clock      string       `json:"clock"`
+	Config     string       `json:"config"`
+	Note       string       `json:"note"`
+	Baseline   []benchEntry `json:"baseline"`
+	Current    []benchEntry `json:"current"`
 	// Lanes holds the same workloads under the default engine choice;
 	// Current is pinned to the scalar compiled schedule, so the three
 	// sections record the full history: per-scenario baseline → compiled
@@ -97,8 +108,14 @@ func TestBenchRecord(t *testing.T) {
 	}
 
 	out := benchFile{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Config:    "sim.DefaultConfig(): 4 cells, exhaustive ⇕ expansion",
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		Commit:     benchCommit(),
+		GoVersion:  runtime.Version(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Reps:       1,
+		Clock:      "wall time per op of one testing.Benchmark run (about 1 s) per entry",
+		Config:     "sim.DefaultConfig(): 4 cells, exhaustive ⇕ expansion",
 		Note: "baseline = per-scenario simulator before the compiled-schedule layer; " +
 			"current = compiled schedule with lanes disabled; lanes = default bit-parallel engine; " +
 			"scenarios/sec = scenarios / (ns_per_op / 1e9)",
@@ -128,4 +145,18 @@ func TestBenchRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("wrote", *benchRecord)
+}
+
+// benchCommit names the code the record measures: the checkout's HEAD, and
+// a note when the working tree differs from it.
+func benchCommit() string {
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	commit := strings.TrimSpace(string(head))
+	if dirty, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(dirty) > 0 {
+		commit += " + working tree"
+	}
+	return commit
 }

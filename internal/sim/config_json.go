@@ -2,15 +2,10 @@ package sim
 
 import "encoding/json"
 
-// Canonical returns the configuration with every default made explicit and
-// every result-irrelevant knob normalized:
-//
-//   - Size and MaxAnyElements are filled with their documented defaults, so
-//     a zero-value Config and a spelled-out default Config canonicalize to
-//     the same value;
-//   - Workers is zeroed — it only controls how the simulation executes,
-//     never its verdicts, so configurations differing only in it are the
-//     same simulation.
+// Canonical returns the configuration with every default made explicit:
+// Size and MaxAnyElements are filled with their documented defaults, so a
+// zero-value Config and a spelled-out default Config canonicalize to the
+// same value.
 //
 // Canonical is idempotent. It is the normal form behind the JSON codec and
 // behind content-addressed caching of simulation results (the marchd result
@@ -20,7 +15,6 @@ func (c Config) Canonical() Config {
 	if c.MaxAnyElements <= 0 {
 		c.MaxAnyElements = 12
 	}
-	c.Workers = 0
 	// Width and Ports are identity-bearing, but their bit-oriented /
 	// single-port defaults are normalized to 0 and omitted from the wire so
 	// pre-axis requests and explicit width=1/ports=1 requests share one
@@ -35,9 +29,7 @@ func (c Config) Canonical() Config {
 }
 
 // configJSON is the wire form of a simulator configuration. Field order is
-// fixed by this struct, defaults are always written explicitly, and Workers
-// deliberately does not travel: it is an execution detail, not part of the
-// simulation's identity.
+// fixed by this struct and defaults are always written explicitly.
 type configJSON struct {
 	Size             int  `json:"size"`
 	ExhaustiveOrders bool `json:"exhaustive_orders"`

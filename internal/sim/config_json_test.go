@@ -8,19 +8,11 @@ import (
 
 func TestConfigCanonicalFillsDefaults(t *testing.T) {
 	c := Config{}.Canonical()
-	if c.Size != 4 || c.MaxAnyElements != 12 || c.Workers != 0 {
+	if c.Size != 4 || c.MaxAnyElements != 12 {
 		t.Fatalf("zero config canonicalized to %+v", c)
 	}
 	if got := c.Canonical(); got != c {
 		t.Fatalf("Canonical not idempotent: %+v vs %+v", got, c)
-	}
-}
-
-func TestConfigCanonicalDropsWorkers(t *testing.T) {
-	a := Config{Size: 4, ExhaustiveOrders: true, Workers: 1}
-	b := Config{Size: 4, ExhaustiveOrders: true, Workers: 16}
-	if a.Canonical() != b.Canonical() {
-		t.Fatalf("configs differing only in Workers canonicalize differently")
 	}
 }
 
@@ -32,7 +24,7 @@ func TestConfigJSONStableBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := json.Marshal(Config{Size: 4, MaxAnyElements: 12, Workers: 8})
+	full, err := json.Marshal(Config{Size: 4, MaxAnyElements: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +34,7 @@ func TestConfigJSONStableBytes(t *testing.T) {
 }
 
 func TestConfigJSONRoundTrip(t *testing.T) {
-	in := Config{Size: 6, ExhaustiveOrders: true, MaxAnyElements: 9, Workers: 3}
+	in := Config{Size: 6, ExhaustiveOrders: true, MaxAnyElements: 9}
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)

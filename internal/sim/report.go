@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -129,9 +130,9 @@ func (r Report) Summary() string {
 }
 
 // Simulate runs the test against every fault in the list, compiling the
-// simulation schedule once and fanning out across Config.Workers goroutines.
-// Result order matches the fault list. An empty fault list returns an empty
-// report without spawning workers.
+// simulation schedule once; the schedule's Simulate fans the faults out when
+// the work pays for it. Result order matches the fault list. An empty fault
+// list returns an empty report.
 func Simulate(t march.Test, faults []linked.Fault, cfg Config) Report {
 	if len(faults) == 0 {
 		return Report{Test: t}
@@ -149,37 +150,69 @@ func Simulate(t march.Test, faults []linked.Fault, cfg Config) Report {
 	return s.Simulate(faults)
 }
 
-// Simulate runs the schedule's test against every fault in the list, fanning
-// out across Config.Workers goroutines with machines drawn from the
-// schedule's pool. Result order matches the fault list.
+// Simulate runs the schedule's test against every fault in the list, with
+// machines drawn from the schedule's pool, fanning out as fanOut decides
+// from the trie's work over the list. Result order matches the fault list.
 func (s *Schedule) Simulate(faults []linked.Fault) Report {
 	if len(faults) == 0 {
 		return Report{Test: s.test}
 	}
 	results := make([]Result, len(faults))
-	s.fanOut(s.cfg.workers(), len(faults), func(m *machine, i int) bool {
+	s.fanOut(s.work(faults), len(faults), func(m *machine, i int) bool {
 		results[i] = s.result(m, faults[i])
 		return false
 	})
 	return Report{Test: s.test, Results: results}
 }
 
-// fanOut calls fn for the indices below n across up to workers goroutines,
-// each with its own machine from the schedule's pool, and returns the lowest
-// index at which fn returned true, or n when it never did. Indices are
-// claimed in ascending order; once fn has returned true at index i no index
-// above i starts, but every index below i still runs, so the result is the
-// index a sequential scan stops at, whatever the number of workers. The
-// calling goroutine runs index 0 before any other starts, so a stop there
-// (a fail-first caller puts its likeliest stop first) costs no goroutine,
-// and then works as one of the workers.
-func (s *Schedule) fanOut(workers, n int, fn func(m *machine, i int) (stop bool)) int {
+// minFanOutSteps is the least work, in operation steps, that fanOut spreads
+// over goroutines: about 0.6 ms of lane simulation at the ~19 ns a step
+// takes on a 2.1 GHz Intel Xeon. A goroutine, its wake-up and the woken P's
+// spinning cost a smaller call more than they save.
+const minFanOutSteps = 1 << 15
+
+// walks estimates how many times simulating f walks a trie on size cells:
+// once for a fault canClassCache admits, whose scenarios the lanes run
+// together, and once per placement and initial value for any other fault,
+// whose scenarios the scalar path runs one by one.
+func walks(f linked.Fault, size int) int {
+	if canClassCache(f) {
+		return 1
+	}
+	return scenarios(f.Cells, size)
+}
+
+// work estimates, in operation steps, what simulating the faults on the
+// schedule's test costs.
+func (s *Schedule) work(faults []linked.Fault) int {
+	n := 0
+	for _, f := range faults {
+		n += walks(f, s.size)
+	}
+	return n * s.steps
+}
+
+// fanOut calls fn for the indices below n and returns the lowest index at
+// which fn returned true, or n when it never did. It alone decides how a
+// call runs, from work, the call's estimate in operation steps: below
+// minFanOutSteps every index runs in turn on the caller, above it up to
+// GOMAXPROCS goroutines share them, each with its own machine from the
+// schedule's pool. Indices are claimed in ascending order; once fn has
+// returned true at index i no index above i starts, but every index below i
+// still runs, so the result is the index a sequential scan stops at,
+// whatever the number of goroutines. The caller runs index 0 before any
+// other starts, so a stop there (a fail-first caller puts its likeliest
+// stop first) costs no goroutine, and then works as one of the goroutines.
+func (s *Schedule) fanOut(work, n int, fn func(m *machine, i int) (stop bool)) int {
 	if n == 0 {
 		return 0
 	}
 	m := s.getMachine()
 	defer s.putMachine(m)
-	workers = min(workers, n)
+	workers := 1
+	if work >= minFanOutSteps {
+		workers = min(runtime.GOMAXPROCS(0), n)
+	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if fn(m, i) {
@@ -201,7 +234,7 @@ func (s *Schedule) fanOut(workers, n int, fn func(m *machine, i int) (stop bool)
 	}
 	claim.next.Store(1)
 	claim.lowest.Store(int64(n))
-	work := func(m *machine) {
+	run := func(m *machine) {
 		for {
 			i := claim.next.Add(1) - 1
 			if i >= claim.lowest.Load() {
@@ -225,10 +258,10 @@ func (s *Schedule) fanOut(workers, n int, fn func(m *machine, i int) (stop bool)
 			defer wg.Done()
 			m := s.getMachine()
 			defer s.putMachine(m)
-			work(m)
+			run(m)
 		}()
 	}
-	work(m)
+	run(m)
 	wg.Wait()
 	return int(claim.lowest.Load())
 }

@@ -50,11 +50,9 @@ import (
 // the whole checkpointed test, a resume skips every fault the checkpointed
 // test detects, lane-planned or not: appending elements never loses a
 // detection.
-
-// minFanOutSteps is the fewest operation steps, summed over the faults to
-// simulate, for which a resume fans out over Config.Workers: about 0.6 ms
-// of lane simulation at the ~19 ns a step takes on a 2.1 GHz Intel Xeon.
-const minFanOutSteps = 1 << 15
+//
+// A resume fans out when fanOut finds its work large enough: a lane-planned
+// fault walks the suffix, any other fault the edited test (walks).
 
 // Checkpoint is a test simulated once over a fault list, keeping every
 // fault's state at every element boundary, so that the test edited from any
@@ -101,8 +99,8 @@ type faultStates struct {
 }
 
 // Checkpoint simulates the schedule's test over the fault list, fanning out
-// like Simulate, and keeps every fault's boundary states. It fails with the
-// first simulation error in fault-list order, the error Simulate's
+// as Simulate does, and keeps every fault's boundary states. It fails with
+// the first simulation error in fault-list order, the error Simulate's
 // Report.Err returns.
 func (s *Schedule) Checkpoint(faults []linked.Fault) (*Checkpoint, error) {
 	c := &Checkpoint{
@@ -111,7 +109,7 @@ func (s *Schedule) Checkpoint(faults []linked.Fault) (*Checkpoint, error) {
 		faults: append([]linked.Fault(nil), faults...),
 		states: make([]faultStates, len(faults)),
 	}
-	if i := s.fanOut(s.cfg.workers(), len(faults), func(m *machine, i int) bool {
+	if i := s.fanOut(s.work(faults), len(faults), func(m *machine, i int) bool {
 		fs := &c.states[i]
 		if fs.err = validateBindings(faults[i]); fs.err != nil {
 			return true
@@ -191,7 +189,7 @@ func (c *Checkpoint) Resume(t march.Test, missed []int) ([]int, error) {
 
 // Covers is Resume stopping at the first miss: it reports whether t detects
 // every fault and, when it does not, the index into Faults of the first
-// fault it misses. The answer does not depend on Config.Workers. Commit may
+// fault it misses. The answer does not depend on GOMAXPROCS. Commit may
 // follow only a Covers that reports full coverage, since a Covers that
 // stops leaves later faults unsimulated.
 func (c *Checkpoint) Covers(t march.Test) (bool, int, error) {
@@ -321,9 +319,10 @@ func (c *Checkpoint) resume(t march.Test, stop bool) (int, error) {
 
 	// The faults to simulate: every other one is detected by the prefix
 	// (a lane fault with no state at b) or, when the edit only appends, by
-	// the checkpointed test.
+	// the checkpointed test. work counts the steps of their walks.
 	c.todo = c.todo[:0]
 	var full *Schedule
+	work, fullWalks := 0, 0
 	for i := range c.states {
 		fs := &c.states[i]
 		lanes := fs.plan != nil && sfx.laneWrites
@@ -332,25 +331,22 @@ func (c *Checkpoint) resume(t march.Test, stop bool) (int, error) {
 		}
 		fs.next, fs.nextMissed, fs.err = fs.next[:0], false, nil
 		c.todo = append(c.todo, i)
-		if !lanes && full == nil {
-			// It runs on the compiled edited test.
+		if lanes {
+			work += sfx.steps
+			continue
+		}
+		fullWalks += walks(c.faults[i], s.size)
+		if full == nil {
 			var err error
 			if full, err = NewSchedule(t, s.cfg); err != nil {
 				return 0, err
 			}
 		}
 	}
-
-	// A fan-out costs a goroutine, a wake-up and the woken P's spinning;
-	// most resumes are too small to earn them back.
-	workers, steps := 1, 0
-	for i := range sfx.segs {
-		steps += len(sfx.segs[i].steps)
+	if full != nil {
+		work += fullWalks * full.steps
 	}
-	if steps*len(c.todo) >= minFanOutSteps {
-		workers = s.cfg.workers()
-	}
-	j := s.fanOut(workers, len(c.todo), func(m *machine, j int) bool {
+	j := s.fanOut(work, len(c.todo), func(m *machine, j int) bool {
 		fs := &c.states[c.todo[j]]
 		fs.nextMissed, fs.err = c.simulate(m, c.todo[j], b, &sfx, full, stop)
 		return fs.err != nil || stop && fs.nextMissed

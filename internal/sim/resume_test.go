@@ -211,41 +211,53 @@ func TestResumeEdgeCases(t *testing.T) {
 }
 
 // The checkpoint fails with the first simulation error in fault-list order,
-// the error Simulate's Report.Err returns, at any worker count.
+// the error Simulate's Report.Err returns, at any GOMAXPROCS. Two faults that
+// fail at once, a bad binding and a three-cell fault on three cells, sit
+// side by side in the middle of a list long enough to fan out, so they race
+// in neighbouring goroutines.
 func TestCheckpointFirstError(t *testing.T) {
-	good := faultlist.List2()[0]
-	bad := good
-	bad.FPs = append([]linked.Binding(nil), good.FPs...)
-	bad.FPs[0].V = good.Cells
+	var fit []linked.Fault // the faults a three-cell memory places
+	for _, f := range append(faultlist.List1(), faultlist.Dynamic()...) {
+		if f.Cells < 3 {
+			fit = append(fit, f)
+		}
+	}
+	bad := fit[0]
+	bad.FPs = append([]linked.Binding(nil), bad.FPs...)
+	bad.FPs[0].V = bad.Cells
 	threeCell := faultlist.List1()[len(faultlist.List1())-1]
 	if threeCell.Cells != 3 {
 		t.Fatalf("%s has %d cells, want a three-cell fault", threeCell.ID(), threeCell.Cells)
 	}
-	for _, faults := range [][]linked.Fault{
-		{good, bad, threeCell},
-		{good, threeCell, bad},
-	} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			s, err := NewSchedule(march.MarchCMinus, Config{Size: 3, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := s.Simulate(faults).Err()
-			_, err = s.Checkpoint(faults)
-			if err == nil || want == nil || err.Error() != want.Error() {
-				t.Errorf("workers %d: Checkpoint error %v, Report.Err %v", workers, err, want)
+	s, err := NewSchedule(march.MarchSS, Config{Size: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][]linked.Fault{{bad, threeCell}, {threeCell, bad}} {
+		faults := slices.Insert(slices.Clone(fit), len(fit)/2, pair...)
+		aboveGate(t, s, faults)
+		want := s.Simulate(faults).Err()
+		if want == nil {
+			t.Fatal("Simulate reports no error")
+		}
+		for _, procs := range fanOutProcs {
+			setProcs(t, procs)
+			for range 3 {
+				if _, err := s.Checkpoint(faults); err == nil || err.Error() != want.Error() {
+					t.Errorf("GOMAXPROCS %d, %s first: Checkpoint error %v, Report.Err %v", procs, pair[0].ID(), err, want)
+				}
 			}
 		}
 	}
 }
 
-// The boundary checkpoint answers as a sequential scan does, whatever
-// Config.Workers is: the same missed set when built, the same missed set
+// The boundary checkpoint answers as a sequential scan does, at any
+// GOMAXPROCS: the same missed set when built, the same missed set
 // from every Resume, the same first miss from every Covers, and the same
 // missed set after a Commit. March SS misses part of List1; dropping each of
 // its elements in turn, and committing one drop, leaves resumes from the
 // first boundaries with enough steps to fan out (minFanOutSteps), so misses
-// race in neighbouring workers.
+// race in neighbouring goroutines.
 func TestCheckpointDeterministic(t *testing.T) {
 	faults := append(faultlist.List1(), faultlist.Dynamic()...)
 	test := march.MarchSS
@@ -262,11 +274,13 @@ func TestCheckpointDeterministic(t *testing.T) {
 		return out
 	}
 	var want answers
-	for _, workers := range []int{1, 2, 4, 8} {
-		s, err := NewSchedule(test, Config{Size: 4, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+	s, err := NewSchedule(test, Config{Size: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aboveGate(t, s, faults)
+	for _, procs := range fanOutProcs {
+		setProcs(t, procs)
 		cp, err := s.Checkpoint(faults)
 		if err != nil {
 			t.Fatal(err)
@@ -291,7 +305,7 @@ func TestCheckpointDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if full != (len(missed) == 0) {
-				t.Errorf("workers %d, dropping element %d: Covers says %t, Resume misses %d", workers, b, full, len(missed))
+				t.Errorf("GOMAXPROCS %d, dropping element %d: Covers says %t, Resume misses %d", procs, b, full, len(missed))
 			}
 			got.first = append(got.first, first)
 			if b == 4 {
@@ -303,13 +317,13 @@ func TestCheckpointDeterministic(t *testing.T) {
 				got.missed = append(got.missed, ids(cp.Missed())...)
 			}
 		}
-		if workers == 1 {
+		if procs == 1 {
 			want = got
 			continue
 		}
 		if !slices.Equal(got.missed, want.missed) || !slices.Equal(got.first, want.first) ||
 			!slices.EqualFunc(got.resume, want.resume, slices.Equal[[]int]) {
-			t.Errorf("workers %d answer %v, one worker %v", workers, got, want)
+			t.Errorf("GOMAXPROCS %d answer %v, one P %v", procs, got, want)
 		}
 	}
 }

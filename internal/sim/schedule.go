@@ -33,7 +33,7 @@ import (
 //     reads compare the faulty value against the cached trace. Between
 //     elements the trace is the same at every address (compileElemSteps).
 //
-// Machines are pooled (sync.Pool) across the worker fan-out of Simulate and
+// Machines are pooled (sync.Pool) across the fan-out of Simulate and
 // Checkpoint, so steady-state simulation does not allocate per fault.
 //
 // This is the package's one implementation of the fault semantics: verdicts,
@@ -77,6 +77,7 @@ type trie struct {
 	segs  []segment
 	roots []int // segment indices of the first element's order choices
 	elems int   // number of elements, the trie's depth
+	steps int   // operation steps over all segments, the cost of one walk
 	// laneWrites reports that every write of every element carries a
 	// binary value, a precondition of the one-bit-per-cell lane encoding
 	// (lanes.go). Library tests always satisfy it; only hand-built tests
@@ -159,6 +160,7 @@ func compileTrie(elems []march.Element, cfg Config, size int, entryWritten bool,
 			}
 		}
 		t.segs = append(t.segs, seg)
+		t.steps += len(steps)
 		return len(t.segs) - 1
 	}
 
@@ -282,11 +284,17 @@ func (s *Schedule) ScenarioCount(f linked.Fault) (int, error) {
 	if f.Cells >= s.size {
 		return 0, fmt.Errorf("sim: memory of %d cells cannot place a %d-cell fault with a bystander", s.size, f.Cells)
 	}
-	placements := 1
-	for i := 0; i < f.Cells; i++ {
-		placements *= s.size - i
+	return scenarios(f.Cells, s.size) * len(s.orderSets), nil
+}
+
+// scenarios returns the scenarios of a k-cell fault on size cells under one
+// order combination: its placements times its cells' initial values.
+func scenarios(k, size int) int {
+	n := 1 << k
+	for i := 0; i < k; i++ {
+		n *= size - i
 	}
-	return placements * (1 << f.Cells) * len(s.orderSets), nil
+	return n
 }
 
 func (s *Schedule) getMachine() *machine  { return s.pool.Get().(*machine) }

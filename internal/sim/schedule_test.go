@@ -75,24 +75,24 @@ func TestScheduleScenarioCount(t *testing.T) {
 
 // TestFullCoverageDeterministic pins the from-scratch coverage scan's
 // contract: Covers on a checkpoint of the empty test resumes the whole test
-// from boundary 0, and whatever Config.Workers is, it ends where the
-// sequential fault-list scan does, at the same first miss. A fault that
-// fails to simulate, right before or right after that miss, fails the
-// checkpoint's build with its own error at any worker count.
+// from boundary 0, and at any GOMAXPROCS it ends where the sequential
+// fault-list scan does, at the same first miss. A fault that fails to
+// simulate, right before or right after that miss, fails the build of the
+// test's checkpoint with its own error at any GOMAXPROCS.
 func TestFullCoverageDeterministic(t *testing.T) {
 	list := faultlist.List1()
 	test := march.MarchSS // misses part of List1, so there is a miss to race for
 
-	checkpoint := func(faults []linked.Fault, workers int) (*Checkpoint, error) {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		s, err := NewSchedule(march.Test{Name: "empty"}, cfg)
+	schedule := func(mt march.Test) *Schedule {
+		s, err := NewSchedule(mt, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Checkpoint(faults)
+		return s
 	}
-	cp, err := checkpoint(list, 1)
+	empty, sched := schedule(march.Test{Name: "empty"}), schedule(test)
+	aboveGate(t, sched, list) // the resume from boundary 0 walks all of test
+	cp, err := empty.Checkpoint(list)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,28 +108,29 @@ func TestFullCoverageDeterministic(t *testing.T) {
 	bad.FPs = append([]linked.Binding(nil), bad.FPs...)
 	bad.FPs[0].V = bad.Cells
 	wantErr := validateBindings(bad)
-	for _, workers := range []int{1, 2, 4, 8} {
+	for _, procs := range fanOutProcs {
+		setProcs(t, procs)
 		for rep := 0; rep < 3; rep++ {
-			cp, err := checkpoint(list, workers)
+			cp, err := empty.Checkpoint(list)
 			if err != nil {
 				t.Fatal(err)
 			}
 			full, miss, err := cp.Covers(test)
 			if err != nil {
-				t.Fatalf("workers=%d rep=%d: %v", workers, rep, err)
+				t.Fatalf("GOMAXPROCS %d rep=%d: %v", procs, rep, err)
 			}
 			if full || miss != first {
-				t.Fatalf("workers=%d rep=%d: got (%v, %d), the sequential scan misses faults[%d] (%s) first",
-					workers, rep, full, miss, first, list[first].ID())
+				t.Fatalf("GOMAXPROCS %d rep=%d: got (%v, %d), the sequential scan misses faults[%d] (%s) first",
+					procs, rep, full, miss, first, list[first].ID())
 			}
 			for _, c := range []struct {
 				name string
 				at   int
 			}{{"error before the first miss", first}, {"error after the first miss", first + 1}} {
-				_, err := checkpoint(slices.Insert(slices.Clone(list), c.at, bad), workers)
+				_, err := sched.Checkpoint(slices.Insert(slices.Clone(list), c.at, bad))
 				if err == nil || err.Error() != wantErr.Error() {
-					t.Fatalf("%s workers=%d rep=%d: got %v, want the bad fault's error %q",
-						c.name, workers, rep, err, wantErr)
+					t.Fatalf("%s GOMAXPROCS %d rep=%d: got %v, want the bad fault's error %q",
+						c.name, procs, rep, err, wantErr)
 				}
 			}
 		}
@@ -164,12 +165,11 @@ func TestEmptyFaultList(t *testing.T) {
 	}
 }
 
-// TestSimulateMatchesDetectsFault checks the worker fan-out returns the same
-// per-fault outcomes as one-at-a-time calls, in fault-list order.
+// TestSimulateMatchesDetectsFault checks Simulate returns the same per-fault
+// outcomes as one-at-a-time calls, in fault-list order.
 func TestSimulateMatchesDetectsFault(t *testing.T) {
 	faults := faultlist.List2()
 	cfg := DefaultConfig()
-	cfg.Workers = 4
 	r := Simulate(march.MarchABL1, faults, cfg)
 	if got := r.Total(); got != len(faults) {
 		t.Fatalf("Total() = %d, want %d", got, len(faults))

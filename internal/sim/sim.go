@@ -21,7 +21,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"marchgen/internal/fp"
@@ -38,9 +37,6 @@ type Config struct {
 	// orders and requires detection under all combinations. When false, ⇕
 	// iterates upward (the paper's convention for generation-time checks).
 	ExhaustiveOrders bool
-	// Workers bounds the number of goroutines Simulate uses across faults.
-	// 0 means GOMAXPROCS.
-	Workers int
 	// MaxAnyElements caps the ⇕ expansion to keep the scenario space
 	// bounded; 0 means the default of 12 (4096 order combinations).
 	MaxAnyElements int
@@ -77,13 +73,6 @@ func (c Config) size() int {
 		return 4
 	}
 	return c.Size
-}
-
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
 }
 
 // Scenario is one concrete simulation instance: a placement of the fault's

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
+	"marchgen/internal/faultlist"
 	"marchgen/internal/fp"
 	"marchgen/internal/linked"
 	"marchgen/internal/march"
@@ -246,29 +250,116 @@ func TestScenarioString(t *testing.T) {
 	}
 }
 
+// fanOutProcs are the GOMAXPROCS values the fan-out determinism tests
+// compare with the one-P answer.
+var fanOutProcs = []int{1, 2, 4, 8}
+
+// setProcs sets GOMAXPROCS to n until the test ends.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// aboveGate fails the test unless simulating the faults on the schedule is
+// work enough to fan out.
+func aboveGate(t *testing.T, s *Schedule, faults []linked.Fault) {
+	t.Helper()
+	if w := s.work(faults); w < minFanOutSteps {
+		t.Fatalf("%s over %d faults is %d steps of work, below the fan-out gate %d",
+			s.test.Name, len(faults), w, minFanOutSteps)
+	}
+}
+
+// TestSimulateParallelDeterministic pins Simulate's fan-out to the one-P
+// answer: at any GOMAXPROCS the same verdicts and witnesses, in fault-list
+// order, over lane and scalar (dynamic) faults alike.
 func TestSimulateParallelDeterministic(t *testing.T) {
-	faults := []linked.Fault{
-		mustSimple(t, "<0w1/0/->"),
-		mustSimple(t, "<0w0/1/->"),
-		mustSimple(t, "<0r0/1/1>"),
-		mustSimple(t, "<0w1;0/1/->"),
-		mustSimple(t, "<1;1w0/1/->"),
+	faults := append(faultlist.List1(), faultlist.Dynamic()...)
+	s, err := NewSchedule(march.MarchSS, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg1 := DefaultConfig()
-	cfg1.Workers = 1
-	cfg8 := DefaultConfig()
-	cfg8.Workers = 8
-	r1 := Simulate(march.MarchSS, faults, cfg1)
-	r8 := Simulate(march.MarchSS, faults, cfg8)
-	if r1.Total() != r8.Total() {
-		t.Fatal("totals differ")
-	}
-	for i := range r1.Results {
-		if r1.Results[i].Detected != r8.Results[i].Detected {
-			t.Errorf("fault %d: worker counts disagree", i)
+	aboveGate(t, s, faults)
+	var want []Verdict
+	for _, procs := range fanOutProcs {
+		setProcs(t, procs)
+		got := s.Simulate(faults).Verdicts()
+		if procs == 1 {
+			for i, v := range got {
+				if v.Fault != faults[i].ID() {
+					t.Fatalf("result %d is %s, want %s: result order broken", i, v.Fault, faults[i].ID())
+				}
+			}
+			want = got
+			continue
 		}
-		if r1.Results[i].Fault.ID() != faults[i].ID() {
-			t.Errorf("fault %d: result order broken", i)
+		if !slices.Equal(got, want) {
+			t.Errorf("GOMAXPROCS %d: %v", procs, DiffVerdicts(got, want))
+		}
+	}
+}
+
+// TestFanOutGate pins fanOut's one rule through the allocations a fan-out
+// makes, a goroutine, its claim counters and a second machine: a call whose
+// work is below minFanOutSteps runs on the caller, so it allocates as much
+// at GOMAXPROCS 2 as on one P, and a call above it fans out. It counts with
+// runtime.ReadMemStats, since testing.AllocsPerRun pins GOMAXPROCS to 1, and
+// keeps the fewest of a few runs against the runtime's own allocations.
+func TestFanOutGate(t *testing.T) {
+	allocs := func(procs int, fn func()) uint64 {
+		setProcs(t, procs)
+		fewest := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fn()
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest
+	}
+	cfg := DefaultConfig()
+	for _, c := range []struct {
+		name    string
+		test    march.Test
+		faults  []linked.Fault
+		build   bool // a checkpoint build rather than Simulate
+		fansOut bool
+	}{
+		{"March LF1 × List #2 Simulate", march.MarchLF1, faultlist.List2(), false, false},
+		{"March SL × List #1 Simulate", march.MarchSL, faultlist.List1(), false, true},
+		{"March SL × List #1 checkpoint build", march.MarchSL, faultlist.List1(), true, true},
+	} {
+		s, err := NewSchedule(c.test, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.work(c.faults) >= minFanOutSteps; got != c.fansOut {
+			t.Fatalf("%s: %d steps of work, above the gate %t, want %t", c.name, s.work(c.faults), got, c.fansOut)
+		}
+		run := func() {
+			// A fresh schedule each run, so a fan-out's second machine is
+			// never a pooled one.
+			s, err := NewSchedule(c.test, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.build {
+				_, err = s.Checkpoint(c.faults)
+			} else {
+				err = s.Simulate(c.faults).Err()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		one, two := allocs(1, run), allocs(2, run)
+		if c.fansOut && two <= one {
+			t.Errorf("%s: %d allocations at GOMAXPROCS 2, %d on one P: no fan-out above the gate", c.name, two, one)
+		}
+		if !c.fansOut && two != one {
+			t.Errorf("%s: %d allocations at GOMAXPROCS 2, %d on one P: a fan-out below the gate", c.name, two, one)
 		}
 	}
 }

@@ -128,18 +128,3 @@ func runTransparent(t march.Test, f Fault, bg Background, cfg Config) (bool, err
 	}
 	return false, nil
 }
-
-// TransparentCoverage counts how many intra-word faults the transparent test
-// detects under the representative content set.
-func TransparentCoverage(t march.Test, faults []Fault, bgs []Background, cfg Config) (detected int, err error) {
-	for _, f := range faults {
-		d, err := DetectsTransparent(t, f, bgs, cfg)
-		if err != nil {
-			return detected, err
-		}
-		if d {
-			detected++
-		}
-	}
-	return detected, nil
-}

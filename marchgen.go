@@ -98,7 +98,7 @@ func ParseOrderConstraint(s string) (OrderConstraint, error) {
 // DefaultSimConfig returns the default exhaustive simulator configuration
 // (4-cell memory, every placement, every initial value, every concrete ⇕
 // order) — the starting point for callers that want to adjust one knob
-// (e.g. Size or Workers) before calling SimulateWith.
+// (e.g. Size or Width) before calling SimulateWith.
 func DefaultSimConfig() SimConfig {
 	return sim.DefaultConfig()
 }
@@ -378,7 +378,8 @@ func TransparentMarch(t March) (March, error) {
 }
 
 // EvaluateWord grades a march test on the word axis (and, optionally, its
-// transparent variant). Nil result when width <= 1.
+// transparent variant). Nil result when width <= 1. A test that refuses the
+// transparent transform gets the plain section with the error.
 func EvaluateWord(ctx context.Context, t March, width int, transparent bool) (*WordResult, error) {
 	return core.EvaluateWord(ctx, t, width, transparent)
 }

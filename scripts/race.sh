@@ -1,7 +1,7 @@
 #!/bin/sh
 # Race-detector gate for the packages with concurrent hot paths: the
-# simulator's worker fan-out (Schedule.Simulate, Schedule.Checkpoint and
-# its resumes, sync.Pool machine reuse), the generator loops driving them,
+# simulator's fan-out over faults (Schedule.Simulate, Schedule.Checkpoint
+# and its resumes, sync.Pool machine reuse), the generator loops driving them,
 # the marchd service layer (job engine worker pool, result cache, metrics,
 # concurrent HTTP clients), and the campaign engine (shard worker pool,
 # in-order committer, generation memo) with its durable store. The
@@ -16,8 +16,8 @@
 # ./internal/sim/..., so the lane kernels and planLanes' scalar-fallback
 # handoff are raced here too.
 # The march optimizer rides along: its search loop is sequential, but every
-# fitness evaluation is a Checkpoint.Covers resume, which fans out over the
-# workers once it is large enough, and the service's /v1/optimize job runs
+# fitness evaluation is a Checkpoint.Covers resume, which fans out over
+# goroutines once its work is large enough, and the service's /v1/optimize job runs
 # it from the job-engine pool.
 # The distributed fabric rides along: its cluster tests run a coordinator
 # and several workers as real goroutines over HTTP (lease grants, steals,
