@@ -31,10 +31,12 @@ race:
 ## stress: the interleaving gate — the concurrent-client and cluster tests,
 ## and the simulator fan-out's lowest-index stop (Simulate's results, a
 ## checkpoint build's error, and the checkpoint's missed sets and first
-## misses, from scratch and after an edit, must be the sequential scan's at
-## GOMAXPROCS 1, 2, 4 and 8, which the tests set themselves on inputs above
-## the fan-out gate), whose assertions must hold under any goroutine
-## schedule, repeated 20 times at 1, 2 and 4 CPUs.
+## misses, from scratch and after an edit, and its budgeted resumes' over-
+## budget verdicts, missed sets and first misses on budgets around the miss
+## count, must be the sequential scan's at GOMAXPROCS 1, 2, 4 and 8, which
+## the tests set themselves on inputs above the fan-out gate), whose
+## assertions must hold under any goroutine schedule, repeated 20 times at
+## 1, 2 and 4 CPUs.
 stress:
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster' ./internal/service/ ./internal/fabric/
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$|TestCheckpointDeterministic$$' ./internal/sim/

@@ -175,7 +175,10 @@ type Stats struct {
 	// replays: repair and minimize trials resume from a checkpoint of the
 	// candidate and simulate only the elements from the edited one on (a
 	// repair trial, only the appended element), but count what a
-	// from-scratch trial counted.
+	// from-scratch trial counted. So does a repair trial that stops once
+	// it cannot beat the round's best, and one skipped without a resume
+	// because it could not beat it even covering every missing fault: each
+	// still counts every missing fault.
 	Simulations int
 	// Duration is the wall-clock generation time (the CPU-time column of
 	// Table 1).
@@ -249,7 +252,7 @@ func GenerateContext(ctx context.Context, faults []linked.Fault, opts Options) (
 			cfg = opts.finalConfig()
 		}
 		var cp *sim.Checkpoint
-		cand, cp, err = repair(ctx, cand, faults, cfg, opts, st)
+		cand, cp, err = repair(ctx, cand, faults, cfg, opts, st, longestFirst)
 		if err != nil {
 			return Result{}, err
 		}

@@ -89,7 +89,7 @@ func minimize(ctx context.Context, cand march.Test, cp *sim.Checkpoint, opts Opt
 		}
 		// Bring the checkpoint, kept under the search configuration, to the
 		// relaxed test.
-		if _, err := cp.Resume(t, nil); err != nil {
+		if _, _, err := cp.Resume(t, len(cp.Faults()), nil); err != nil {
 			return false, err
 		}
 		cp.Commit()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"marchgen/internal/fp"
 	"marchgen/internal/linked"
@@ -69,7 +70,6 @@ type template struct {
 	order march.AddrOrder
 	ops   []fp.Op
 	entry fp.Value // required fault-free entry value (VX = any)
-	exit  func(fp.Value) fp.Value
 }
 
 func buildTemplates() []template {
@@ -77,13 +77,7 @@ func buildTemplates() []template {
 	add := func(ops []fp.Op) {
 		entry := entryConstraint(ops)
 		for _, order := range []march.AddrOrder{march.Up, march.Down} {
-			ops := ops
-			out = append(out, template{
-				order: order,
-				ops:   ops,
-				entry: entry,
-				exit:  func(v fp.Value) fp.Value { return exitValue(ops, v) },
-			})
+			out = append(out, template{order: order, ops: ops, entry: entry})
 		}
 	}
 	for _, shape := range templateOps {
@@ -106,12 +100,39 @@ func buildTemplates() []template {
 	return out
 }
 
+// longestFirst is the order repair scans the template library in, as
+// indices into buildTemplates: by operation count, longest first, and by
+// library index within a length. Long elements cover the most faults (a
+// March SL element covers 347 of List #1's 459 walker misses), so the first
+// trials of a round set the bar the others must beat, and a shorter
+// template then wins with the same gain.
+var longestFirst = func() []int {
+	templates := buildTemplates()
+	scan := make([]int, len(templates))
+	for i := range scan {
+		scan[i] = i
+	}
+	slices.SortStableFunc(scan, func(a, b int) int {
+		return len(templates[b].ops) - len(templates[a].ops)
+	})
+	return scan
+}()
+
 // repair is phase 2 of the generator: while the fault simulator reports
 // uncovered faults, append the template element covering the most of them
 // (greedy set cover). This generalizes Figure 5's "apply the Sequence of
 // Operations to each memory cell" to the coupling faults whose excitation
 // and observation live on different cells. Termination is guaranteed by the
 // March SL element shapes in the template library.
+//
+// A round picks its template by one key: the most faults covered (gain),
+// then the fewest operations, then the lowest library index. It tries the
+// admissible templates in the order scan gives (longestFirst), and passes
+// each the miss budget that lets it beat the best so far under the key, so
+// a trial stops as soon as it misses more; a template that could not beat
+// the best even covering every missed fault is not simulated. The key
+// decides alone, so the choice is the one of trying every template to the
+// end, in any order.
 //
 // Every trial of a round extends the same candidate, so the candidate is
 // simulated once into a checkpoint (sim.Schedule.Checkpoint) and each trial
@@ -120,7 +141,7 @@ func buildTemplates() []template {
 // so the next round starts from the extended candidate without simulating
 // it again. repair returns that checkpoint with the repaired candidate,
 // for the minimizer to start from.
-func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim.Config, opts Options, st *Stats) (march.Test, *sim.Checkpoint, error) {
+func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim.Config, opts Options, st *Stats, scan []int) (march.Test, *sim.Checkpoint, error) {
 	templates := buildTemplates()
 	sched, err := sim.NewSchedule(cand, cfg)
 	if err != nil {
@@ -130,10 +151,11 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 	if err != nil {
 		return cand, nil, err
 	}
-	// extend appends e to the candidate and to its checkpoint.
+	// extend appends e to the candidate and to its checkpoint, on a budget
+	// no resume can exceed, so the resume records what Commit adopts.
 	extend := func(e march.Element) error {
 		cand.Elems = append(cand.Elems, e)
-		if _, err := cp.Resume(cand, nil); err != nil {
+		if _, _, err := cp.Resume(cand, len(faults), nil); err != nil {
 			return err
 		}
 		cp.Commit()
@@ -153,7 +175,8 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 		v := testExit(cand)
 		best := -1
 		bestGain := 0
-		for ti, tpl := range templates {
+		for _, ti := range scan {
+			tpl := templates[ti]
 			if err := ctx.Err(); err != nil {
 				return cand, nil, err
 			}
@@ -172,18 +195,31 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 			if trial.CheckConsistency() != nil {
 				continue
 			}
-			missed, err = cp.Resume(trial, missed[:0])
+			// A pruned or skipped trial counts what a trial run to the end
+			// counts.
 			st.Simulations += len(missing)
+			// need is the least gain with which the template beats the best
+			// so far under the key.
+			need := 1
+			if best >= 0 {
+				need = bestGain + 1
+				if n, bn := len(tpl.ops), len(templates[best].ops); n < bn || n == bn && ti < best {
+					need = bestGain
+				}
+			}
+			if need > len(missing) {
+				continue
+			}
+			var over bool
+			missed, over, err = cp.Resume(trial, len(missing)-need, missed[:0])
 			if err != nil {
 				return cand, nil, err
 			}
-			gain := len(missing) - len(missed)
-			if gain > bestGain || (gain == bestGain && gain > 0 && len(tpl.ops) < len(templates[best].ops)) {
-				best = ti
-				bestGain = gain
+			if !over {
+				best, bestGain = ti, len(missing)-len(missed)
 			}
 		}
-		if bestGain == 0 {
+		if best < 0 {
 			// No single template makes progress (cannot happen for the
 			// paper's fault lists, but user-defined faults may need a
 			// re-initialization first).

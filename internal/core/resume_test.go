@@ -92,7 +92,7 @@ func TestCheckpointResumeMatchesFromScratch(t *testing.T) {
 				checked++
 				ext := prefix.Clone()
 				ext.Elems = append(ext.Elems, e)
-				got, err := cp.Resume(ext, nil)
+				got, _, err := cp.Resume(ext, len(faults), nil)
 				if err != nil {
 					t.Fatalf("%v %q + %s: %v", cfg, prefix, e, err)
 				}
@@ -240,7 +240,7 @@ func TestBoundaryResumeMatchesFromScratch(t *testing.T) {
 						continue
 					}
 					checked++
-					missed, err := cp.Resume(trial, nil)
+					missed, _, err := cp.Resume(trial, len(faults), nil)
 					if err != nil {
 						t.Fatalf("%v %q from %d as %q: %v", cfg, cur, b, trial, err)
 					}
@@ -284,7 +284,7 @@ func TestBoundaryResumeMatchesFromScratch(t *testing.T) {
 						if checked%3 != 0 {
 							continue
 						}
-						if _, err := cp.Resume(trial, nil); err != nil {
+						if _, _, err := cp.Resume(trial, len(faults), nil); err != nil {
 							t.Fatal(err)
 						}
 					case checked%3 != 0:

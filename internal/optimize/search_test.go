@@ -63,7 +63,7 @@ func TestCoversMatchesFromScratch(t *testing.T) {
 	check := func(cfg sim.Config, cp *sim.Checkpoint, child march.Test) {
 		t.Helper()
 		checked++
-		missed, err := cp.Resume(child, nil)
+		missed, _, err := cp.Resume(child, len(cp.Faults()), nil)
 		full, schedErr := sim.NewSchedule(child, cfg)
 		if schedErr != nil {
 			_, _, coversErr := cp.Covers(child)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"marchgen/internal/fp"
 	"marchgen/internal/linked"
@@ -53,6 +54,20 @@ import (
 //
 // A resume fans out when fanOut finds its work large enough: a lane-planned
 // fault walks the suffix, any other fault the edited test (walks).
+//
+// A resume runs on a miss budget: a search that keeps only its best trial
+// asks whether a trial misses more faults than the best allows, and once it
+// does the resume stops. The faults share one miss counter, and a fault
+// that takes it past the budget stops the fan-out. fanOut still runs every
+// fault below the lowest stop, so a resume is over budget exactly when the
+// test misses more faults than the budget, and its first miss is the lowest
+// missed fault at or below the stop: both are the answers of a sequential
+// scan, whatever the number of goroutines. The stop itself is not: misses
+// further down the list can take the counter past the budget first. A
+// resume the budget can stop ends each lane walk at its first undetected
+// leaf, as a verdict alone needs, so only a resume that missed no fault or
+// whose budget no fault set can exceed records the states Commit adopts.
+// Covers is the budget 0.
 
 // Checkpoint is a test simulated once over a fault list, keeping every
 // fault's state at every element boundary, so that the test edited from any
@@ -73,10 +88,14 @@ type Checkpoint struct {
 		test  march.Test
 		b     int
 		lanes bool // the elements from b on write only binary values
-		// done reports that every fault ran to its verdict, so Commit may
-		// adopt the trial.
+		// done reports that every fault ran to its verdict and every lane
+		// walk to its end, so Commit may adopt the trial.
 		done bool
 	}
+	// misses counts the faults the running resume has found missed, shared
+	// by the fan-out's goroutines. It lives here so that a resume allocates
+	// no counter of its own.
+	misses atomic.Int64
 }
 
 // faultStates is one fault's part of a checkpoint.
@@ -157,7 +176,8 @@ func (c *Checkpoint) Missed() []linked.Fault {
 // MoveToFront moves fault i to the front of Faults, shifting the faults
 // before it back by one. A caller that expects the fault it saw missed last
 // to be missed again moves it first, so Covers rejects the next such test
-// after one fault (fail-first order). Verdicts do not depend on the order.
+// after one fault (fail-first order). Missed sets and over-budget verdicts
+// do not depend on the order; the first miss is the first in the new order.
 // It discards the last resume: Commit cannot follow.
 func (c *Checkpoint) MoveToFront(i int) {
 	c.trial.done = false
@@ -168,42 +188,68 @@ func (c *Checkpoint) MoveToFront(i int) {
 }
 
 // Resume simulates the test t, an edit of the checkpointed test, from the
-// boundary after the leading elements the two share, and appends to missed
-// the indices into Faults of the faults t misses, ascending: a fault is
-// missed exactly when DetectsFault on NewSchedule of t says so. t's ⇕
-// elements resolve as the configuration says; under exhaustive orders a
-// test with more ⇕ elements than Config.MaxAnyElements is refused with
-// NewSchedule's error. The checkpoint keeps t's elements without copying
-// them; Commit may follow.
-func (c *Checkpoint) Resume(t march.Test, missed []int) ([]int, error) {
-	if _, err := c.resume(t, false); err != nil {
-		return missed, err
+// boundary after the leading elements the two share, on a budget of missed
+// faults: a fault is missed exactly when DetectsFault on NewSchedule of t
+// says so. When t misses at most budget faults, Resume appends to missed
+// the indices into Faults of every fault it misses, ascending, and reports
+// over false. When t misses more, it stops early, appends only the index of
+// the first fault it misses in the order of Faults, and reports over true.
+// Both answers do not depend on GOMAXPROCS. The budget must not be
+// negative; a budget of len(Faults()) cannot be exceeded. t's ⇕ elements
+// resolve as the configuration says; under exhaustive orders a test with
+// more ⇕ elements than Config.MaxAnyElements is refused with NewSchedule's
+// error. The checkpoint keeps t's elements without copying them.
+//
+// Commit may follow a resume that missed no fault or whose budget is at
+// least len(Faults()). Any other resume may end a fault's walk at its first
+// undetected leaf, leaving the states past it unrecorded.
+func (c *Checkpoint) Resume(t march.Test, budget int, missed []int) ([]int, bool, error) {
+	if budget < 0 {
+		panic("sim: negative Resume budget")
 	}
-	for _, i := range c.todo {
+	j, err := c.resume(t, budget)
+	if err != nil {
+		return missed, false, err
+	}
+	// Past a stop at j only the faults up to j are sure to have run, and j
+	// missed.
+	over := j < len(c.todo)
+	todo := c.todo
+	if over {
+		todo = todo[:j+1]
+	}
+	for _, i := range todo {
 		if c.states[i].nextMissed {
 			missed = append(missed, i)
+			if over {
+				break
+			}
 		}
 	}
-	return missed, nil
+	return missed, over, nil
 }
 
-// Covers is Resume stopping at the first miss: it reports whether t detects
-// every fault and, when it does not, the index into Faults of the first
-// fault it misses. The answer does not depend on GOMAXPROCS. Commit may
-// follow only a Covers that reports full coverage, since a Covers that
-// stops leaves later faults unsimulated.
+// Covers is Resume with a budget of 0: it reports whether t detects every
+// fault and, when it does not, the index into Faults of the first fault it
+// misses (len(Faults()) when it misses none). Commit may follow only a
+// Covers that reports full coverage.
 func (c *Checkpoint) Covers(t march.Test) (bool, int, error) {
-	i, err := c.resume(t, true)
+	var first [1]int
+	missed, over, err := c.Resume(t, 0, first[:0])
 	if err != nil {
 		return false, 0, err
 	}
-	return i == len(c.faults), i, nil
+	if over {
+		return false, missed[0], nil
+	}
+	return true, len(c.faults), nil
 }
 
 // Commit makes the checkpoint that of the test the last Resume or Covers
 // simulated: the boundary states up to the boundary it resumed from stay,
 // and the edited test's later ones are the states the resume recorded. It
-// panics when there is no such test or when Covers stopped at a miss.
+// panics when there is no such test, when the resume went over budget, or
+// when its budget could stop it and it missed a fault (see Resume).
 //
 // Only the faults the resume simulated change. Every other one is detected
 // by the first b elements, or by the whole test when the edit appends, so
@@ -294,10 +340,13 @@ func (c *Checkpoint) shared(t march.Test) int {
 
 // resume simulates t over every fault from the boundary b after the
 // elements it shares with the checkpointed test, fanning out like
-// Simulate, and records each fault's verdict and nodes past b. With stop
-// set it stops at the first miss, in fault order, and returns its index; it
-// returns len(c.faults) when no fault stopped it.
-func (c *Checkpoint) resume(t march.Test, stop bool) (int, error) {
+// Simulate, and records each fault's verdict and nodes past b into its
+// states, the faults it simulates into todo. It counts the faults t misses
+// and stops once more than budget have missed: it returns the index into
+// todo at which fanOut stopped, or len(c.todo) when no fault stopped it.
+// When the faults it simulates could exceed the budget, a lane walk ends at
+// its first undetected leaf.
+func (c *Checkpoint) resume(t march.Test, budget int) (int, error) {
 	s := c.sched
 	c.trial.done = false
 	if err := checkAnyElements(t.Name, anyElements(t.Elems), s.cfg); err != nil {
@@ -346,19 +395,22 @@ func (c *Checkpoint) resume(t march.Test, stop bool) (int, error) {
 	if full != nil {
 		work += fullWalks * full.steps
 	}
+	stop := budget < len(c.todo)
+	c.misses.Store(0)
 	j := s.fanOut(work, len(c.todo), func(m *machine, j int) bool {
 		fs := &c.states[c.todo[j]]
 		fs.nextMissed, fs.err = c.simulate(m, c.todo[j], b, &sfx, full, stop)
-		return fs.err != nil || stop && fs.nextMissed
+		return fs.err != nil || fs.nextMissed && c.misses.Add(1) > int64(budget)
 	})
 	if j == len(c.todo) {
-		c.trial.test, c.trial.b, c.trial.lanes, c.trial.done = t, b, sfx.laneWrites, true
-		return len(c.faults), nil
+		c.trial.test, c.trial.b, c.trial.lanes = t, b, sfx.laneWrites
+		c.trial.done = !stop || c.misses.Load() == 0
+		return j, nil
 	}
 	if err := c.states[c.todo[j]].err; err != nil {
 		return 0, err
 	}
-	return c.todo[j], nil
+	return j, nil
 }
 
 // simulate runs fault i of the test edited from boundary b: on lanes, by

@@ -30,7 +30,7 @@ func resumeAgainstScratch(t *testing.T, prefix march.Test, e march.Element, faul
 func resumeMatchesScratch(t *testing.T, cp *Checkpoint, test march.Test, e march.Element, cfg Config) {
 	t.Helper()
 	ext := appended(test, e)
-	missed, err := cp.Resume(ext, nil)
+	missed, _, err := cp.Resume(ext, len(cp.Faults()), nil)
 	if err != nil {
 		t.Fatalf("%s + %s: %v", test, e, err)
 	}
@@ -108,11 +108,11 @@ func TestResumeLanesMatchScalar(t *testing.T) {
 				t.Fatalf("%s: lanes miss %d faults, scalar %d", prefix, len(lcp.Missed()), len(scp.Missed()))
 			}
 			for _, e := range elems {
-				lm, err := lcp.Resume(appended(prefix, e), nil)
+				lm, _, err := lcp.Resume(appended(prefix, e), len(faults), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sm, err := scp.Resume(appended(prefix, e), nil)
+				sm, _, err := scp.Resume(appended(prefix, e), len(faults), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,12 +150,12 @@ func TestResumeAnyElement(t *testing.T) {
 		t.Fatal(err)
 	}
 	ext := appended(prefix, anyElem)
-	_, err = cp.Resume(ext, nil)
+	_, _, err = cp.Resume(ext, len(faults), nil)
 	_, want := NewSchedule(ext, capped)
 	if err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("past the ⇕ cap: Resume error %v, NewSchedule error %v", err, want)
 	}
-	if _, err := cp.Resume(appended(prefix, march.NewElement(march.Up, fp.R0)), nil); err != nil {
+	if _, _, err := cp.Resume(appended(prefix, march.NewElement(march.Up, fp.R0)), len(faults), nil); err != nil {
 		t.Errorf("a ⇑ element does not raise the ⇕ count: %v", err)
 	}
 	lazy := capped
@@ -202,7 +202,7 @@ func TestResumeEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		prefix = appended(prefix, march.NewElement(march.Down, fp.R1, wx, fp.R0))
-		if _, err := cp.Resume(prefix, nil); err != nil {
+		if _, _, err := cp.Resume(prefix, len(faults), nil); err != nil {
 			t.Fatal(err)
 		}
 		cp.Commit()
@@ -254,10 +254,14 @@ func TestCheckpointFirstError(t *testing.T) {
 // The boundary checkpoint answers as a sequential scan does, at any
 // GOMAXPROCS: the same missed set when built, the same missed set
 // from every Resume, the same first miss from every Covers, and the same
-// missed set after a Commit. March SS misses part of List1; dropping each of
-// its elements in turn, and committing one drop, leaves resumes from the
-// first boundaries with enough steps to fan out (minFanOutSteps), so misses
-// race in neighbouring goroutines.
+// missed set after a Commit. A budgeted Resume, on the budgets 0, 1, n-1, n
+// and n+1 around the n faults the trial misses, is over budget exactly when
+// n exceeds the budget; within it, it returns the missed set, and over it,
+// Covers' first miss. March SS misses part of List1; dropping each of its
+// elements in turn, and committing one drop, leaves resumes from the first
+// boundaries with enough steps to fan out (minFanOutSteps), so misses race
+// in neighbouring goroutines and push the shared miss counter past the
+// budget in any order.
 func TestCheckpointDeterministic(t *testing.T) {
 	faults := append(faultlist.List1(), faultlist.Dynamic()...)
 	test := march.MarchSS
@@ -295,7 +299,7 @@ func TestCheckpointDeterministic(t *testing.T) {
 				t.Fatalf("resuming from boundary 0 simulates %d steps, too few to fan out", steps*len(faults))
 			}
 			trial := march.Test{Name: cur.Name, Elems: append(cur.Elems[:b:b], suffix...)}
-			missed, err := cp.Resume(trial, nil)
+			missed, _, err := cp.Resume(trial, len(faults), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,8 +312,21 @@ func TestCheckpointDeterministic(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d, dropping element %d: Covers says %t, Resume misses %d", procs, b, full, len(missed))
 			}
 			got.first = append(got.first, first)
+			for _, budget := range []int{0, 1, len(missed) - 1, len(missed), len(missed) + 1} {
+				if budget < 0 {
+					continue
+				}
+				m, over, err := cp.Resume(trial, budget, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if over != (len(missed) > budget) || !over && !slices.Equal(m, missed) || over && !slices.Equal(m, []int{first}) {
+					t.Errorf("GOMAXPROCS %d, dropping element %d, budget %d: over %t, missed %v; unbudgeted %v, Covers' first miss %d",
+						procs, b, budget, over, m, missed, first)
+				}
+			}
 			if b == 4 {
-				if _, err := cp.Resume(trial, nil); err != nil {
+				if _, _, err := cp.Resume(trial, len(faults), nil); err != nil {
 					t.Fatal(err)
 				}
 				cp.Commit()
@@ -324,6 +341,55 @@ func TestCheckpointDeterministic(t *testing.T) {
 		if !slices.Equal(got.missed, want.missed) || !slices.Equal(got.first, want.first) ||
 			!slices.EqualFunc(got.resume, want.resume, slices.Equal[[]int]) {
 			t.Errorf("GOMAXPROCS %d answer %v, one P %v", procs, got, want)
+		}
+	}
+}
+
+// Commit adopts only a complete resume. A resume over budget, or one whose
+// budget could stop it and that missed a fault, may have ended a lane walk
+// at its first undetected leaf, so Commit panics after it; a resume on a
+// budget no fault set exceeds, and a Covers that finds full coverage, can
+// be committed.
+func TestCommitNeedsCompleteResume(t *testing.T) {
+	faults := faultlist.List1()
+	s, err := NewSchedule(march.MarchSS, Config{Size: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop := march.Test{Name: "drop", Elems: march.MarchSS.Elems[1:]}
+	commits := func(t *testing.T, resume func(cp *Checkpoint)) (ok bool) {
+		t.Helper()
+		cp, err := s.Checkpoint(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume(cp)
+		defer func() { ok = recover() == nil }()
+		cp.Commit()
+		return true
+	}
+	resume := func(test march.Test, budget int) func(cp *Checkpoint) {
+		return func(cp *Checkpoint) {
+			if _, _, err := cp.Resume(test, budget, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n := len(faults)
+	cases := []struct {
+		name   string
+		resume func(cp *Checkpoint)
+		want   bool
+	}{
+		{"over budget", resume(drop, 1), false},
+		{"within a budget that could stop it, with misses", resume(drop, n-1), false},
+		{"on a budget nothing exceeds", resume(drop, n), true},
+		{"covers, missing a fault", func(cp *Checkpoint) { cp.Covers(drop) }, false},
+		{"covers, full", func(cp *Checkpoint) { cp.Covers(march.MarchSL) }, true},
+	}
+	for _, c := range cases {
+		if got := commits(t, c.resume); got != c.want {
+			t.Errorf("%s: Commit succeeded %t, want %t", c.name, got, c.want)
 		}
 	}
 }
