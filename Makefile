@@ -36,10 +36,12 @@ race:
 ## count, must be the sequential scan's at GOMAXPROCS 1, 2, 4 and 8, which
 ## the tests set themselves on inputs above the fan-out gate), whose
 ## assertions must hold under any goroutine schedule, repeated 20 times at
-## 1, 2 and 4 CPUs.
+## 1, 2 and 4 CPUs; then the optimizer's search (one winner, move trace and
+## evaluation count at GOMAXPROCS 1, 2, 4 and 8), repeated 5 times.
 stress:
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster' ./internal/service/ ./internal/fabric/
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$|TestCheckpointDeterministic$$' ./internal/sim/
+	$(GO) test -count=5 -cpu 1,2,4 -run 'TestOptimizeDeterministicAcrossProcs$$' ./internal/optimize/
 
 ## bench: simulator and generator throughput benchmarks.
 bench:
@@ -52,10 +54,12 @@ bench-sim:
 	$(GO) test -count=1 -v -run '^TestBenchRecord$$' ./internal/sim -args -benchrecord $(CURDIR)/BENCH_sim.json
 
 ## bench-gen: regenerate BENCH_gen.json — the CPU time of the three Table-1
-## generation rows (median and quartiles of 11 runs, on one P and at
-## GOMAXPROCS) for this checkout next to a base commit (BASE, default HEAD),
-## built from git archive and run alternately, each row in a process of its
-## own; written by the root package's TestBenchGen.
+## generation rows (ABL1 timed as a batch) and of one optimizer op (OPT,
+## perfbench's optimize op at fixed rng seeds; median and quartiles of 11
+## runs, on one P and at GOMAXPROCS) for this checkout next to a base
+## commit (BASE, default HEAD), built from git archive and run alternately,
+## each row in a process of its own; written by the root package's
+## TestBenchGen.
 BASE ?= HEAD
 bench-gen:
 	$(GO) test -count=1 -v -timeout 30m -run '^TestBenchGen$$' . -args -benchgen $(CURDIR)/BENCH_gen.json -benchgen-base $(BASE)
@@ -71,9 +75,11 @@ bench-opt:
 ## certify it through the independent oracle, and reproduce bit-for-bit
 ## across two same-seed runs; the search's coverage judge (a checkpoint
 ## resumed with the search's own children) must give every fault its
-## from-scratch verdict. The marchopt CLI suite rides along.
+## from-scratch verdict; the benchmark's two optimize tasks must find their
+## pinned winners along their pinned move traces. The marchopt CLI suite
+## rides along.
 opt-test:
-	$(GO) test -count=1 -run 'TestBeatsPaperOnList2|TestDeterministicAcrossRuns|TestWinnerCertifiedAndNeverLonger|TestWinnerAgreesWithOracle|TestCoversMatchesFromScratch' ./internal/optimize/
+	$(GO) test -count=1 -run 'TestBeatsPaperOnList2|TestDeterministicAcrossRuns|TestWinnerCertifiedAndNeverLonger|TestWinnerAgreesWithOracle|TestCoversMatchesFromScratch|TestOptimizeRunsPinned' ./internal/optimize/
 	$(GO) test -count=1 ./cmd/marchopt/
 
 ## diag-test: the diagnosis gate — the adaptive loop must localize an

@@ -19,11 +19,12 @@ import (
 )
 
 // TestBenchGen writes BENCH_gen.json (make bench-gen): the CPU time of the
-// three Table-1 generation rows, on one P and at GOMAXPROCS, for this
-// checkout and for a base commit, next to each other. It skips unless
-// -benchgen names the output file; with -benchgen - it prints one sample of
-// each row its subtest selects (-test.run '^TestBenchGen$/^ABL1$') instead,
-// which is how the record runs each binary.
+// three Table-1 generation rows and of one optimizer op (OPT), on one P and
+// at GOMAXPROCS, for this checkout and for a base commit, next to each
+// other. It skips unless -benchgen names the output file; with -benchgen -
+// it prints one sample of each row its subtest selects (-test.run
+// '^TestBenchGen$/^ABL1$') instead, which is how the record runs each
+// binary.
 //
 // The base commit is checked out with git archive into a temporary
 // directory, this file is copied in, and its test binary is built there, so
@@ -31,8 +32,8 @@ import (
 // alternately, one sample of each row per round, so a change in the host's
 // load falls on both alike. Every sample runs in a process of its own, so
 // no row inherits the scheduler state an earlier row left behind. A sample
-// times one generation of its row at each P count, in process CPU time
-// after an untimed warm-up and a collection.
+// times a batch of its row's runs at each P count, in process CPU time
+// after an untimed warm-up and a collection, and reports the mean of one.
 var (
 	benchGen     = flag.String("benchgen", "", "write the generation CPU-time record to `FILE` (- prints one sample)")
 	benchGenBase = flag.String("benchgen-base", "HEAD", "base `COMMIT` the record measures next to this checkout")
@@ -41,13 +42,68 @@ var (
 // benchGenRounds is the number of samples per binary.
 const benchGenRounds = 11
 
-var benchGenRows = []struct {
-	row, list string
-	opts      marchgen.Options
-}{
-	{"ABL", "list1", marchgen.Options{Name: "ABL-repro"}},
-	{"RABL", "list1", marchgen.Options{Name: "RABL-repro", Aggressive: true}},
-	{"ABL1", "list2", marchgen.Options{Name: "ABL1-repro"}},
+// benchGenRow is one row of the record. setup prepares its inputs and
+// returns run, the work one sample times, which reports what it made: a
+// rendering and a simulation count, which every sample of both sides must
+// agree on. batch is the number of runs a sample times: ABL1 generates in
+// well under a millisecond, too short for the process clock to resolve one
+// run's quartiles.
+type benchGenRow struct {
+	row   string
+	batch int
+	setup func() (run func() (string, int, error), err error)
+}
+
+var benchGenRows = []benchGenRow{
+	generateRow("ABL", "list1", marchgen.Options{Name: "ABL-repro"}, 1),
+	generateRow("RABL", "list1", marchgen.Options{Name: "RABL-repro", Aggressive: true}, 1),
+	generateRow("ABL1", "list2", marchgen.Options{Name: "ABL1-repro"}, 200),
+	{row: "OPT", batch: 1, setup: optimizeOp},
+}
+
+// generateRow is the row of one generation of the named fault list.
+func generateRow(row, list string, opts marchgen.Options, batch int) benchGenRow {
+	return benchGenRow{row: row, batch: batch, setup: func() (func() (string, int, error), error) {
+		faults, err := marchgen.FaultListByName(list)
+		if err != nil {
+			return nil, err
+		}
+		return func() (string, int, error) {
+			res, err := marchgen.Generate(faults, opts)
+			return res.Test.String(), res.Stats.Simulations, err
+		}, nil
+	}}
+}
+
+// optimizeOp is the OPT row: perfbench's optimize op, March SL on List #1
+// at a budget of 1000 and then March ABL1 on List #2 at the default budget,
+// each with rng seed 1. It renders the winners with their move-trace hashes
+// and counts the coverage evaluations, so equal rows took equal search
+// paths.
+func optimizeOp() (func() (string, int, error), error) {
+	type task struct {
+		faults []marchgen.Fault
+		seed   string
+		budget int
+	}
+	tasks := []task{{marchgen.List1(), "March SL", 1000}, {marchgen.List2(), "March ABL1", 0}}
+	return func() (string, int, error) {
+		var winners []string
+		evaluations := 0
+		for _, tk := range tasks {
+			seed, ok := marchgen.MarchByName(tk.seed)
+			if !ok {
+				return "", 0, fmt.Errorf("no library test %q", tk.seed)
+			}
+			res, err := marchgen.Optimize(tk.faults, marchgen.OptimizeOptions{Seed: 1, Budget: tk.budget, SeedTest: &seed})
+			if err != nil {
+				return "", 0, err
+			}
+			winners = append(winners, fmt.Sprintf("%s [%s]", res.Test, res.Test.Prov.MoveTrace))
+			evaluations += res.Stats.Evaluations
+		}
+		return strings.Join(winners, "; "), evaluations, nil
+	}, nil
 }
 
 // genSample is one run of some rows: a sample process times one, a round
@@ -59,6 +115,7 @@ type genSample struct {
 
 type genSampleRow struct {
 	Row         string  `json:"row"`
+	Batch       int     `json:"batch"`
 	Test        string  `json:"test"`
 	Simulations int     `json:"simulations"`
 	CPUMs1P     float64 `json:"cpu_ms_1p"`
@@ -74,6 +131,7 @@ type genSpread struct {
 
 type genRecordRow struct {
 	Row         string    `json:"row"`
+	Batch       int       `json:"batch"`
 	Test        string    `json:"test"`
 	Simulations int       `json:"simulations"`
 	CPUMs1P     genSpread `json:"cpu_ms_1p"`
@@ -157,7 +215,7 @@ func TestBenchGen(t *testing.T) {
 
 	rec := genRecord{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Note:       "CPU ms of one core.Generate per Table-1 row (process user+system time), median and quartiles over reps; base and change run alternately, each row in a fresh process",
+		Note:       "CPU ms of one core.Generate per Table-1 row (ABL1: the mean over a batch of generations) and of one perfbench optimize op (OPT: March SL x List #1 at budget 1000, then March ABL1 x List #2, rng seed 1; test holds the winners and move-trace hashes, simulations the coverage evaluations), process user+system time, median and quartiles over reps; base and change run alternately, each row in a fresh process",
 		GoVersion:  runtime.Version(),
 		NProc:      runtime.NumCPU(),
 		GOMAXPROCS: changes[0].GOMAXPROCS,
@@ -184,30 +242,30 @@ func TestBenchGen(t *testing.T) {
 	}
 }
 
-// benchGenSample times one generation of row i on one P and at the
+// benchGenSample times a batch of row i's runs on one P and at the
 // process's GOMAXPROCS.
 func benchGenSample(i int) (genSample, error) {
 	procs := runtime.GOMAXPROCS(0)
 	s := genSample{GOMAXPROCS: procs}
 	row := benchGenRows[i]
-	faults, err := marchgen.FaultListByName(row.list)
+	run, err := row.setup()
 	if err != nil {
 		return s, err
 	}
-	if _, err := marchgen.Generate(faults, row.opts); err != nil { // warm-up
+	if _, _, err := run(); err != nil { // warm-up
 		return s, err
 	}
-	out := genSampleRow{Row: row.row}
+	out := genSampleRow{Row: row.row, Batch: row.batch}
 	for _, p := range []int{1, procs} {
 		runtime.GOMAXPROCS(p)
 		runtime.GC()
 		start := processCPU()
-		res, err := marchgen.Generate(faults, row.opts)
-		ms := float64(processCPU()-start) / float64(time.Millisecond)
-		if err != nil {
-			return s, err
+		for r := 0; r < row.batch; r++ {
+			if out.Test, out.Simulations, err = run(); err != nil {
+				return s, err
+			}
 		}
-		out.Test, out.Simulations = res.Test.String(), res.Stats.Simulations
+		ms := float64(processCPU()-start) / float64(time.Millisecond) / float64(row.batch)
 		if p == 1 {
 			out.CPUMs1P = ms
 		} else {
@@ -304,7 +362,7 @@ func summarize(t *testing.T, samples []genSample) []genRecordRow {
 			one, maxP = append(one, r.CPUMs1P), append(maxP, r.CPUMsMaxP)
 		}
 		rows = append(rows, genRecordRow{
-			Row: first.Row, Test: first.Test, Simulations: first.Simulations,
+			Row: first.Row, Batch: first.Batch, Test: first.Test, Simulations: first.Simulations,
 			CPUMs1P: spread(one), CPUMsMaxP: spread(maxP),
 		})
 	}

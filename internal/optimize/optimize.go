@@ -8,11 +8,12 @@
 // are element-level: insert/delete/replace single operations, delete whole
 // elements, flip an element's address order, split an element in two, merge
 // adjacent elements, and splice element tails between beam survivors.
-// Fitness is full coverage of the target fault list — judged by a
-// checkpoint of the last covering candidate (sim.Checkpoint.Covers), which
-// resumes each candidate from the elements the two share, stops at the
-// first miss and scans the faults fail-first — with test length and
-// (optionally) BIST cycle cost as tie-breakers.
+// Fitness is full coverage of the target fault list — judged on the
+// parent's checkpoint (sim.Checkpoint.Covers), which resumes each child
+// from the elements it shares with its parent, rejoins the parent where
+// the two end alike, stops at the first miss and scans the faults
+// fail-first; every candidate kept carries a fork of it — with test length
+// and (optionally) BIST cycle cost as tie-breakers.
 //
 // The central invariant is certify-before-land: every reported winner is
 // re-certified through core.CertifyWithOracle (production simulator at full
@@ -268,9 +269,10 @@ func RunContext(ctx context.Context, faults []linked.Fault, opts Options) (Resul
 	if err := seed.CheckConsistency(); err != nil {
 		return Result{}, fmt.Errorf("optimize: seed test: %v", err)
 	}
-	// The seed's checkpoint judges every candidate of the search; building
-	// it checks that the seed covers the list. It keeps its own copy of the
-	// fault list, so its fail-first reordering cannot alias the caller's.
+	// The seed's checkpoint judges the seed's children, and its forks the
+	// children of every later candidate; building it checks that the seed
+	// covers the list. It keeps its own copy of the fault list, so its
+	// fail-first reordering cannot alias the caller's.
 	sched, err := sim.NewSchedule(seed, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("optimize: seed test: %v", err)

@@ -2,7 +2,9 @@ package optimize
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -78,6 +80,32 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	if a.Stats.Evaluations != b.Stats.Evaluations {
 		t.Errorf("evaluation counts differ: %d vs %d", a.Stats.Evaluations, b.Stats.Evaluations)
+	}
+}
+
+// The search's answers do not depend on GOMAXPROCS: March SL on List #1
+// finds one winner along one move trace with one evaluation count at
+// GOMAXPROCS 1, 2, 4 and 8. Most of its covering children's resumes
+// estimate enough work to fan out (sim's minFanOutSteps), so their faults
+// race in neighbouring goroutines and push the shared miss counter in any
+// order. In make stress.
+func TestOptimizeDeterministicAcrossProcs(t *testing.T) {
+	faults := faultlist.List1()
+	var want string
+	for _, procs := range []int{1, 2, 4, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		seed := march.MarchSL
+		res, err := Run(faults, Options{Seed: 3, Budget: 300, SeedTest: &seed})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("winner %s, move trace %s, %d evaluations", res.Test.ASCII(), res.Test.Prov.MoveTrace, res.Stats.Evaluations)
+		if procs == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("GOMAXPROCS %d: %s; one P: %s", procs, got, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -11,8 +12,8 @@ import (
 )
 
 // candidate is a full-coverage march test inside the search, with its
-// fitness keys precomputed and the lineage of accepted moves that produced
-// it from the seed.
+// fitness keys precomputed, the lineage of accepted moves that produced it
+// from the seed, and the checkpoint its children are judged on.
 type candidate struct {
 	test  march.Test
 	len   int
@@ -21,6 +22,10 @@ type candidate struct {
 	score float64 // weighted length+BIST fitness (0 when BISTWeight is off)
 	ascii string
 	trace []string
+	// cp is the candidate's checkpoint: the fork of its parent's that the
+	// resume judging it left. A candidate the seen cache admitted has none
+	// until it is first expanded; from is then its parent's (checkpoint).
+	cp, from *sim.Checkpoint
 }
 
 // better is the total fitness order: the weighted length+BIST score first
@@ -30,7 +35,7 @@ type candidate struct {
 // alone), then cheaper in BIST cycles, then lexicographic ASCII rendering.
 // The last key makes every comparison deterministic, which run-to-run
 // reproducibility depends on.
-func (c candidate) better(d candidate) bool {
+func (c *candidate) better(d *candidate) bool {
 	if c.score != d.score {
 		return c.score < d.score
 	}
@@ -50,60 +55,61 @@ func (c candidate) better(d candidate) bool {
 // by annealed mutation, restarted after each cool-down. All state is
 // single-goroutine; determinism comes from the one rng and total orders.
 type search struct {
-	ctx context.Context
-	rng *rand.Rand
-	// cp is the coverage judge: a checkpoint of the last candidate that
-	// covered the list, whose fault list it reorders fail-first.
-	cp     *sim.Checkpoint
+	ctx    context.Context
+	rng    *rand.Rand
 	opts   Options
 	st     *Stats
-	seed   march.Test
+	seed   *candidate
 	maxLen int             // seed length + slack: growth cap
 	seen   map[string]bool // ascii → covers, dedupes evaluation spend
 }
 
-// newSearch starts a search from the seed test, judged on cp, a checkpoint
-// of the seed.
+// newSearch starts a search from the seed test, whose checkpoint cp judges
+// its children.
 func newSearch(ctx context.Context, seed march.Test, cp *sim.Checkpoint, opts Options, st *Stats) *search {
-	return &search{
+	s := &search{
 		ctx:    ctx,
 		rng:    Rng(opts.seed()),
-		cp:     cp,
 		opts:   opts,
 		st:     st,
-		seed:   seed,
 		maxLen: seed.Length() + opts.lengthSlack(),
 		seen:   map[string]bool{},
 	}
+	s.seed = s.newCandidate(seed, nil, cp, nil)
+	return s
 }
 
-// covers reports whether the candidate fully covers the fault list. It is
-// the budgeted fitness evaluation: structural gates (validity, consistency,
-// length cap) and cache hits are free; only a simulation spends budget.
-// The checkpoint resumes the candidate from the elements it shares with the
-// last candidate that covered, and a candidate that covers takes that
-// place. On a miss, the missed fault moves to the front of the
-// checkpoint's scan order, so structurally similar failing candidates are
-// rejected by the first scan step next time (fail-first ordering).
-func (s *search) covers(t march.Test) (bool, error) {
+// covers reports whether the child t of a candidate fully covers the fault
+// list, judged on the candidate's checkpoint cp. It is the budgeted fitness
+// evaluation: structural gates (validity, consistency, length cap) and
+// cache hits are free; only a simulation spends budget. The checkpoint
+// resumes the child from the elements it shares with the candidate and
+// rejoins it where the two end alike. When keep is set and a simulated
+// child covers, covers returns the child's checkpoint, forked from cp. On a
+// miss, the missed fault moves to the front of cp's scan order, so
+// structurally similar failing children are rejected by the first scan
+// step next time (fail-first ordering); the checkpoints forked from cp
+// later inherit that order.
+func (s *search) covers(t march.Test, cp *sim.Checkpoint, keep bool) (bool, *sim.Checkpoint, error) {
 	if err := s.ctx.Err(); err != nil {
-		return false, err
+		return false, nil, err
 	}
 	if t.Length() > s.maxLen {
-		return false, nil
+		return false, nil, nil
 	}
 	if t.Validate() != nil || t.CheckConsistency() != nil {
-		return false, nil
+		return false, nil, nil
 	}
 	key := t.ASCII()
 	if full, ok := s.seen[key]; ok {
-		return full, nil
+		return full, nil, nil
 	}
 	if s.st.Evaluations >= s.opts.budget() {
-		return false, errBudget
+		return false, nil, errBudget
 	}
 	s.st.Evaluations++
-	full, miss, err := s.cp.Covers(t)
+	full, miss, err := cp.Covers(t)
+	var fork *sim.Checkpoint
 	switch {
 	case err != nil:
 		// Building the checkpoint simulated every fault, so the error is
@@ -111,23 +117,47 @@ func (s *search) covers(t march.Test) (bool, error) {
 		// compiler rejects (the ⇕ expansion cap) is simply not a viable
 		// candidate.
 		full = false
-	case full:
-		s.cp.Commit()
-	default:
-		s.cp.MoveToFront(miss)
+	case full && keep:
+		fork = cp.Fork()
+	case !full:
+		cp.MoveToFront(miss)
 	}
 	s.seen[key] = full
-	return full, nil
+	return full, fork, nil
 }
 
-func (s *search) newCandidate(t march.Test, trace []string) candidate {
-	c := candidate{
+// checkpoint returns the candidate's checkpoint. A candidate the seen cache
+// admitted gets it here, the first time it is expanded, by a resume from
+// its parent's checkpoint that spends no budget.
+func (s *search) checkpoint(c *candidate) (*sim.Checkpoint, error) {
+	if c.cp != nil {
+		return c.cp, nil
+	}
+	full, _, err := c.from.Covers(c.test)
+	if err != nil {
+		return nil, err
+	}
+	if !full {
+		return nil, fmt.Errorf("optimize: %s, admitted as covering, misses a fault", c.ascii)
+	}
+	c.cp, c.from = c.from.Fork(), nil
+	return c.cp, nil
+}
+
+// newCandidate returns the candidate of test t with its move lineage and
+// either its checkpoint cp or, when cp is nil, its parent's, from.
+func (s *search) newCandidate(t march.Test, trace []string, cp, from *sim.Checkpoint) *candidate {
+	c := &candidate{
 		test:  t,
 		len:   t.Length(),
 		elems: len(t.Elems),
 		cost:  tieBreakCost(t, s.opts.bistCells()),
 		ascii: t.ASCII(),
 		trace: trace,
+		cp:    cp,
+	}
+	if cp == nil {
+		c.from = from
 	}
 	if w := s.opts.BISTWeight; w > 0 {
 		c.score = float64(c.len) + w*float64(c.cost)
@@ -142,13 +172,13 @@ func (s *search) newCandidate(t march.Test, trace []string) candidate {
 func (s *search) run() (march.Test, []string, error) {
 	// The seed covers the list (RunContext built its checkpoint and found
 	// no miss); prime the cache so re-proposing it never spends budget.
-	best := s.newCandidate(s.seed, nil)
+	best := s.seed
 	s.seen[best.ascii] = true
 
 	const tempFloor = 0.05
 	for restart := 0; restart < s.opts.restarts(); restart++ {
 		s.st.Restarts = restart + 1
-		beam := []candidate{best}
+		beam := []*candidate{best}
 		if restart > 0 {
 			// Reheat from the incumbent, perturbed: a few random mutations
 			// that keep coverage, to push the beam off the local minimum.
@@ -195,11 +225,15 @@ func (s *search) run() (march.Test, []string, error) {
 
 // expand spawns MovesPerCandidate children per beam member and returns
 // those that cover the list and pass the annealing acceptance rule:
-// downhill (not longer) always, uphill with probability exp(-Δlen/T).
-func (s *search) expand(beam []candidate, temp float64) ([]candidate, error) {
-	var children []candidate
-	for bi := range beam {
-		parent := beam[bi]
+// downhill (not longer) always, uphill with probability exp(-Δlen/T). Each
+// child is judged on its parent's checkpoint.
+func (s *search) expand(beam []*candidate, temp float64) ([]*candidate, error) {
+	var children []*candidate
+	for _, parent := range beam {
+		cp, err := s.checkpoint(parent)
+		if err != nil {
+			return children, err
+		}
 		for m := 0; m < s.opts.movesPerCandidate(); m++ {
 			var (
 				child march.Test
@@ -220,20 +254,18 @@ func (s *search) expand(beam []candidate, temp float64) ([]candidate, error) {
 			// Draw the acceptance coin before evaluation so the rng stream
 			// consumed per move is independent of cache state.
 			coin := s.rng.Float64()
-			full, err := s.covers(child)
+			delta := float64(child.Length() - parent.len)
+			accept := delta <= 0 || coin < math.Exp(-delta/temp)
+			full, fork, err := s.covers(child, cp, accept)
 			if err != nil {
 				return children, err
 			}
-			if !full {
-				continue
-			}
-			delta := float64(child.Length() - parent.len)
-			if delta > 0 && coin >= math.Exp(-delta/temp) {
+			if !full || !accept {
 				continue
 			}
 			s.st.Accepted++
 			trace := append(append([]string(nil), parent.trace...), desc)
-			children = append(children, s.newCandidate(child, trace))
+			children = append(children, s.newCandidate(child, trace, fork, cp))
 		}
 	}
 	return children, nil
@@ -242,7 +274,7 @@ func (s *search) expand(beam []candidate, temp float64) ([]candidate, error) {
 // shrink dedupes the pool by rendering and keeps the BeamWidth fittest.
 // Sorting is stable and the comparison total, so the survivors are a pure
 // function of the pool contents.
-func (s *search) shrink(pool []candidate) []candidate {
+func (s *search) shrink(pool []*candidate) []*candidate {
 	uniq := pool[:0]
 	taken := map[string]bool{}
 	for _, c := range pool {
@@ -261,20 +293,24 @@ func (s *search) shrink(pool []candidate) []candidate {
 
 // perturb applies up to three random mutations to the incumbent, returning
 // the first mutated test that still covers the list.
-func (s *search) perturb(from candidate) (candidate, bool, error) {
+func (s *search) perturb(from *candidate) (*candidate, bool, error) {
+	cp, err := s.checkpoint(from)
+	if err != nil {
+		return nil, false, err
+	}
 	for attempt := 0; attempt < 3; attempt++ {
 		child, desc, ok := mutate(s.rng, from.test)
 		if !ok {
 			continue
 		}
-		full, err := s.covers(child)
+		full, fork, err := s.covers(child, cp, true)
 		if err != nil {
-			return candidate{}, false, err
+			return nil, false, err
 		}
 		if full {
 			trace := append(append([]string(nil), from.trace...), desc)
-			return s.newCandidate(child, trace), true, nil
+			return s.newCandidate(child, trace, fork, cp), true, nil
 		}
 	}
-	return candidate{}, false, nil
+	return nil, false, nil
 }

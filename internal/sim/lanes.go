@@ -93,6 +93,8 @@ type laneStateCtx struct {
 // lanePlan is the compiled per-fault lane layout: placement masks, initial
 // backgrounds and binding kernels. It lives on the pooled machine and is
 // rebuilt (without allocating, steady-state) by planLanes for every fault.
+// Walking it writes nothing into it, so a checkpoint's copy (clone) is read
+// by every checkpoint forked from it.
 type lanePlan struct {
 	k         int
 	lanes     int
@@ -101,7 +103,6 @@ type lanePlan struct {
 	nFPs      int // settle oscillation bound, = len(f.FPs) like the scalar path
 	opCtxs    []laneOpCtx
 	stateCtxs []laneStateCtx
-	matched   []uint64 // per-opCtx matched-lane scratch, valid within a step
 	// hit[a][c] masks the lanes in which cell c sits at address a (zero for
 	// a ≥ k: a bystander address in every lane).
 	hit [maxLaneCells][maxLaneCells]uint64
@@ -239,10 +240,6 @@ func (s *Schedule) planLanes(m *machine, f linked.Fault) bool {
 		}
 		p.classKeys = append(p.classKeys, key)
 	}
-	if cap(p.matched) < len(p.opCtxs) {
-		p.matched = make([]uint64, len(p.opCtxs))
-	}
-	p.matched = p.matched[:len(p.opCtxs)]
 	return true
 }
 
@@ -291,8 +288,9 @@ func (p *lanePlan) settle(vs *[maxLaneCells]uint64) {
 // runSteps advances every lane over one compiled segment and returns the
 // accumulated detect mask. It mirrors the scalar runSteps stage for stage:
 // triggers on the pre-operation state, base write semantics, effects in
-// binding order (with read-value overrides), then settling.
-func (p *lanePlan) runSteps(steps []opStep, vs *[maxLaneCells]uint64, detect uint64) uint64 {
+// binding order (with read-value overrides), then settling. matched is the
+// per-opCtx matched-lane scratch, valid within a step.
+func (p *lanePlan) runSteps(matched []uint64, steps []opStep, vs *[maxLaneCells]uint64, detect uint64) uint64 {
 	k := p.k
 	full := p.full
 	for si := range steps {
@@ -336,7 +334,7 @@ func (p *lanePlan) runSteps(steps []opStep, vs *[maxLaneCells]uint64, detect uin
 					mm &= cond
 				}
 			}
-			p.matched[i] = mm
+			matched[i] = mm
 			anyMatched |= mm
 		}
 
@@ -373,7 +371,7 @@ func (p *lanePlan) runSteps(steps []opStep, vs *[maxLaneCells]uint64, detect uin
 		// 3. Fault effects, in binding order (FP1 before FP2).
 		if anyMatched != 0 {
 			for i := range p.opCtxs {
-				mm := p.matched[i]
+				mm := matched[i]
 				if mm == 0 {
 					continue
 				}
@@ -442,9 +440,13 @@ func (t *trie) walkLanes(m *machine, p *lanePlan, vs [maxLaneCells]uint64, detec
 		m.laneSnap = make([]uint64, n)
 	}
 	snap := m.laneSnap[:n]
+	if cap(m.laneMatched) < len(p.opCtxs) {
+		m.laneMatched = make([]uint64, len(p.opCtxs))
+	}
+	matched := m.laneMatched[:len(p.opCtxs)]
 	t.walk(
 		func(d int, steps []opStep) bool {
-			detect = p.runSteps(steps, &vs, detect)
+			detect = p.runSteps(matched, steps, &vs, detect)
 			if detect == p.full {
 				return true
 			}

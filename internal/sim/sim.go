@@ -146,12 +146,13 @@ type machine struct {
 	snapFaulty    []fp.Value
 	snapArmed     []bool
 	snapArmedAddr []int
-	// plan, laneLeafMiss and laneSnap are the bit-parallel engine's per-fault
-	// plan, per-leaf miss masks and walk snapshots (lanes.go), reused across
-	// faults like ctxs.
+	// plan, laneLeafMiss, laneSnap and laneMatched are the bit-parallel
+	// engine's per-fault plan, per-leaf miss masks, walk snapshots and
+	// per-step matched-lane masks (lanes.go), reused across faults like ctxs.
 	plan         lanePlan
 	laneLeafMiss []uint64
 	laneSnap     []uint64
+	laneMatched  []uint64
 }
 
 func newMachine(size int) *machine {
