@@ -29,18 +29,23 @@ race:
 	./scripts/race.sh
 
 ## stress: the interleaving gate — the concurrent-client and cluster tests,
-## and the simulator fan-out's lowest-index stop (Simulate's results, a
+## the queue tests that hold the lone worker while they fill and cancel the
+## queue, and the simulator fan-out's lowest-index stop (Simulate's results, a
 ## checkpoint build's error, and the checkpoint's missed sets and first
 ## misses, from scratch and after an edit, and its budgeted resumes' over-
 ## budget verdicts, missed sets and first misses on budgets around the miss
 ## count, must be the sequential scan's at GOMAXPROCS 1, 2, 4 and 8, which
 ## the tests set themselves on inputs above the fan-out gate), whose
 ## assertions must hold under any goroutine schedule, repeated 20 times at
-## 1, 2 and 4 CPUs; then the optimizer's search (one winner, move trace and
-## evaluation count at GOMAXPROCS 1, 2, 4 and 8), repeated 5 times.
+## 1, 2 and 4 CPUs; the generator's deadline check (a 1 ms deadline must
+## abort a List #1 generation even on one P, where the runtime fires the
+## context's timer late), repeated 20 times at 1, 2 and 4 CPUs; then the
+## optimizer's search (one winner, move trace and evaluation count at
+## GOMAXPROCS 1, 2, 4 and 8), repeated 5 times.
 stress:
-	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster' ./internal/service/ ./internal/fabric/
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster|TestCanceledQueuedJobsFreeTheirSlots$$|TestQueueBackpressure$$' ./internal/service/ ./internal/fabric/
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$|TestCheckpointDeterministic$$' ./internal/sim/
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestGenerateContextDeadline$$' ./internal/core/
 	$(GO) test -count=5 -cpu 1,2,4 -run 'TestOptimizeDeterministicAcrossProcs$$' ./internal/optimize/
 
 ## bench: simulator and generator throughput benchmarks.

@@ -121,11 +121,11 @@ func (s Spec) Canonical() Spec {
 	if len(s.Orders) == 0 {
 		s.Orders = []string{"free"}
 	}
-	s.Sizes = dedupInts(s.Sizes)
+	s.Sizes = dedup(s.Sizes)
 	if len(s.Sizes) == 0 {
 		s.Sizes = []int{4}
 	}
-	s.Widths = dedupInts(s.Widths)
+	s.Widths = dedup(s.Widths)
 	if len(s.Widths) == 0 {
 		s.Widths = []int{1}
 	}
@@ -134,11 +134,11 @@ func (s Spec) Canonical() Spec {
 	// the axis hashes identically to one that names only the default —
 	// and identically to every pre-axis spec. Plan fills the default back
 	// in locally.
-	s.Ports = dedupInts(s.Ports)
+	s.Ports = dedup(s.Ports)
 	if len(s.Ports) == 1 && s.Ports[0] == 1 {
 		s.Ports = nil
 	}
-	s.Transparent = dedupBools(s.Transparent)
+	s.Transparent = dedup(s.Transparent)
 	if len(s.Transparent) == 1 && !s.Transparent[0] {
 		s.Transparent = nil
 	}
@@ -146,7 +146,7 @@ func (s Spec) Canonical() Spec {
 	if len(s.Topologies) == 0 {
 		s.Topologies = []string{""}
 	}
-	s.Verify = dedupBools(s.Verify)
+	s.Verify = dedup(s.Verify)
 	if len(s.Verify) == 0 {
 		s.Verify = []bool{false}
 	}
@@ -391,28 +391,14 @@ func (s Spec) Units() int {
 	return n
 }
 
-func dedup(in []string) []string {
-	var out []string
-	seen := make(map[string]bool, len(in))
+// dedup drops repeated values, keeping the first occurrence of each in
+// order; an input without values comes back nil, which spec hashes rely on.
+func dedup[T comparable](in []T) []T {
+	var out []T
+	seen := make(map[T]bool, len(in))
 	for _, v := range in {
 		if !seen[v] {
 			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupBools(in []bool) []bool {
-	var out []bool
-	var seen [2]bool
-	for _, v := range in {
-		idx := 0
-		if v {
-			idx = 1
-		}
-		if !seen[idx] {
-			seen[idx] = true
 			out = append(out, v)
 		}
 	}
@@ -420,9 +406,8 @@ func dedupBools(in []bool) []bool {
 }
 
 func dedupOpt(in []OptAxis) []OptAxis {
-	var out []OptAxis
-	seen := make(map[OptAxis]bool, len(in))
-	for _, v := range in {
+	norm := make([]OptAxis, len(in))
+	for i, v := range in {
 		if v.Budget > 0 && v.Seed == 0 {
 			v.Seed = 1 // the optimizer's default, made explicit
 		}
@@ -430,22 +415,7 @@ func dedupOpt(in []OptAxis) []OptAxis {
 			v.Seed = 0 // seed and weight are meaningless without a budget
 			v.BISTWeight = 0
 		}
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
+		norm[i] = v
 	}
-	return out
-}
-
-func dedupInts(in []int) []int {
-	var out []int
-	seen := make(map[int]bool, len(in))
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
+	return dedup(norm)
 }

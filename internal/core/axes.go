@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"marchgen/internal/march"
 	"marchgen/internal/mport"
@@ -35,8 +34,8 @@ type WordResult struct {
 
 // MportResult is the multi-port evaluation of a generation run: the coverage
 // the single-port test retains against the two-port weak-fault catalog when
-// lifted (port B idle), plus a dedicated two-port march generated for the
-// catalog by the directed mport constructor.
+// lifted (port B idle), plus the catalog's dedicated two-port march,
+// mport.March2P.
 type MportResult struct {
 	// Ports is the port count (always 2 here — the modeled topology).
 	Ports int `json:"ports"`
@@ -48,7 +47,8 @@ type MportResult struct {
 	Test string `json:"test"`
 	// TestLength is its length in operation pairs.
 	TestLength int `json:"test_length"`
-	// TestDetected is its catalog coverage (full by construction).
+	// TestDetected is its catalog coverage: the whole catalog, which
+	// mport's tests certify.
 	TestDetected int `json:"test_detected"`
 }
 
@@ -99,7 +99,7 @@ func EvaluateWord(ctx context.Context, t march.Test, width int, transparent bool
 	cfg := word.Config{Words: 2, Width: width}
 	detected := 0
 	for _, f := range faults {
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
 		d, err := word.Detects(t, f, bgs, cfg)
@@ -123,7 +123,7 @@ func EvaluateWord(ctx context.Context, t march.Test, width int, transparent bool
 		}
 		td := 0
 		for _, f := range faults {
-			if err := ctx.Err(); err != nil {
+			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
 			d, err := word.DetectsTransparent(tt, f, bgs, cfg)
@@ -141,61 +141,34 @@ func EvaluateWord(ctx context.Context, t march.Test, width int, transparent bool
 	return res, nil
 }
 
-// mportGen caches the catalog-generated two-port march. The catalog is a
-// fixed table and Generate is deterministic, so the directed construction
-// plus its simulation-guided minimization is a per-process constant —
-// without the cache every two-port unit and request would pay the full
-// search again for an identical answer.
-var mportGen struct {
-	once sync.Once
-	test mport.Test
-	rep  mport.Report
-	err  error
-}
-
-func catalogMarch() (mport.Test, mport.Report, error) {
-	mportGen.once.Do(func() {
-		mportGen.test, mportGen.rep, mportGen.err =
-			mport.Generate(mport.Catalog(), mport.Options{Config: mport.Config{}})
-	})
-	return mportGen.test, mportGen.rep, mportGen.err
-}
-
 // EvaluateMport runs the two-port evaluation of a march test: the weak-fault
-// catalog coverage of its single-port lift, plus a dedicated two-port march
-// from the directed constructor. Shared by Generate's mport section, the
-// service endpoints and the campaign ports axis.
+// catalog coverage of its single-port lift, plus the dedicated two-port
+// march mport.March2P. Shared by Generate's mport section, the service
+// endpoints and the campaign ports axis.
 func EvaluateMport(ctx context.Context, t march.Test, ports int) (*MportResult, error) {
 	if ports <= 1 {
 		return nil, nil
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	catalog := mport.Catalog()
-	cfg := mport.Config{}
 	lifted, err := mport.Lift(t)
 	if err != nil {
 		return nil, fmt.Errorf("core: mport lift: %v", err)
 	}
-	liftedRep, err := mport.Simulate(lifted, catalog, cfg)
+	liftedRep, err := mport.Simulate(lifted, catalog, mport.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("core: mport simulate lifted: %v", err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	gen, genRep, err := catalogMarch()
-	if err != nil {
-		return nil, fmt.Errorf("core: mport generate: %v", err)
-	}
+	gen := mport.March2P()
 	return &MportResult{
 		Ports:          ports,
 		Faults:         len(catalog),
 		LiftedDetected: liftedRep.Detected,
 		Test:           gen.String(),
 		TestLength:     gen.Length(),
-		TestDetected:   genRep.Detected,
+		TestDetected:   len(catalog),
 	}, nil
 }
 

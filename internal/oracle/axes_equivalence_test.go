@@ -64,9 +64,9 @@ func TestWordTransparentRefEquivalence(t *testing.T) {
 
 // TestMportRefEquivalence pins the two-port path differentially over the
 // whole weak-fault catalog: the lifted single-port library tests, the
-// directed two-port generator's output, and a hand-written two-port march
-// must all get identical verdicts from internal/mport and the event-based
-// reference.
+// generator's March 2P (kept as mport.March2P), and a hand-written two-port
+// march must all get identical verdicts from internal/mport and the
+// event-based reference.
 func TestMportRefEquivalence(t *testing.T) {
 	catalog := mport.Catalog()
 	cfg := mport.Config{}
@@ -78,11 +78,7 @@ func TestMportRefEquivalence(t *testing.T) {
 		}
 		tests = append(tests, lifted)
 	}
-	gen, _, err := mport.Generate(catalog, mport.Options{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests = append(tests, gen)
+	tests = append(tests, mport.March2P())
 	tests = append(tests, mport.MustParse("hand 2P", "c(w0:-) ^(r0:r0) ^(r0:r0,w1:-,r1:r1) v(r1:w0+1) c(r:r-1)"))
 
 	for _, tt := range tests {

@@ -2,6 +2,9 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
@@ -202,4 +205,51 @@ func TestOptimizeBISTWeightChangesKey(t *testing.T) {
 	if zero.Key != plain.Key {
 		t.Fatalf("bist_weight:0 got its own key %s (default %s)", zero.Key, plain.Key)
 	}
+}
+
+// Two-port digests captured on the build that still generated the catalog
+// march per process (mport.Generate behind a sync.Once in core), before it
+// became the mport.March2P library test. They pin what a two-port request
+// answers: the whole /v1/simulate body, and the mport object of a
+// /v1/generate result (the document around it carries timings).
+const (
+	twoPortSimulateSHA      = "a6908c5b8f6030b376799ee55b6732c375e3f56ed16d9381e717e60ff0c2bce8"
+	twoPortGenerateMportSHA = "5b38829756a3518744278b6632f00c28e631bd21e1956ba196ac32794252ebcb"
+)
+
+// TestTwoPortBytesPinned replays a ports-2 simulate and a ports-2 generate
+// against the pinned digests.
+func TestTwoPortBytesPinned(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	check := func(name string, b []byte, want string) {
+		t.Helper()
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: digest %s, want %s; bytes %s", name, got, want, b)
+		}
+	}
+
+	w := do(t, s, "POST", "/v1/simulate",
+		`{"march":{"name":"March SL"},"list":"list2","config":{"width":4,"ports":2}}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("simulate: %d: %s", w.Code, w.Body.String())
+	}
+	check("simulate body", w.Body.Bytes(), twoPortSimulateSHA)
+
+	g := do(t, s, "POST", "/v1/generate", `{"list":"list2","options":{"ports":2}}`)
+	if g.Code != http.StatusAccepted {
+		t.Fatalf("generate: %d: %s", g.Code, g.Body.String())
+	}
+	env := decode[jobEnvelope](t, g)
+	if j := pollJob(t, s, env.Job.ID); j.Status != JobDone {
+		t.Fatalf("job = %+v", j)
+	}
+	res := do(t, s, "GET", "/v1/jobs/"+env.Job.ID+"/result", "")
+	if res.Code != http.StatusOK {
+		t.Fatalf("result: %d: %s", res.Code, res.Body.String())
+	}
+	doc := decode[struct {
+		Mport json.RawMessage `json:"mport"`
+	}](t, res)
+	check("generate mport object", doc.Mport, twoPortGenerateMportSHA)
 }

@@ -183,6 +183,17 @@ func (c *resultCache) Len() int {
 	return c.ll.Len()
 }
 
+// contentKey is the content address of a schema-tagged key payload: the
+// hex SHA-256 of its JSON encoding.
+func contentKey(payload any) (string, error) {
+	b, err := json.Marshal(payload)
+	if err != nil {
+		return "", fmt.Errorf("service: cache key: %w", err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
 // generateKeySchema versions the key derivation; bump it whenever the
 // result document or the canonical encodings change shape, so stale cache
 // entries can never be served across an upgrade. v3: march.Test JSON gained
@@ -196,17 +207,11 @@ const generateKeySchema = "marchd/generate/v3"
 // spelling (named list vs. the same faults inline, omitted vs. explicit
 // defaults) therefore share one cache entry.
 func generateKey(faults []marchgen.Fault, opts marchgen.Options) (string, error) {
-	payload := struct {
+	return contentKey(struct {
 		Schema  string           `json:"schema"`
 		Faults  []marchgen.Fault `json:"faults"`
 		Options marchgen.Options `json:"options"`
-	}{generateKeySchema, faults, opts.Canonical()}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return "", fmt.Errorf("service: cache key: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	}{generateKeySchema, faults, opts.Canonical()})
 }
 
 // verifyKeySchema versions the /v1/verify key derivation; bump it on any
@@ -217,18 +222,12 @@ const verifyKeySchema = "marchd/verify/v2"
 // verifyKey derives the content address of a verification request: the
 // march test, the fault list and the canonicalized simulator configuration.
 func verifyKey(t marchgen.March, faults []marchgen.Fault, cfg marchgen.SimConfig) (string, error) {
-	payload := struct {
+	return contentKey(struct {
 		Schema string             `json:"schema"`
 		March  marchgen.March     `json:"march"`
 		Faults []marchgen.Fault   `json:"faults"`
 		Config marchgen.SimConfig `json:"config"`
-	}{verifyKeySchema, t, faults, cfg.Canonical()}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return "", fmt.Errorf("service: cache key: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	}{verifyKeySchema, t, faults, cfg.Canonical()})
 }
 
 // diagnoseKeySchema versions the /v1/diagnose key derivation. The endpoint
@@ -250,18 +249,12 @@ type diagnoseObservation struct {
 // sequence (tests plus sorted syndromes). Localization is a pure function of
 // these inputs, so equal keys mean byte-identical candidate sets.
 func diagnoseKey(faults []marchgen.Fault, cfg marchgen.SimConfig, obs []diagnoseObservation) (string, error) {
-	payload := struct {
+	return contentKey(struct {
 		Schema       string                `json:"schema"`
 		Faults       []marchgen.Fault      `json:"faults"`
 		Config       marchgen.SimConfig    `json:"config"`
 		Observations []diagnoseObservation `json:"observations"`
-	}{diagnoseKeySchema, faults, cfg.Canonical(), obs}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return "", fmt.Errorf("service: cache key: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	}{diagnoseKeySchema, faults, cfg.Canonical(), obs})
 }
 
 // optimizeKeySchema versions the /v1/optimize key derivation; bump it on any
@@ -304,10 +297,5 @@ func optimizeKey(faults []marchgen.Fault, seedTest *marchgen.March, opts marchge
 		gen := opts.Generator.Canonical()
 		payload.Generator = &gen
 	}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return "", fmt.Errorf("service: cache key: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return contentKey(payload)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -85,7 +86,7 @@ func writeShed(w http.ResponseWriter, shed *shedError) {
 // server's maximum applies. The deadline propagates into the job context,
 // so an abandoned client's work stops burning workers at its deadline.
 func requestTimeout(r *http.Request, bodyMS int64) (time.Duration, error) {
-	d := time.Duration(bodyMS) * time.Millisecond
+	d := millis(bodyMS)
 	h := r.Header.Get("X-Deadline")
 	if h == "" {
 		return d, nil
@@ -96,7 +97,7 @@ func requestTimeout(r *http.Request, bodyMS int64) (time.Duration, error) {
 		if merr != nil {
 			return 0, fmt.Errorf("bad X-Deadline %q: want a duration like \"30s\" or integer milliseconds", h)
 		}
-		hd = time.Duration(ms) * time.Millisecond
+		hd = millis(ms)
 	}
 	if hd <= 0 {
 		return 0, fmt.Errorf("bad X-Deadline %q: must be positive", h)
@@ -105,6 +106,16 @@ func requestTimeout(r *http.Request, bodyMS int64) (time.Duration, error) {
 		d = hd
 	}
 	return d, nil
+}
+
+// millis converts a millisecond count to a duration, clamped to what a
+// Duration can hold: a count too large to represent means "as long as the
+// server allows" (the job engine caps any longer timeout, the sync timeout
+// bounds the sync handlers) instead of wrapping into an arbitrary, often
+// sub-millisecond, deadline.
+func millis(ms int64) time.Duration {
+	const limit = math.MaxInt64 / int64(time.Millisecond)
+	return time.Duration(min(max(ms, -limit), limit)) * time.Millisecond
 }
 
 // writeSubmitError finishes an async submit's error path: admission sheds

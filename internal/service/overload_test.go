@@ -18,16 +18,9 @@ import (
 func TestCanceledQueuedJobsFreeTheirSlots(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 
-	// Occupy the lone worker with a slow job, then flood the queue.
-	running := do(t, s, "POST", "/v1/generate", `{"list":"list1","options":{"name":"tomb-run"}}`)
-	if running.Code != http.StatusAccepted {
-		t.Fatalf("running submit: %d: %s", running.Code, running.Body.String())
-	}
-	runID := decode[jobEnvelope](t, running).Job.ID
-	deadline := time.Now().Add(10 * time.Second)
-	for s.jobs.Depth() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Occupy the lone worker until the end of the test, then flood the
+	// queue.
+	runID := holdWorker(t, s, "tomb-run")
 
 	histBefore := decode[MetricsSnapshot](t, do(t, s, "GET", "/metrics", "")).Generate.Count
 
@@ -69,7 +62,7 @@ func TestCanceledQueuedJobsFreeTheirSlots(t *testing.T) {
 	}
 
 	// Admission freed the slots, but the engine's channel still holds the
-	// four tombstones (the worker is pinned on the slow job and cannot have
+	// four tombstones (the worker is pinned on the held job and cannot have
 	// drained any): a new submit passes admission and then hits the
 	// engine's 503 backstop, which must hand the admission slot straight
 	// back — not leak it.
@@ -307,6 +300,32 @@ func TestWarmStartServesAcrossRestart(t *testing.T) {
 	}
 	if string(first) != w2.Body.String() {
 		t.Fatal("warm-started response is not byte-identical to the original")
+	}
+}
+
+// TestHugeTimeoutMeansServerMaximum: a millisecond count whose duration
+// overflows int64 must read as "as long as the server allows", in the body's
+// timeout_ms and in an integer X-Deadline alike, not wrap into a
+// sub-millisecond deadline.
+func TestHugeTimeoutMeansServerMaximum(t *testing.T) {
+	const huge = "18446744073710" // × 1 ms wraps to about 448 µs
+	s := newTestServer(t, Config{Workers: 1})
+
+	w := do(t, s, "POST", "/v1/generate", `{"list":"list1","timeout_ms":`+huge+`}`)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("generate: %d: %s", w.Code, w.Body.String())
+	}
+	if j := pollJob(t, s, decode[jobEnvelope](t, w).Job.ID); j.Status != JobDone {
+		t.Fatalf("job with timeout_ms %s = %+v, want done", huge, j)
+	}
+
+	r := httptest.NewRequest("POST", "/v1/simulate",
+		strings.NewReader(`{"march":{"name":"March SL"},"list":"list1"}`))
+	r.Header.Set("X-Deadline", huge)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, r)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("simulate with X-Deadline %s: %d: %s", huge, rec.Code, rec.Body.String())
 	}
 }
 

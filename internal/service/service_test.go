@@ -74,6 +74,27 @@ func pollJob(t *testing.T, s *Server, id string) Job {
 	return Job{}
 }
 
+// holdWorker submits, through the generate class's admission and the job
+// engine as a POST /v1/generate does, a job that runs until it is canceled,
+// and returns its id once a worker has started it. Tests that need a busy
+// worker use it rather than a real generation, which can finish (a List #1
+// job takes tens of milliseconds) before the test has made its point.
+func holdWorker(t *testing.T, s *Server, key string) string {
+	t.Helper()
+	j, _, err := s.lookupOrSubmit(classGenerate, key, 0, func(ctx context.Context) ([]byte, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if err != nil {
+		t.Fatalf("hold a worker: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.jobs.Depth() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return j.id
+}
+
 func TestGenerateCacheRoundTrip(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 
@@ -290,14 +311,7 @@ func TestQueueBackpressure(t *testing.T) {
 
 	// Occupy the lone worker, then wait until it has dequeued the job so
 	// the single queue slot is observably free.
-	wA := do(t, s, "POST", "/v1/generate", `{"list":"list1","options":{"name":"fill-0"}}`)
-	if wA.Code != http.StatusAccepted {
-		t.Fatalf("first POST: status %d: %s", wA.Code, wA.Body.String())
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.jobs.Depth() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	holdID := holdWorker(t, s, "fill-0")
 
 	// Fill the queue slot; the next distinct request must get shed by the
 	// admission controller: 429 with a Retry-After.
@@ -320,8 +334,8 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 
 	// Cancel both jobs so the deferred Shutdown drains quickly.
-	for _, w := range []*httptest.ResponseRecorder{wA, wB} {
-		do(t, s, "DELETE", "/v1/jobs/"+decode[jobEnvelope](t, w).Job.ID, "")
+	for _, id := range []string{holdID, decode[jobEnvelope](t, wB).Job.ID} {
+		do(t, s, "DELETE", "/v1/jobs/"+id, "")
 	}
 }
 

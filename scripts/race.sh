@@ -27,9 +27,10 @@
 # circuit breaker's concurrent-report test in ./internal/retry/, and
 # ./cmd/marchload/ driving a live in-process server from many workers.
 # The axis engines (DESIGN.md §16) ride along: word/mport evaluation runs
-# from campaign shard workers and service jobs concurrently (and the mport
-# catalog march is a sync.Once-memoized per-process constant shared by all
-# of them), and the diagnose package is fanned out by /v1/diagnose jobs.
+# from campaign shard workers and service jobs concurrently (each call
+# parses the catalog's two-port march, mport.March2P, from its constant;
+# nothing is generated or shared), and the diagnose package is fanned out
+# by /v1/diagnose jobs.
 set -eu
 cd "$(dirname "$0")/.."
 exec go test -race ./internal/sim/... ./internal/core/... ./internal/oracle/... ./internal/optimize/... ./internal/service/... ./internal/campaign/... ./internal/store/... ./internal/iofault/... ./internal/retry/... ./internal/fabric/... ./internal/word/... ./internal/mport/... ./internal/diagnose/... ./cmd/marchctl/ ./cmd/marchload/
