@@ -37,14 +37,19 @@ race:
 ## count, must be the sequential scan's at GOMAXPROCS 1, 2, 4 and 8, which
 ## the tests set themselves on inputs above the fan-out gate), whose
 ## assertions must hold under any goroutine schedule, repeated 20 times at
-## 1, 2 and 4 CPUs; the generator's deadline check (a 1 ms deadline must
-## abort a List #1 generation even on one P, where the runtime fires the
-## context's timer late), repeated 20 times at 1, 2 and 4 CPUs; then the
-## optimizer's search (one winner, move trace and evaluation count at
-## GOMAXPROCS 1, 2, 4 and 8), repeated 5 times.
+## 1, 2 and 4 CPUs; the synchronous endpoints' deadline (a 2 ms X-Deadline
+## or a 1 ms sync timeout must stop a size-16 simulate with 504 and free its
+## admission slot before the handler returns, and detects must answer 504 to
+## a passed deadline) and SimulateContext's (a 2 ms deadline must stop that
+## run before a full run's time), which depend on timers and goroutine
+## scheduling, repeated 20 times at 1, 2 and 4 CPUs; the generator's
+## deadline check (a 1 ms deadline must abort a List #1 generation even on
+## one P, where the runtime fires the context's timer late), repeated 20
+## times at 1, 2 and 4 CPUs; then the optimizer's search (one winner, move
+## trace and evaluation count at GOMAXPROCS 1, 2, 4 and 8), repeated 5 times.
 stress:
-	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster|TestCanceledQueuedJobsFreeTheirSlots$$|TestQueueBackpressure$$' ./internal/service/ ./internal/fabric/
-	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$|TestCheckpointDeterministic$$' ./internal/sim/
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster|TestCanceledQueuedJobsFreeTheirSlots$$|TestQueueBackpressure$$|TestSyncDeadline' ./internal/service/ ./internal/fabric/
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$|TestCheckpointDeterministic$$|TestSimulateContext$$' ./internal/sim/
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestGenerateContextDeadline$$' ./internal/core/
 	$(GO) test -count=5 -cpu 1,2,4 -run 'TestOptimizeDeterministicAcrossProcs$$' ./internal/optimize/
 

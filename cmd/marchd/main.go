@@ -62,7 +62,7 @@ func main() {
 		cacheSize    = flag.Int("cache", 128, "result cache entries (content-addressed LRU)")
 		retain       = flag.Int("retain", 512, "finished jobs kept pollable before eviction")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "maximum per-job generation deadline")
-		syncTimeout  = flag.Duration("sync-timeout", 60*time.Second, "request timeout of the synchronous endpoints")
+		syncTimeout  = flag.Duration("sync-timeout", 60*time.Second, "deadline of the synchronous endpoints (simulate, detects); past it they answer 504")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain window for in-flight jobs")
 		dataDir      = flag.String("data", "", "campaign store root (default: marchd-campaigns under the OS temp dir)")
 		cacheDir     = flag.String("cache-dir", "", "persistent result-cache directory for warm restarts (default: <data>/resultcache when -data is set; empty -data disables persistence)")

@@ -55,6 +55,19 @@ func TestAxisCrossChecks(t *testing.T) {
 	}
 }
 
+// TestPortsOverLibrary: -ports 2 over the whole library passes. March G's
+// wait operations have no two-port form, so its mport check is skipped by
+// name instead of counted as a violation.
+func TestPortsOverLibrary(t *testing.T) {
+	code, out, errOut := runCmd(t, "-list", "list2", "-ports", "2")
+	if code != exitAgree {
+		t.Fatalf("exit %d; stdout: %s stderr: %s", code, out, errOut)
+	}
+	if !strings.Contains(out, "0 divergences") || !strings.Contains(out, "SKIP mport March G:") {
+		t.Fatalf("want 0 divergences and March G skipped:\n%s", out)
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-list", "nope"},

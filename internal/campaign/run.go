@@ -321,6 +321,7 @@ func runShard(ctx context.Context, sh Shard, memo *Memo, emit func(Event)) shard
 // the committed form — the worker half of the distributed fabric
 // (internal/fabric). Records are deterministic functions of the shard's
 // units, so two workers executing the same shard produce identical bytes.
+// memo is required (NewMemo); share one across the shards of a campaign.
 func ExecuteShard(ctx context.Context, sh Shard, memo *Memo) ([]store.Record, error) {
 	out := safeRunShard(ctx, sh, memo, func(Event) {})
 	return out.recs, out.err
@@ -373,12 +374,13 @@ type genEntry struct {
 // calls of one process.
 func NewMemo() *Memo { return &Memo{m: make(map[string]*genEntry)} }
 
-// runUnitMemo is runUnit with the generation step memoized on the unit's
-// generator coordinates.
+// runUnitMemo executes one unit: generate a march test for the unit's fault
+// list under its profile/order constraints (memoized on the unit's generator
+// coordinates), certify it on a Size-cell memory, then evaluate the
+// word-width and topology views. The returned document is deterministic;
+// err is non-nil only for infrastructure failures (context cancellation),
+// never for fault-coverage outcomes.
 func runUnitMemo(ctx context.Context, u Unit, memo *Memo) (UnitResult, error) {
-	if memo == nil {
-		return runUnit(ctx, u)
-	}
 	key := fmt.Sprintf("%s|%s|%s|%d", u.List, u.Profile, u.Order, u.Size)
 	memo.mu.Lock()
 	e, ok := memo.m[key]

@@ -106,16 +106,6 @@ type UnitResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// runUnit executes one unit: generate a march test for the unit's fault
-// list under its profile/order constraints, certify it on a Size-cell
-// memory, then evaluate the word-width and topology views. The returned
-// document is deterministic; err is non-nil only for infrastructure
-// failures (context cancellation), never for fault-coverage outcomes.
-func runUnit(ctx context.Context, u Unit) (UnitResult, error) {
-	gen, err := generateForUnit(ctx, u)
-	return buildResult(ctx, u, gen, err)
-}
-
 // generateForUnit is the generation step alone: the part units sharing
 // (list, profile, order, size) coordinates can reuse (see Memo).
 func generateForUnit(ctx context.Context, u Unit) (core.Result, error) {

@@ -6,6 +6,7 @@ import (
 
 	"marchgen/internal/march"
 	"marchgen/internal/mport"
+	"marchgen/internal/sim"
 	"marchgen/internal/word"
 )
 
@@ -99,7 +100,7 @@ func EvaluateWord(ctx context.Context, t march.Test, width int, transparent bool
 	cfg := word.Config{Words: 2, Width: width}
 	detected := 0
 	for _, f := range faults {
-		if err := ctxErr(ctx); err != nil {
+		if err := sim.ContextErr(ctx); err != nil {
 			return nil, err
 		}
 		d, err := word.Detects(t, f, bgs, cfg)
@@ -123,7 +124,7 @@ func EvaluateWord(ctx context.Context, t march.Test, width int, transparent bool
 		}
 		td := 0
 		for _, f := range faults {
-			if err := ctxErr(ctx); err != nil {
+			if err := sim.ContextErr(ctx); err != nil {
 				return nil, err
 			}
 			d, err := word.DetectsTransparent(tt, f, bgs, cfg)
@@ -149,7 +150,7 @@ func EvaluateMport(ctx context.Context, t march.Test, ports int) (*MportResult, 
 	if ports <= 1 {
 		return nil, nil
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := sim.ContextErr(ctx); err != nil {
 		return nil, err
 	}
 	catalog := mport.Catalog()

@@ -29,7 +29,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"marchgen/internal/fp"
@@ -234,7 +233,7 @@ func GenerateContext(ctx context.Context, faults []linked.Fault, opts Options) (
 	cand = walk(ctx, cand, faults, opts, st)
 	st.WalkerElements = len(cand.Elems) - 1
 	st.WalkerOps = cand.Length() - 1
-	if err := ctxErr(ctx); err != nil {
+	if err := sim.ContextErr(ctx); err != nil {
 		return Result{}, err
 	}
 
@@ -292,20 +291,6 @@ func GenerateContext(ctx context.Context, faults []linked.Fault, opts Options) (
 	st.Duration = time.Since(start)
 	res.Stats = *st
 	return res, nil
-}
-
-// ctxErr is ctx.Err() at a point where generation can stop. Once the
-// context's deadline has passed it yields until the context reports it:
-// ctx.Err() turns only when the runtime runs the context's timer, and on one
-// P a CPU-bound generation lets that happen only when it is preempted, about
-// 10 ms late, by which time a whole List #1 generation can be done.
-func ctxErr(ctx context.Context) error {
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		for ctx.Err() == nil {
-			runtime.Gosched()
-		}
-	}
-	return ctx.Err()
 }
 
 // entryConstraint returns the fault-free cell value an element requires on

@@ -41,7 +41,7 @@ func minimize(ctx context.Context, cand march.Test, cp *sim.Checkpoint, opts Opt
 	// context here bounds a cancellation's latency to one full-coverage
 	// evaluation.
 	admissible := func(t march.Test) (bool, error) {
-		if err := ctxErr(ctx); err != nil {
+		if err := sim.ContextErr(ctx); err != nil {
 			return false, err
 		}
 		return len(t.Elems) > 0 && t.Validate() == nil && t.CheckConsistency() == nil, nil

@@ -163,7 +163,7 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 	}
 	var missed []int
 	for {
-		if err := ctxErr(ctx); err != nil {
+		if err := sim.ContextErr(ctx); err != nil {
 			return cand, nil, err
 		}
 		st.Simulations++
@@ -177,7 +177,7 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 		bestGain := 0
 		for _, ti := range scan {
 			tpl := templates[ti]
-			if err := ctxErr(ctx); err != nil {
+			if err := sim.ContextErr(ctx); err != nil {
 				return cand, nil, err
 			}
 			if !opts.Orders.Allows(tpl.order) {

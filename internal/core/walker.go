@@ -31,7 +31,7 @@ func walk(ctx context.Context, cand march.Test, faults []linked.Fault, opts Opti
 	cfg := opts.searchConfig()
 
 	pending := singles
-	for len(pending) > 0 && ctxErr(ctx) == nil {
+	for len(pending) > 0 && sim.ContextErr(ctx) == nil {
 		v := testExit(cand) // fault-free cell value entering the new element
 		var so []fp.Op
 		progressed := false

@@ -1,6 +1,7 @@
 package mport
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -178,15 +179,20 @@ func MustParse(name, s string) Test {
 	return t
 }
 
+// ErrWaitOp is the refusal Lift wraps for a test with a wait operation.
+var ErrWaitOp = errors.New("wait operations are not modeled on two-port timing")
+
 // Lift converts a single-port march test into a two-port test with port B
 // idle — used to show that single-port tests miss the weak two-port faults.
+// A test with a wait operation has no two-port form: the error wraps
+// ErrWaitOp.
 func Lift(t march.Test) (Test, error) {
 	out := Test{Name: t.Name}
 	for _, e := range t.Elems {
 		var ops []PairOp
 		for _, op := range e.Ops {
 			if op.Kind == fp.OpWait {
-				return Test{}, fmt.Errorf("mport: cannot lift %q: wait operations are not modeled on two-port timing", t.Name)
+				return Test{}, fmt.Errorf("mport: cannot lift %q: %w", t.Name, ErrWaitOp)
 			}
 			ops = append(ops, PairOp{A: op, BTarget: None})
 		}

@@ -136,10 +136,9 @@ type admission struct {
 	dropCount  int // dequeues above target while dropping (the control-law n)
 
 	// Ring of recent completion timestamps: the drain-rate estimate.
-	done     [drainRing]time.Time
-	doneIdx  int
-	doneLen  int
-	shedsSum int64
+	done    [drainRing]time.Time
+	doneIdx int
+	doneLen int
 }
 
 // newAdmission builds a controller with per-class budgets derived from
@@ -370,7 +369,6 @@ func (a *admission) drainRateLocked() float64 {
 // [1s, 60s] (whole seconds: the header's granularity).
 func (a *admission) shedLocked(cs *classState, c admitClass, reason string) *shedError {
 	cs.sheds++
-	a.shedsSum++
 	queued := 0
 	for _, s := range a.classes {
 		queued += s.queued
@@ -462,11 +460,4 @@ func (a *admission) snapshot() map[string]classSnapshot {
 		}
 	}
 	return out
-}
-
-// shedsTotal returns the all-classes shed counter.
-func (a *admission) shedsTotal() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.shedsSum
 }

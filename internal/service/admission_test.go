@@ -298,7 +298,6 @@ func TestAdmissionConcurrentInterleavings(t *testing.T) {
 				case 3: // observers and the clock
 					a.pressure()
 					a.snapshot()
-					a.shedsTotal()
 					if g == 0 {
 						clk.advance(time.Millisecond)
 					}

@@ -348,7 +348,6 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	// Campaigns are the most expensive class, first on the shed order; their
 	// occupancy stays bounded by the campaign manager itself.
 	if shed := s.admit.admitPressure(classCampaign); shed != nil {
-		s.metrics.shed(string(classCampaign))
 		writeShed(w, shed)
 		return
 	}

@@ -13,6 +13,7 @@ import (
 	"marchgen"
 	"marchgen/internal/campaign"
 	"marchgen/internal/optimize"
+	"marchgen/internal/sim"
 )
 
 // encodeErrorRecorder is implemented by statusWriter: writeJSON reports
@@ -68,8 +69,13 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// errorBody is the error body with a formatted message.
+func errorBody(format string, args ...any) apiError {
+	return apiError{Error: fmt.Sprintf(format, args...)}
+}
+
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, status, errorBody(format, args...))
 }
 
 // writeShed answers an admission refusal: HTTP 429 with the controller's
@@ -83,8 +89,9 @@ func writeShed(w http.ResponseWriter, shed *shedError) {
 // requestTimeout resolves a request's effective deadline: the body's
 // timeout_ms tightened by an X-Deadline header, which accepts a Go
 // duration ("1.5s") or a bare integer millisecond count. 0 means the
-// server's maximum applies. The deadline propagates into the job context,
-// so an abandoned client's work stops burning workers at its deadline.
+// server's maximum applies. The deadline propagates into the job's or the
+// synchronous work's context, so an abandoned client's work stops burning
+// workers at its deadline.
 func requestTimeout(r *http.Request, bodyMS int64) (time.Duration, error) {
 	d := millis(bodyMS)
 	h := r.Header.Get("X-Deadline")
@@ -390,6 +397,38 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.snapshot(false))
 }
 
+// serveSync is the shared tail of the synchronous endpoints (simulate,
+// detects), called once the request is decoded and validated. It runs work
+// on the request goroutine under one deadline, the server's sync timeout
+// tightened by X-Deadline, in a simulate-class admission slot that frees
+// when the work returns. work answers with a status and a JSON body; when
+// the deadline passed before it returned, the answer is 504 instead.
+func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, work func(context.Context) (int, any)) {
+	timeout, err := requestTimeout(r, 0)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if timeout <= 0 || timeout > s.cfg.syncTimeout() {
+		timeout = s.cfg.syncTimeout()
+	}
+	if shed := s.admit.acquire(classSimulate); shed != nil {
+		writeShed(w, shed)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	status, body := func() (int, any) {
+		defer s.admit.release(classSimulate)
+		return work(ctx)
+	}()
+	if sim.ContextErr(ctx) != nil {
+		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before simulation finished")
+		return
+	}
+	writeJSON(w, status, body)
+}
+
 // handleSimulate is POST /v1/simulate: synchronous fault simulation of a
 // march test against a fault list.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -408,91 +447,45 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad fault spec: %v", err)
 		return
 	}
-	cfg := marchgen.SimConfig{}
+	cfg := defaultSimConfig()
 	if req.Config != nil {
 		cfg = *req.Config
-	} else {
-		cfg = defaultSimConfig()
 	}
 	if err := checkSize(cfg); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if shed := s.admit.acquire(classSimulate); shed != nil {
-		s.metrics.shed(string(classSimulate))
-		writeShed(w, shed)
-		return
-	}
-	ctx, cancel, err := syncContext(r)
-	if err != nil {
-		s.admit.release(classSimulate)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
-	// The simulator has no context hook, so the deadline is enforced by
-	// racing it: the goroutine owns the admission slot until the work
-	// really finishes, even when the response has already gone out as 504
-	// — abandoned work must keep counting against the class's concurrency.
-	type simOutcome struct {
-		report marchgen.Report
-		word   *marchgen.WordResult
-		mport  *marchgen.MportResult
-		err    error
-	}
-	ch := make(chan simOutcome, 1)
-	go func() {
-		defer s.admit.release(classSimulate)
-		var out simOutcome
-		out.report = marchgen.SimulateWith(test, faults, cfg)
-		if out.report.Err() == nil {
-			// The axis sections (nil at width=1/ports=1, so pre-axis
-			// responses keep their exact shape).
-			out.word, out.err = marchgen.EvaluateWord(ctx, test, cfg.Width, false)
-			if out.err == nil {
-				out.mport, out.err = marchgen.EvaluateMport(ctx, test, cfg.Ports)
-			}
+	s.serveSync(w, r, func(ctx context.Context) (int, any) {
+		// Simulation errors are request-shaped: the march test or config
+		// cannot express the fault list (⇕ expansion cap, memory too small).
+		sched, err := sim.NewSchedule(test, cfg)
+		if err != nil {
+			return http.StatusUnprocessableEntity, errorBody("simulation failed: %v", err)
 		}
-		ch <- out
-	}()
-	select {
-	case <-ctx.Done():
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before simulation finished")
-		return
-	case out := <-ch:
-		if err := out.report.Err(); err != nil {
-			// Simulation errors are request-shaped: the march test or config
-			// cannot express the fault list (⇕ expansion cap, memory too small).
-			writeError(w, http.StatusUnprocessableEntity, "simulation failed: %v", err)
-			return
+		report, err := sched.SimulateContext(ctx, faults)
+		if err != nil {
+			return 0, nil // the deadline passed: serveSync answers 504
 		}
-		if out.err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "axis evaluation failed: %v", out.err)
-			return
+		if err := report.Err(); err != nil {
+			return http.StatusUnprocessableEntity, errorBody("simulation failed: %v", err)
 		}
-		writeJSON(w, http.StatusOK, struct {
+		// The axis sections are nil at width=1/ports=1, so pre-axis
+		// responses keep their exact shape.
+		word, err := marchgen.EvaluateWord(ctx, test, cfg.Width, false)
+		var mport *marchgen.MportResult
+		if err == nil {
+			mport, err = marchgen.EvaluateMport(ctx, test, cfg.Ports)
+		}
+		if err != nil {
+			return http.StatusUnprocessableEntity, errorBody("axis evaluation failed: %v", err)
+		}
+		return http.StatusOK, struct {
 			Report  marchgen.Report       `json:"report"`
 			Word    *marchgen.WordResult  `json:"word,omitempty"`
 			Mport   *marchgen.MportResult `json:"mport,omitempty"`
 			Summary string                `json:"summary"`
-		}{out.report, out.word, out.mport, out.report.Summary()})
-	}
-}
-
-// syncContext derives a synchronous handler's work context: the request
-// context (which http.TimeoutHandler already bounds by the server's sync
-// timeout), tightened by X-Deadline when the client sends one.
-func syncContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	d, err := requestTimeout(r, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d <= 0 {
-		ctx, cancel := context.WithCancel(r.Context())
-		return ctx, cancel, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
+		}{report, word, mport, report.Summary()}
+	})
 }
 
 // handleDetects is POST /v1/detects: does the march test detect this one
@@ -520,26 +513,21 @@ func (s *Server) handleDetects(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if shed := s.admit.acquire(classSimulate); shed != nil {
-		s.metrics.shed(string(classSimulate))
-		writeShed(w, shed)
-		return
-	}
-	detected, witness, err := marchgen.DetectsWith(test, *req.Fault, cfg)
-	s.admit.release(classSimulate)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "simulation failed: %v", err)
-		return
-	}
-	out := struct {
-		Fault    marchgen.Fault `json:"fault"`
-		Detected bool           `json:"detected"`
-		Witness  string         `json:"witness,omitempty"`
-	}{*req.Fault, detected, ""}
-	if witness != nil {
-		out.Witness = witness.String()
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.serveSync(w, r, func(context.Context) (int, any) {
+		detected, witness, err := marchgen.DetectsWith(test, *req.Fault, cfg)
+		if err != nil {
+			return http.StatusUnprocessableEntity, errorBody("simulation failed: %v", err)
+		}
+		out := struct {
+			Fault    marchgen.Fault `json:"fault"`
+			Detected bool           `json:"detected"`
+			Witness  string         `json:"witness,omitempty"`
+		}{*req.Fault, detected, ""}
+		if witness != nil {
+			out.Witness = witness.String()
+		}
+		return http.StatusOK, out
+	})
 }
 
 // handleLibrary is GET /v1/library: the shipped march tests.
@@ -594,6 +582,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	level, _ := s.admit.pressure()
 	snap.Pressure = level.String()
 	snap.Admission = s.admit.snapshot()
+	snap.ShedsByClass = make(map[string]int64)
+	for c, cs := range snap.Admission {
+		if cs.Sheds > 0 {
+			snap.ShedsByClass[c] = cs.Sheds
+		}
+	}
 	if s.fabric != nil {
 		fc := s.fabric.Counters()
 		snap.Fabric = &fc
@@ -608,10 +602,10 @@ func defaultSimConfig() marchgen.SimConfig {
 }
 
 // checkSize bounds the memory a simulating request may ask for. Simulation
-// cost grows about with the cube of the size, and the work does not stop at
-// the request's deadline (the simulator and the cross-check take no
-// context; diagnosis enumerates every placement up front), so the bound is
-// checked before admission.
+// cost grows about with the cube of the size, and not all of the work stops
+// at the request's deadline (simulate does, within one fault; the verify
+// job's cross-check takes no context, and diagnosis enumerates every
+// placement up front), so the bound is checked before admission.
 func checkSize(cfg marchgen.SimConfig) error {
 	if cfg.Size > campaign.MaxSize {
 		return fmt.Errorf("config.size %d exceeds the maximum of %d cells", cfg.Size, campaign.MaxSize)

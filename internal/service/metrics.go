@@ -50,8 +50,6 @@ type metrics struct {
 	panicsTotal  int64 // contained panics: job fns, HTTP handlers
 	encodeErrors int64 // response bodies lost after the status line
 
-	sheds map[string]int64 // admission sheds (429s) per class
-
 	genCount   int64
 	genSum     float64 // seconds
 	genBuckets []int64 // cumulative-style counts per latencyBuckets entry, +Inf last
@@ -61,7 +59,6 @@ func newMetrics() *metrics {
 	return &metrics{
 		requests:   make(map[string]int64),
 		statuses:   make(map[int]int64),
-		sheds:      make(map[string]int64),
 		genBuckets: make([]int64, len(latencyBuckets)+1),
 	}
 }
@@ -175,13 +172,6 @@ func (m *metrics) encodeError() {
 	m.mu.Unlock()
 }
 
-// shed counts one admission refusal (HTTP 429) for the class.
-func (m *metrics) shed(class string) {
-	m.mu.Lock()
-	m.sheds[class]++
-	m.mu.Unlock()
-}
-
 // observeGenerate records one completed generation's wall-clock latency.
 func (m *metrics) observeGenerate(d time.Duration) {
 	s := d.Seconds()
@@ -236,8 +226,9 @@ type MetricsSnapshot struct {
 	EncodeErrors int64 `json:"response_encode_errors"`
 
 	// Pressure is the degrade-ladder level (ok | degraded | overloaded) at
-	// snapshot time; ShedsByClass counts admission 429s per request class;
-	// Admission is the controller's live per-class occupancy.
+	// snapshot time; ShedsByClass counts admission 429s per request class
+	// that has shed any, read from Admission, the controller's live
+	// per-class occupancy and shed counts.
 	Pressure     string                   `json:"pressure"`
 	ShedsByClass map[string]int64         `json:"sheds_by_class"`
 	Admission    map[string]classSnapshot `json:"admission"`
@@ -311,8 +302,7 @@ func (m *metrics) snapshot(queueDepth, cacheEntries int) MetricsSnapshot {
 		PanicsTotal:  m.panicsTotal,
 		EncodeErrors: m.encodeErrors,
 
-		ShedsByClass: make(map[string]int64, len(m.sheds)),
-		Runtime:      sampleRuntime(),
+		Runtime: sampleRuntime(),
 
 		Generate: HistogramSnapshot{
 			Count:   m.genCount,
@@ -326,9 +316,6 @@ func (m *metrics) snapshot(queueDepth, cacheEntries int) MetricsSnapshot {
 	}
 	for k, v := range m.statuses {
 		s.Statuses[strconv.Itoa(k)] = v
-	}
-	for k, v := range m.sheds {
-		s.ShedsByClass[k] = v
 	}
 	return s
 }

@@ -368,3 +368,43 @@ func TestRequestTimeoutHeader(t *testing.T) {
 		}
 	}
 }
+
+// TestShedsCountedOnce: /metrics reads its per-class shed counts from the
+// admission controller, so sheds_by_class and admission.<class>.sheds_total
+// agree for every class after generate and simulate sheds.
+func TestShedsCountedOnce(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	holdID := holdWorker(t, s, "fill-0")
+	wB := do(t, s, "POST", "/v1/generate", `{"list":"list1","options":{"name":"fill-1"}}`)
+	if wB.Code != http.StatusAccepted {
+		t.Fatalf("queued POST: %d: %s", wB.Code, wB.Body.String())
+	}
+	for i := 0; i < 2; i++ {
+		if w := do(t, s, "POST", "/v1/generate", `{"list":"list1","options":{"name":"shed"}}`); w.Code != http.StatusTooManyRequests {
+			t.Fatalf("generate over budget: %d, want 429", w.Code)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if shed := s.admit.acquire(classSimulate); shed != nil {
+			t.Fatalf("hold simulate slot %d: %v", i, shed)
+		}
+	}
+	if w := do(t, s, "POST", "/v1/simulate", `{"march":{"name":"March SL"},"list":"list2"}`); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("simulate over budget: %d, want 429", w.Code)
+	}
+	s.admit.release(classSimulate)
+	s.admit.release(classSimulate)
+
+	m := decode[MetricsSnapshot](t, do(t, s, "GET", "/metrics", ""))
+	if m.ShedsByClass["generate"] != 2 || m.ShedsByClass["simulate"] != 1 {
+		t.Fatalf("sheds_by_class = %v, want generate 2 and simulate 1", m.ShedsByClass)
+	}
+	for c, cs := range m.Admission {
+		if m.ShedsByClass[c] != cs.Sheds {
+			t.Errorf("class %s: sheds_by_class %d, admission sheds_total %d", c, m.ShedsByClass[c], cs.Sheds)
+		}
+	}
+	for _, id := range []string{holdID, decode[jobEnvelope](t, wB).Job.ID} {
+		do(t, s, "DELETE", "/v1/jobs/"+id, "")
+	}
+}

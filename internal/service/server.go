@@ -14,7 +14,8 @@
 //     requests are deduplicated onto one job.
 //   - Simulation and detection are synchronous (they are orders of
 //     magnitude cheaper than generation thanks to the compiled schedules of
-//     internal/sim) with a request-scoped timeout.
+//     internal/sim): they run on the request goroutine under one deadline,
+//     and a deadline that passes answers 504.
 //   - Observability: structured request logging, /healthz, and /metrics
 //     (request/cache/job counters plus a generation latency histogram).
 //
@@ -50,8 +51,9 @@ type Config struct {
 	RetainJobs int
 	// JobTimeout caps every generation job's deadline; 0 means 5 minutes.
 	JobTimeout time.Duration
-	// SyncTimeout is the request-scoped timeout of the synchronous
-	// endpoints (simulate, detects); 0 means 60 seconds.
+	// SyncTimeout is the deadline of the synchronous endpoints (simulate,
+	// detects), which X-Deadline can tighten; past it they answer 504. 0
+	// means 60 seconds.
 	SyncTimeout time.Duration
 	// AdmitTarget is the CoDel queue-wait target of the admission
 	// controller: sustained queue waits above it put the service under
@@ -201,8 +203,8 @@ func New(cfg Config) *Server {
 	s.route(mux, "POST /v1/verify", s.handleVerify)
 	s.route(mux, "POST /v1/optimize", s.handleOptimize)
 	s.route(mux, "POST /v1/diagnose", s.handleDiagnose)
-	s.route(mux, "POST /v1/simulate", s.timeout(s.handleSimulate))
-	s.route(mux, "POST /v1/detects", s.timeout(s.handleDetects))
+	s.route(mux, "POST /v1/simulate", s.handleSimulate)
+	s.route(mux, "POST /v1/detects", s.handleDetects)
 	s.route(mux, "GET /v1/library", s.handleLibrary)
 	s.route(mux, "GET /v1/faultlists", s.handleFaultLists)
 	s.route(mux, "GET /v1/jobs/{id}", s.handleJobGet)
@@ -303,15 +305,6 @@ func (s *Server) route(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
 	}))
 }
 
-// timeout wraps a synchronous handler with the request-scoped timeout.
-func (s *Server) timeout(h http.HandlerFunc) http.HandlerFunc {
-	th := http.TimeoutHandler(h, s.cfg.syncTimeout(), `{"error":"request timed out"}`)
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		th.ServeHTTP(w, r)
-	}
-}
-
 // logging emits one structured line per request.
 func (s *Server) logging(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -380,7 +373,6 @@ func (s *Server) lookupOrSubmit(class admitClass, key string, timeout time.Durat
 		delete(s.inflight, key)
 	}
 	if shed := s.admit.admit(class); shed != nil {
-		s.metrics.shed(string(class))
 		return nil, false, shed
 	}
 	j, err := s.jobs.Submit(class, timeout, fn)

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"marchgen/internal/linked"
 	"marchgen/internal/march"
@@ -154,15 +156,43 @@ func Simulate(t march.Test, faults []linked.Fault, cfg Config) Report {
 // machines drawn from the schedule's pool, fanning out as fanOut decides
 // from the trie's work over the list. Result order matches the fault list.
 func (s *Schedule) Simulate(faults []linked.Fault) Report {
+	r, _ := s.SimulateContext(context.Background(), faults)
+	return r
+}
+
+// SimulateContext is Simulate under a context: it checks ctx with
+// ContextErr before each fault, and once ctx is done it returns ctx's error
+// and no report. fanOut starts no fault above the one that stopped, so the
+// work goes on past the deadline by at most one fault per goroutine.
+func (s *Schedule) SimulateContext(ctx context.Context, faults []linked.Fault) (Report, error) {
 	if len(faults) == 0 {
-		return Report{Test: s.test}
+		return Report{Test: s.test}, nil
 	}
 	results := make([]Result, len(faults))
-	s.fanOut(s.work(faults), len(faults), func(m *machine, i int) bool {
+	stop := s.fanOut(s.work(faults), len(faults), func(m *machine, i int) bool {
+		if ContextErr(ctx) != nil {
+			return true
+		}
 		results[i] = s.result(m, faults[i])
 		return false
 	})
-	return Report{Test: s.test, Results: results}
+	if stop < len(faults) {
+		return Report{}, ContextErr(ctx)
+	}
+	return Report{Test: s.test, Results: results}, nil
+}
+
+// ContextErr is ctx.Err() at a point where long work can stop. Once ctx's
+// deadline has passed it yields until ctx reports it: ctx.Err() turns only
+// when the runtime runs the context's timer, and a CPU-bound goroutine lets
+// that happen only when it is preempted, about 10 ms late on a busy P.
+func ContextErr(ctx context.Context) error {
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		for ctx.Err() == nil {
+			runtime.Gosched()
+		}
+	}
+	return ctx.Err()
 }
 
 // minFanOutSteps is the least work, in operation steps, that fanOut spreads

