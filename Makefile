@@ -45,12 +45,16 @@ race:
 ## scheduling, repeated 20 times at 1, 2 and 4 CPUs; the generator's
 ## deadline check (a 1 ms deadline must abort a List #1 generation even on
 ## one P, where the runtime fires the context's timer late), repeated 20
+## times at 1, 2 and 4 CPUs; the campaign engine's cancellation boundary (a
+## run canceled at its k-th shard commit must leave exactly k shards
+## committed, whichever shards finish first under the scheduler), repeated 20
 ## times at 1, 2 and 4 CPUs; then the optimizer's search (one winner, move
 ## trace and evaluation count at GOMAXPROCS 1, 2, 4 and 8), repeated 5 times.
 stress:
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster|TestCanceledQueuedJobsFreeTheirSlots$$|TestQueueBackpressure$$|TestSyncDeadline' ./internal/service/ ./internal/fabric/
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$|TestCheckpointDeterministic$$|TestSimulateContext$$' ./internal/sim/
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestGenerateContextDeadline$$' ./internal/core/
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestCancelStopsAtCommitBoundary$$' ./internal/campaign/
 	$(GO) test -count=5 -cpu 1,2,4 -run 'TestOptimizeDeterministicAcrossProcs$$' ./internal/optimize/
 
 ## bench: simulator and generator throughput benchmarks.
@@ -110,12 +114,16 @@ smoke:
 
 ## chaos: the fault-injection gate (DESIGN.md §10) — the iofault injector
 ## suite, the crash-matrix byte-identical-resume sweep over every I/O op,
-## the torn-tail fuzz seeds, panic containment in the job engine and HTTP
-## layer, and the retrying marchctl client against a flaky server.
+## the coordinator fault matrix (every store fault inside the fabric's
+## commits must leave a readable, duplicate-free prefix that a restarted
+## coordinator finishes byte-identically), the torn-tail fuzz seeds, panic
+## containment in the job engine and HTTP layer, marchd's bounds on stalled
+## and oversized request bodies, and the retrying marchctl client against a
+## flaky server.
 chaos:
 	$(GO) test -count=1 ./internal/iofault/ ./internal/retry/ ./cmd/marchctl/
-	$(GO) test -count=1 -run 'TestCrashMatrix|TestFaultMatrix|TestENOSPC|TestRunContainsPanicking|TestCrashError|FuzzOpenTornTail|TestJobEnginePanicContained|TestRoutePanic|TestEncodeError' \
-		./internal/campaign/ ./internal/store/ ./internal/service/
+	$(GO) test -count=1 -run 'TestCrashMatrix|TestFaultMatrix|TestCoordinatorFaultMatrix|TestENOSPC|TestFailedWriteStopsCommits|TestRunContainsPanicking|TestCrashError|FuzzOpenTornTail|TestJobEnginePanicContained|TestRoutePanic|TestEncodeError|TestStalledBodyIsAnswered|TestOversizedBodyIsRefused' \
+		./internal/campaign/ ./internal/store/ ./internal/service/ ./internal/fabric/ ./cmd/marchd/
 
 ## cluster-test: the distributed-fabric gate (DESIGN.md §13) — in-process
 ## 1-coordinator/3-worker clusters proving merged results byte-identical

@@ -144,12 +144,8 @@ func TestReportExitsIncompleteOnPartialResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if err := st.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Commit(1); err != nil {
+	st.Stage(0, recs)
+	if _, err := st.CommitNext(); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -176,12 +172,8 @@ func TestReportExitsIncompleteOnPartialResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if err := st.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Commit(2); err != nil {
+	st.Stage(1, recs)
+	if _, err := st.CommitNext(); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -223,7 +215,7 @@ func TestReportMixedAxesMatrix(t *testing.T) {
 	}
 
 	memo := campaign.NewMemo()
-	commit := func(sh campaign.Shard, seq int) {
+	commit := func(sh campaign.Shard) {
 		t.Helper()
 		st, err := store.Open(dir, spec.Hash())
 		if err != nil {
@@ -233,12 +225,8 @@ func TestReportMixedAxesMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range recs {
-			if err := st.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Commit(seq); err != nil {
+		st.Stage(sh.ID, recs)
+		if _, err := st.CommitNext(); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {
@@ -246,13 +234,13 @@ func TestReportMixedAxesMatrix(t *testing.T) {
 		}
 	}
 
-	commit(plan[0], 1)
+	commit(plan[0])
 	if code, _, stderr := runCmd("report", "-dir", root); code != exitIncomplete {
 		t.Fatalf("half-committed mixed-axes report exit = %d, want %d; stderr:\n%s",
 			code, exitIncomplete, stderr)
 	}
 
-	commit(plan[1], 2)
+	commit(plan[1])
 	code, out, stderr := runCmd("report", "-dir", root)
 	if code != exitOK {
 		t.Fatalf("complete report exit = %d, stderr:\n%s", code, stderr)

@@ -156,7 +156,15 @@ func cmdSubmit(ctx context.Context, c *client, args []string, stdout, stderr io.
 		fmt.Fprintln(stderr, "marchctl:", err)
 		return exitUsage
 	}
-	resp, err := c.do(ctx, "POST", "/v1/generate", body)
+	return postAsync(ctx, c, "/v1/generate", "submit", body, *wait, stdout, stderr)
+}
+
+// postAsync is the shared tail of the commands that start an asynchronous
+// job: POST body to path, then print the result document of a cache hit
+// (200), or the accepted job (202) — or, with wait, poll it to completion
+// and print its result. Any other status is reported as "<what> rejected".
+func postAsync(ctx context.Context, c *client, path, what string, body []byte, wait bool, stdout, stderr io.Writer) int {
+	resp, err := c.do(ctx, "POST", path, body)
 	if err != nil {
 		fmt.Fprintln(stderr, "marchctl:", err)
 		return exitTransport
@@ -174,13 +182,13 @@ func cmdSubmit(ctx context.Context, c *client, args []string, stdout, stderr io.
 			fmt.Fprintln(stderr, "marchctl: bad 202 body:", err)
 			return exitRemote
 		}
-		if !*wait {
+		if !wait {
 			fmt.Fprintf(stdout, "job %s %s; poll with: marchctl wait %s\n", accepted.Job.ID, accepted.Job.Status, accepted.Job.ID)
 			return exitOK
 		}
 		return waitAndPrintResult(ctx, c, accepted.Job.ID, stdout, stderr)
 	default:
-		fmt.Fprintf(stderr, "marchctl: submit rejected: HTTP %d: %s\n", resp.status, apiErrorOf(resp))
+		fmt.Fprintf(stderr, "marchctl: %s rejected: HTTP %d: %s\n", what, resp.status, apiErrorOf(resp))
 		return exitRemote
 	}
 }
@@ -386,33 +394,7 @@ func cmdDiagnose(ctx context.Context, c *client, args []string, stdout, stderr i
 		fmt.Fprintln(stderr, "marchctl diagnose: need -body, or -list with at least one -obs")
 		return exitUsage
 	}
-	resp, err := c.do(ctx, "POST", "/v1/diagnose", body)
-	if err != nil {
-		fmt.Fprintln(stderr, "marchctl:", err)
-		return exitTransport
-	}
-	switch resp.status {
-	case 200: // cache hit: the result document itself
-		fmt.Fprintln(stdout, string(resp.body))
-		return exitOK
-	case 202:
-		var accepted struct {
-			Job  jobView `json:"job"`
-			Poll string  `json:"poll"`
-		}
-		if err := json.Unmarshal(resp.body, &accepted); err != nil {
-			fmt.Fprintln(stderr, "marchctl: bad 202 body:", err)
-			return exitRemote
-		}
-		if !*wait {
-			fmt.Fprintf(stdout, "job %s %s; poll with: marchctl wait %s\n", accepted.Job.ID, accepted.Job.Status, accepted.Job.ID)
-			return exitOK
-		}
-		return waitAndPrintResult(ctx, c, accepted.Job.ID, stdout, stderr)
-	default:
-		fmt.Fprintf(stderr, "marchctl: diagnose rejected: HTTP %d: %s\n", resp.status, apiErrorOf(resp))
-		return exitRemote
-	}
+	return postAsync(ctx, c, "/v1/diagnose", "diagnose", body, *wait, stdout, stderr)
 }
 
 // campaignView mirrors the service's campaign snapshot wire form (the

@@ -129,11 +129,7 @@ func main() {
 	// smoke test, orchestrators) can bind to port 0 and scrape the port.
 	logger.Printf("listening on %s", ln.Addr())
 
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	httpSrv := newHTTPServer(handler, *syncTimeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -186,6 +182,21 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "marchd: exit", code)
 	os.Exit(code)
+}
+
+// newHTTPServer wraps h in the server marchd listens with. Request bodies
+// are bounded in time and size: a body must arrive within readTimeout (the
+// synchronous endpoints' deadline) and hold at most fabric.MaxBodyBytes,
+// the cap the fabric protocol already applies, so a client that stalls
+// mid-body or streams an endless one is answered instead of holding a
+// connection and a handler forever.
+func newHTTPServer(h http.Handler, readTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           http.MaxBytesHandler(h, fabric.MaxBodyBytes),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 // chaosHandler is the -chaos-503 testing aid: the first n requests to the

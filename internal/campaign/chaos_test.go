@@ -137,10 +137,8 @@ func TestENOSPCLeavesStoreAtCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(store.Record{ID: "a", Seq: 0, Body: []byte(`{"n":0}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Commit(1); err != nil {
+	s.Stage(0, []store.Record{{ID: "a", Seq: 0, Body: []byte(`{"n":0}`)}})
+	if _, err := s.CommitNext(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -152,17 +150,15 @@ func TestENOSPCLeavesStoreAtCheckpoint(t *testing.T) {
 	}
 
 	// Reopen through an injector that runs out of disk on the second
-	// mutating op (the data fsync of the next commit survives; the index
-	// temp write hits ENOSPC).
+	// mutating op of the next commit (its data append, op 0, lands; the
+	// data fsync hits ENOSPC).
 	inj := iofault.NewInjector(nil, iofault.Plan{Op: 1, Kind: iofault.ENOSPC})
 	s2, err := store.OpenFS(dir, "h1", inj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Append(store.Record{ID: "b", Seq: 1, Body: []byte(`{"n":1}`)}); err != nil { // op 0
-		t.Fatal(err)
-	}
-	if err := s2.Commit(2); err == nil {
+	s2.Stage(1, []store.Record{{ID: "b", Seq: 1, Body: []byte(`{"n":1}`)}})
+	if _, err := s2.CommitNext(); err == nil {
 		t.Fatal("commit with injected ENOSPC succeeded")
 	}
 	s2.Close()

@@ -216,11 +216,8 @@ func Run(ctx context.Context, spec Spec, root string, opts RunOptions) (Summary,
 		close(outCh)
 	}()
 
-	// The committer: shards complete in any order, but the store only ever
-	// grows by the next shard in plan order, each commit advancing the
-	// atomic checkpoint. Out-of-order completions wait in pending.
-	pending := make(map[int][]store.Record)
-	next := start
+	// Shards complete in any order; the store stages them and commits
+	// only the shard its checkpoint reaches next.
 	var firstErr error
 	for out := range outCh {
 		if out.err != nil {
@@ -233,43 +230,26 @@ func Run(ctx context.Context, spec Spec, root string, opts RunOptions) (Summary,
 		if firstErr != nil {
 			continue // drain only: nothing commits after the first failure
 		}
-		pending[out.idx] = out.recs
-		for {
-			recs, ok := pending[next]
-			if !ok {
-				break
-			}
+		st.Stage(out.idx, out.recs)
+		for st.Staged(st.Checkpoint().Shards) {
 			// Cancellation is honored *between* shard commits: once the
 			// context dies, the store stays at its last checkpoint even if
 			// later shards already finished executing — the same state a
 			// SIGKILL between shards leaves behind.
 			if err := runCtx.Err(); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
+				firstErr = err
 				break
 			}
-			delete(pending, next)
-			commitErr := func() error {
-				for _, r := range recs {
-					if err := st.Append(r); err != nil {
-						return err
-					}
-				}
-				return st.Commit(next + 1)
-			}()
-			if commitErr != nil {
-				if firstErr == nil {
-					firstErr = commitErr
-					cancel()
-				}
+			if _, err := st.CommitNext(); err != nil {
+				firstErr = err
+				cancel()
 				break
 			}
-			next++
-			emit(Event{Kind: EventShardCommitted, Shard: next - 1, Committed: next})
+			cp := st.Checkpoint()
+			emit(Event{Kind: EventShardCommitted, Shard: cp.Shards - 1, Committed: cp.Shards})
 		}
 	}
-	if firstErr == nil && next < len(shards) {
+	if firstErr == nil && st.Checkpoint().Shards < len(shards) {
 		// The dispatcher stops handing out shards once the context dies, so
 		// a cancellation that lands before a shard starts leaves no shard
 		// error behind; without this a cut-short campaign reads as done.
@@ -332,15 +312,6 @@ func summarize(c Spec, dir string, st *store.Store, resumedFrom int) (Summary, e
 	if err != nil {
 		return Summary{}, err
 	}
-	unitErrs := 0
-	for _, r := range recs {
-		var doc struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(r.Body, &doc) == nil && doc.Error != "" {
-			unitErrs++
-		}
-	}
 	return Summary{
 		ID:          c.ID(),
 		SpecHash:    c.Hash(),
@@ -348,8 +319,24 @@ func summarize(c Spec, dir string, st *store.Store, resumedFrom int) (Summary, e
 		Shards:      st.Checkpoint().Shards,
 		Units:       st.Checkpoint().Records,
 		ResumedFrom: resumedFrom,
-		UnitErrors:  unitErrs,
+		UnitErrors:  UnitErrors(recs),
 	}, nil
+}
+
+// UnitErrors counts the records whose unit result reports an error. It
+// decodes only each body's error field, so one undecodable record does not
+// hide the errors of the others.
+func UnitErrors(recs []store.Record) int {
+	n := 0
+	for _, r := range recs {
+		var doc struct {
+			Error string `json:"error"`
+		}
+		if json.Unmarshal(r.Body, &doc) == nil && doc.Error != "" {
+			n++
+		}
+	}
+	return n
 }
 
 // Memo deduplicates generation work across units that share generator

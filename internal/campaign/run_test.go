@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,6 +87,42 @@ func TestRunCancelledBeforeFirstShardIsInterrupted(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("run %d: err = %v, summary %+v; want context.Canceled", i, err, sum)
 		}
+	}
+}
+
+// TestCancelStopsAtCommitBoundary pins where cancellation takes effect: a
+// run canceled from OnEvent at its k-th shard commit leaves exactly k
+// shards committed, however many later shards had already finished
+// executing when the cancel landed.
+func TestCancelStopsAtCommitBoundary(t *testing.T) {
+	spec := sweepSpec()
+	for k := 1; k <= 5; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			root := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			commits := 0 // OnEvent is called serially
+			_, err := Run(ctx, spec, root, RunOptions{
+				Workers: 4,
+				OnEvent: func(ev Event) {
+					if ev.Kind == EventShardCommitted {
+						if commits++; commits == k {
+							cancel()
+						}
+					}
+				},
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			cp, err := store.ReadCheckpoint(spec.Dir(root))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.Shards != k {
+				t.Fatalf("canceled at commit %d, checkpoint reads %d shards", k, cp.Shards)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -75,7 +74,7 @@ func (c Config) schema() string {
 }
 
 // shard scheduling states. "done" means "never schedule again": the shard
-// is committed or staged in the merger awaiting its plan-order turn.
+// is committed or staged in the store awaiting its plan-order turn.
 const (
 	shardPending = iota
 	shardLeased
@@ -91,16 +90,42 @@ type lease struct {
 }
 
 type session struct {
-	spec   campaign.Spec // canonical
-	id     string
-	dir    string
-	plan   []campaign.Shard
-	state  []uint8
-	merger *Merger
-	st     *store.Store
-	leases map[string]*lease
-	done   bool
+	spec  campaign.Spec // canonical
+	id    string
+	dir   string
+	plan  []campaign.Shard
+	state []uint8
+	st    *store.Store
+	// firstBy names, per staged or committed shard, the worker whose
+	// report arrived first.
+	firstBy map[int]string
+	leases  map[string]*lease
+	done    bool
 }
+
+// stage stages a validated shard report in the store and credits worker
+// with it, unless the shard is already committed or staged.
+func (s *session) stage(worker string, shard int, recs []store.Record) {
+	if s.st.Stage(shard, recs) {
+		s.firstBy[shard] = worker
+		s.state[shard] = shardDone
+	}
+}
+
+// commit commits every staged shard the checkpoint reaches, in plan order.
+// After a failed store write it keeps returning that error: the session
+// cannot commit again until a restarted coordinator reopens the store.
+func (s *session) commit() error {
+	for {
+		ok, err := s.st.CommitNext()
+		if err != nil || !ok {
+			return err
+		}
+	}
+}
+
+// committed returns the number of leading plan shards committed so far.
+func (s *session) committed() int { return s.st.Checkpoint().Shards }
 
 func (s *session) remaining(l *lease) []int {
 	var out []int
@@ -120,7 +145,7 @@ type workerState struct {
 
 // Coordinator owns the fabric's server side: worker membership, the lease
 // state machine of every submitted campaign, and the segment-journaled
-// merge into each campaign's store. All methods are safe for concurrent
+// commits into each campaign's store. All methods are safe for concurrent
 // use; the HTTP layer (Mux, internal/service) is a thin JSON shim over
 // them.
 type Coordinator struct {
@@ -213,22 +238,23 @@ func (c *Coordinator) Submit(spec campaign.Spec) (SessionStatus, error) {
 
 	plan := campaign.Plan(can)
 	s := &session{
-		spec:   can,
-		id:     id,
-		dir:    dir,
-		plan:   plan,
-		state:  make([]uint8, len(plan)),
-		merger: NewMerger(st, plan),
-		st:     st,
-		leases: make(map[string]*lease),
+		spec:    can,
+		id:      id,
+		dir:     dir,
+		plan:    plan,
+		state:   make([]uint8, len(plan)),
+		st:      st,
+		firstBy: make(map[int]string),
+		leases:  make(map[string]*lease),
 	}
-	for i := 0; i < s.merger.Committed() && i < len(plan); i++ {
+	for i := 0; i < s.committed() && i < len(plan); i++ {
 		s.state[i] = shardDone
 	}
 
 	// Replay segments from a previous coordinator incarnation: every
 	// fsynced shard report survives a coordinator crash, so resumption
-	// never re-executes work that was already streamed back.
+	// never re-executes work that was already streamed back. A bucket that
+	// does not validate (incomplete or torn) is re-executed instead.
 	segs, err := store.ReadSegments(dir)
 	if err != nil {
 		st.Close()
@@ -236,29 +262,20 @@ func (c *Coordinator) Submit(spec campaign.Spec) (SessionStatus, error) {
 	}
 	for _, worker := range sortedKeys(segs) {
 		for shard, recs := range GroupShards(plan, segs[worker]) {
-			fresh, err := s.merger.Offer(worker, shard, recs)
-			if errors.Is(err, ErrBadShard) {
-				continue // incomplete or torn bucket: will be re-executed
-			}
-			if err != nil {
-				st.Close()
-				return SessionStatus{}, err
-			}
-			if fresh {
-				s.state[shard] = shardDone
+			if ValidateShard(plan[shard], recs) == nil {
+				s.stage(worker, shard, recs)
 			}
 		}
 	}
-	for i := range s.state {
-		if s.merger.Staged(i) {
-			s.state[i] = shardDone
-		}
+	if err := s.commit(); err != nil {
+		st.Close()
+		return SessionStatus{}, err
 	}
 
 	c.sessions[id] = s
 	c.order = append(c.order, id)
 	c.finishIfDoneLocked(s)
-	c.logf("fabric: campaign %s submitted (%d shards, %d committed)", id, len(plan), s.merger.Committed())
+	c.logf("fabric: campaign %s submitted (%d shards, %d committed)", id, len(plan), s.committed())
 	return c.sessionStatusLocked(s), nil
 }
 
@@ -312,9 +329,11 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 
 // Complete ingests one executed shard: journal it to the reporting
 // worker's segment file (fsynced — after this a coordinator crash cannot
-// lose the report), then merge it in plan order. Completes are accepted
-// even when the lease has expired: the records are deterministic and
-// validated, so work is never thrown away.
+// lose the report), then stage it in the store and commit as far as plan
+// order allows. Completes are accepted even when the lease has expired:
+// the records are deterministic and validated, so work is never thrown
+// away. After a failed store write every complete answers that error until
+// a restarted coordinator's Submit replays the segments.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -339,7 +358,13 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		resp.From, resp.To = l.from, l.to
 	}
 
-	if s.merger.Staged(req.Shard) {
+	if s.st.Staged(req.Shard) {
+		// Stealing and reassignment double-execute shards by design. The
+		// commit still runs, so a store that failed a write answers its
+		// error here too rather than a duplicate's success.
+		if err := s.commit(); err != nil {
+			return CompleteResponse{}, err
+		}
 		c.counters.Duplicates++
 		resp.Duplicate = true
 		resp.Done = s.done
@@ -353,11 +378,11 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if err := store.AppendSegmentFS(fsys, store.SegmentPath(s.dir, req.Worker), req.Records); err != nil {
 		return CompleteResponse{}, err
 	}
-	if _, err := s.merger.Offer(req.Worker, req.Shard, req.Records); err != nil {
+	s.stage(req.Worker, req.Shard, req.Records)
+	c.counters.Completes++
+	if err := s.commit(); err != nil {
 		return CompleteResponse{}, err
 	}
-	s.state[req.Shard] = shardDone
-	c.counters.Completes++
 
 	if l := s.leases[req.Lease]; l != nil && len(s.remaining(l)) == 0 {
 		delete(s.leases, req.Lease)
@@ -390,7 +415,7 @@ func (c *Coordinator) Status() Status {
 	for _, id := range c.order {
 		s := c.sessions[id]
 		out.Campaigns = append(out.Campaigns, c.sessionStatusLocked(s))
-		for _, w := range s.merger.CommittedBy() {
+		for _, w := range s.firstBy {
 			shardsBy[w]++
 		}
 	}
@@ -416,9 +441,8 @@ func (c *Coordinator) Shutdown() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, s := range c.sessions {
-		if s.st != nil {
+		if !s.done {
 			s.st.Close()
-			s.st = nil
 		}
 	}
 }
@@ -523,17 +547,14 @@ func (c *Coordinator) allDoneLocked() bool {
 }
 
 func (c *Coordinator) finishIfDoneLocked(s *session) {
-	if s.done || !s.merger.Done() {
+	if s.done || s.committed() < len(s.plan) {
 		return
 	}
 	s.done = true
 	for lid := range s.leases {
 		delete(s.leases, lid)
 	}
-	if s.st != nil {
-		s.st.Close()
-		s.st = nil
-	}
+	s.st.Close()
 	c.logf("fabric: campaign %s complete (%d shards)", s.id, len(s.plan))
 }
 
@@ -544,7 +565,7 @@ func (c *Coordinator) sessionStatusLocked(s *session) SessionStatus {
 		Dir:       s.dir,
 		Shards:    len(s.plan),
 		Units:     s.spec.Units(),
-		Committed: s.merger.Committed(),
+		Committed: s.committed(),
 		Done:      s.done,
 	}
 	now := c.now()
@@ -556,7 +577,7 @@ func (c *Coordinator) sessionStatusLocked(s *session) SessionStatus {
 		})
 	}
 	by := make(map[string]int)
-	for _, w := range s.merger.CommittedBy() {
+	for _, w := range s.firstBy {
 		by[w]++
 	}
 	if len(by) > 0 {

@@ -3,10 +3,11 @@
 // plan to N peer marchd workers over plain HTTP; workers execute shards
 // with the existing campaign runner (campaign.ExecuteShard) and stream the
 // completed records back; the coordinator journals every report into a
-// per-worker segment file (internal/store segments) and merges shards
-// through the same in-order committer as a single-node run — so the final
-// store is byte-identical to what `marchcamp run` would have produced on
-// one machine, in the same c-<hash16> directory layout.
+// per-worker segment file (internal/store segments), then stages the shard
+// in the campaign's store, whose Stage/CommitNext is the same in-order
+// committer a single-node run uses — so the final store is byte-identical
+// to what `marchcamp run` would have produced on one machine, in the same
+// c-<hash16> directory layout.
 //
 // The protocol is deliberately small and pull-based:
 //
@@ -21,8 +22,10 @@
 // pending, an idle worker steals the tail half of the largest outstanding
 // lease, so one straggler never gates campaign completion. Both paths can
 // double-execute a shard; that is safe because unit results are
-// deterministic, so duplicate reports carry identical bytes and the merger
-// commits whichever arrives first.
+// deterministic, so duplicate reports carry identical bytes and the store
+// commits whichever arrives first. A failed store write is not retried in
+// place: completes answer that error until a restarted coordinator's
+// Submit reopens the store and replays the segments.
 package fabric
 
 import (
@@ -143,8 +146,8 @@ type CompleteRequest struct {
 type CompleteResponse struct {
 	From int `json:"from"`
 	To   int `json:"to"`
-	// Duplicate is set when the shard had already been merged (a stolen
-	// or reassigned range double-executed) — harmless, by design.
+	// Duplicate is set when the shard had already been committed or staged
+	// (a stolen or reassigned range double-executed) — harmless, by design.
 	Duplicate bool `json:"duplicate,omitempty"`
 	Done      bool `json:"done,omitempty"`
 }
@@ -185,13 +188,13 @@ type SessionStatus struct {
 	Dir    string `json:"dir"`
 	Shards int    `json:"shards"`
 	Units  int    `json:"units"`
-	// Committed counts shards merged into the store so far.
+	// Committed counts shards committed to the store so far.
 	Committed int  `json:"committed"`
 	Done      bool `json:"done"`
 	// Leases are the outstanding (unexpired, unfinished) leases.
 	Leases []LeaseStatus `json:"leases,omitempty"`
-	// ShardsByWorker attributes committed shards to the worker whose
-	// report merged first.
+	// ShardsByWorker attributes committed and staged shards to the worker
+	// whose report arrived first.
 	ShardsByWorker map[string]int `json:"shards_by_worker,omitempty"`
 }
 

@@ -3,7 +3,6 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"os"
 	"testing"
 
@@ -27,12 +26,12 @@ func segmentBytes(tb testing.TB, recs []store.Record) []byte {
 }
 
 // FuzzSegmentMerge drives the coordinator's segment-replay path —
-// ParseSegment → GroupShards → Merger.Offer — with arbitrary segment
-// bytes and holds it to its contract: whatever the segment says
-// (duplicates, out-of-order shards, torn tails, mutated ids, binary
-// garbage), the store's already-committed prefix is never altered, every
-// shard that does commit validates exactly against the plan, and nothing
-// panics.
+// Submit's ParseSegment → GroupShards → ValidateShard → store Stage and
+// CommitNext — with arbitrary segment bytes and holds it to its contract:
+// whatever the segment says (duplicates, out-of-order shards, torn tails,
+// mutated ids, binary garbage), the store's already-committed prefix is
+// never altered, every shard that does commit validates exactly against
+// the plan, and nothing panics.
 func FuzzSegmentMerge(f *testing.F) {
 	spec := testSpec()
 	plan := campaign.Plan(spec)
@@ -59,35 +58,35 @@ func FuzzSegmentMerge(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A fresh store with shard 0 already committed: the prefix the
 		// segment must never be able to damage.
-		dir := spec.Dir(t.TempDir())
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
+		root := t.TempDir()
+		dir := spec.Dir(root)
 		st, err := store.Open(dir, spec.Hash())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
-		for _, r := range fakeRecs(plan[0]) {
-			if err := st.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Commit(1); err != nil {
+		st.Stage(0, fakeRecs(plan[0]))
+		if _, err := st.CommitNext(); err != nil {
 			t.Fatal(err)
 		}
+		st.Close()
 		prefix, err := os.ReadFile(store.DataPath(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := os.MkdirAll(store.SegmentsDir(dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(store.SegmentPath(dir, "wfuzz"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-		m := NewMerger(st, plan)
-		for shard, bucket := range GroupShards(plan, store.ParseSegment(data)) {
-			// ErrBadShard is an acceptable verdict for hostile input;
-			// store I/O errors are not.
-			if _, err := m.Offer("wfuzz", shard, bucket); err != nil && !isBadShard(err) {
-				t.Fatalf("Offer(%d): %v", shard, err)
-			}
+		// A bucket that fails ValidateShard is an acceptable verdict for
+		// hostile input (Submit skips it); store I/O errors are not.
+		c := NewCoordinator(Config{Root: root})
+		defer c.Shutdown()
+		status, err := c.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
 		}
 
 		after, err := os.ReadFile(store.DataPath(dir))
@@ -97,13 +96,12 @@ func FuzzSegmentMerge(f *testing.F) {
 		if !bytes.HasPrefix(after, prefix) {
 			t.Fatalf("committed prefix was rewritten:\nbefore: %q\nafter:  %q", prefix, after)
 		}
-		cp := st.Checkpoint()
-		if cp.Shards < 1 || cp.Shards != m.Committed() {
-			t.Fatalf("checkpoint shards = %d, merger committed = %d", cp.Shards, m.Committed())
-		}
-		recs, err := st.Records()
+		cp, recs, err := store.Read(dir)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cp.Shards < 1 || cp.Shards != status.Committed {
+			t.Fatalf("checkpoint shards = %d, session committed = %d", cp.Shards, status.Committed)
 		}
 		// Every committed shard — however it arrived — matches the plan.
 		off := 0
@@ -122,5 +120,3 @@ func FuzzSegmentMerge(f *testing.F) {
 		}
 	})
 }
-
-func isBadShard(err error) bool { return errors.Is(err, ErrBadShard) }

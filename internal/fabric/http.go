@@ -23,6 +23,10 @@ const (
 	CodeInternal        = "internal"
 )
 
+// MaxBodyBytes caps every fabric request and response body. cmd/marchd
+// applies the same cap to every request it serves.
+const MaxBodyBytes = 64 << 20
+
 // ErrorBody is the JSON error document of every fabric endpoint.
 type ErrorBody struct {
 	Error string `json:"error"`
@@ -76,7 +80,7 @@ func writeErr(w http.ResponseWriter, err error) {
 }
 
 func decodeInto(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("fabric: bad request body: %w", err)
@@ -208,7 +212,7 @@ func postJSON(client *http.Client, url string, req, resp any) error {
 		return fmt.Errorf("fabric: %w", err)
 	}
 	defer httpResp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
+	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, MaxBodyBytes))
 	if err != nil {
 		return fmt.Errorf("fabric: read response: %w", err)
 	}

@@ -9,95 +9,9 @@ import (
 	"marchgen/internal/store"
 )
 
-// Merger reproduces the single-node committer over remotely-executed
-// shards: shards may arrive in any order (and more than once), but the
-// store only ever grows by the next shard in plan order, with the atomic
-// checkpoint advancing after each commit — exactly the Append/Commit
-// sequence of campaign.Run, which is what makes the merged store
-// byte-identical to a single-node run of the same spec.
-//
-// Merger is not goroutine-safe; the coordinator serializes access under
-// its session lock.
-type Merger struct {
-	st      *store.Store
-	plan    []campaign.Shard
-	next    int
-	pending map[int][]store.Record
-	// committedBy records, per committed shard, the worker whose report
-	// merged first (the coordinator passes the reporter into Offer).
-	committedBy map[int]string
-}
-
-// NewMerger starts a merger over an open store, resuming at its current
-// checkpoint: shards below Checkpoint().Shards are already committed and
-// will be treated as duplicates if offered again.
-func NewMerger(st *store.Store, plan []campaign.Shard) *Merger {
-	return &Merger{
-		st:          st,
-		plan:        plan,
-		next:        st.Checkpoint().Shards,
-		pending:     make(map[int][]store.Record),
-		committedBy: make(map[int]string),
-	}
-}
-
-// Committed returns the number of leading plan shards committed so far.
-func (m *Merger) Committed() int { return m.next }
-
-// Done reports whether every plan shard is committed.
-func (m *Merger) Done() bool { return m.next >= len(m.plan) }
-
-// Staged reports whether a shard is already committed or waiting to commit.
-func (m *Merger) Staged(shard int) bool {
-	if shard < m.next {
-		return true
-	}
-	_, ok := m.pending[shard]
-	return ok
-}
-
-// CommittedBy returns the first-reporter attribution of committed shards.
-func (m *Merger) CommittedBy() map[int]string { return m.committedBy }
-
-// Offer stages one completed shard and commits as far as plan order
-// allows. It returns fresh=false for duplicates (already committed or
-// already staged) — never an error, since double-execution is a designed
-// outcome of stealing and reassignment. Records that do not exactly match
-// the plan (wrong count, ids, sequence, shard tag, or non-JSON bodies)
-// are rejected with ErrBadShard before anything touches the store: a
-// corrupt or hostile segment can never damage the committed prefix.
-func (m *Merger) Offer(worker string, shard int, recs []store.Record) (fresh bool, err error) {
-	if shard < 0 || shard >= len(m.plan) {
-		return false, fmt.Errorf("%w: shard %d outside plan [0,%d)", ErrBadShard, shard, len(m.plan))
-	}
-	if err := ValidateShard(m.plan[shard], recs); err != nil {
-		return false, err
-	}
-	if m.Staged(shard) {
-		return false, nil
-	}
-	m.pending[shard] = recs
-	m.committedBy[shard] = worker
-	for {
-		next, ok := m.pending[m.next]
-		if !ok {
-			return true, nil
-		}
-		for _, rec := range next {
-			if err := m.st.Append(rec); err != nil {
-				return true, err
-			}
-		}
-		if err := m.st.Commit(m.next + 1); err != nil {
-			return true, err
-		}
-		delete(m.pending, m.next)
-		m.next++
-	}
-}
-
 // ValidateShard checks that records are exactly one shard's units in plan
-// order with well-formed bodies — the merger's admission test.
+// order with well-formed bodies — the admission test a reported shard
+// passes before anything stages it in the store.
 func ValidateShard(sh campaign.Shard, recs []store.Record) error {
 	if len(recs) != len(sh.Units) {
 		return fmt.Errorf("%w: shard %d: %d records, plan has %d units", ErrBadShard, sh.ID, len(recs), len(sh.Units))
@@ -118,8 +32,8 @@ func ValidateShard(sh campaign.Shard, recs []store.Record) error {
 // GroupShards buckets loose records (a parsed segment file) into per-shard
 // candidate slices ordered by unit sequence, dropping duplicate sequence
 // numbers (first occurrence wins) and records naming shards outside the
-// plan. The result is what Offer expects — though a bucket may still be
-// incomplete or mismatched, which Offer rejects per shard.
+// plan. A bucket may still be incomplete or mismatched, which ValidateShard
+// rejects per shard.
 func GroupShards(plan []campaign.Shard, recs []store.Record) map[int][]store.Record {
 	buckets := make(map[int][]store.Record)
 	seen := make(map[int]map[int]bool)

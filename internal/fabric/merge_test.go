@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"testing"
 
 	"marchgen/internal/campaign"
@@ -24,7 +23,7 @@ func testSpec() campaign.Spec {
 }
 
 // fakeRecs builds records that satisfy ValidateShard without running any
-// unit work: merge logic is independent of what the bodies say.
+// unit work: commit logic is independent of what the bodies say.
 func fakeRecs(sh campaign.Shard) []store.Record {
 	recs := make([]store.Record, 0, len(sh.Units))
 	for _, u := range sh.Units {
@@ -36,54 +35,51 @@ func fakeRecs(sh campaign.Shard) []store.Record {
 	return recs
 }
 
-func openTestStore(t *testing.T, spec campaign.Spec) (*store.Store, string) {
+// completeAll reports shards in the given order on behalf of worker,
+// failing the test on any error.
+func completeAll(t *testing.T, c *Coordinator, worker string, shards ...int) {
 	t.Helper()
-	dir := spec.Dir(t.TempDir())
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(dir, spec.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	return st, dir
-}
-
-func TestMergerCommitsInPlanOrder(t *testing.T) {
 	spec := testSpec()
 	plan := campaign.Plan(spec)
-	st, _ := openTestStore(t, spec)
-	m := NewMerger(st, plan)
-
-	// Offer shards out of order: nothing commits until the gap fills.
-	for _, shard := range []int{2, 1, 4} {
-		fresh, err := m.Offer("w1", shard, fakeRecs(plan[shard]))
-		if err != nil || !fresh {
-			t.Fatalf("Offer(%d) = (%v, %v), want (true, nil)", shard, fresh, err)
+	for _, shard := range shards {
+		if _, err := c.Complete(CompleteRequest{Worker: worker, Campaign: spec.ID(), Shard: shard, Records: fakeRecs(plan[shard])}); err != nil {
+			t.Fatalf("Complete(%d): %v", shard, err)
 		}
 	}
-	if got := m.Committed(); got != 0 {
-		t.Fatalf("committed %d shards before shard 0 arrived, want 0", got)
-	}
-	if _, err := m.Offer("w2", 0, fakeRecs(plan[0])); err != nil {
+}
+
+func TestCompleteCommitsInPlanOrder(t *testing.T) {
+	c := newTestCoordinator(t, nil, 0)
+	spec := testSpec()
+	plan := campaign.Plan(spec)
+	if _, err := c.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Committed(); got != 3 {
+	w1, w2 := join(t, c), join(t, c)
+	committed := func() int {
+		st, _ := c.SessionStatusByID(spec.ID())
+		return st.Committed
+	}
+
+	// Reports out of order: nothing commits until the gap fills.
+	completeAll(t, c, w1, 2, 1, 4)
+	if got := committed(); got != 0 {
+		t.Fatalf("committed %d shards before shard 0 arrived, want 0", got)
+	}
+	completeAll(t, c, w2, 0)
+	if got := committed(); got != 3 {
 		t.Fatalf("committed = %d after shard 0, want 3 (0..2 contiguous)", got)
 	}
-	for _, shard := range []int{3, 5} {
-		if _, err := m.Offer("w1", shard, fakeRecs(plan[shard])); err != nil {
-			t.Fatal(err)
-		}
+	completeAll(t, c, w1, 3, 5)
+	st, _ := c.SessionStatusByID(spec.ID())
+	if !st.Done || st.Committed != len(plan) {
+		t.Fatalf("Done=%v Committed=%d, want complete plan of %d", st.Done, st.Committed, len(plan))
 	}
-	if !m.Done() || m.Committed() != len(plan) {
-		t.Fatalf("Done=%v Committed=%d, want complete plan of %d", m.Done(), m.Committed(), len(plan))
-	}
-	if by := m.CommittedBy(); by[0] != "w2" || by[2] != "w1" {
+	// Attribution: each shard goes to its first reporter.
+	if by := st.ShardsByWorker; by[w1] != 5 || by[w2] != 1 {
 		t.Fatalf("attribution wrong: %v", by)
 	}
-	recs, err := st.Records()
+	_, recs, err := store.Read(spec.Dir(c.cfg.root()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,39 +93,50 @@ func TestMergerCommitsInPlanOrder(t *testing.T) {
 	}
 }
 
-func TestMergerDuplicatesAreNoOps(t *testing.T) {
+// TestCompleteDuplicatesCreditFirstReporter: a second report of a
+// committed or a staged shard answers Duplicate, appends nothing, and
+// leaves the shard credited to its first reporter.
+func TestCompleteDuplicatesCreditFirstReporter(t *testing.T) {
+	c := newTestCoordinator(t, nil, 0)
 	spec := testSpec()
 	plan := campaign.Plan(spec)
-	st, _ := openTestStore(t, spec)
-	m := NewMerger(st, plan)
-
-	if fresh, err := m.Offer("w1", 0, fakeRecs(plan[0])); err != nil || !fresh {
-		t.Fatalf("first offer: (%v, %v)", fresh, err)
-	}
-	// Duplicate of a committed shard, then of a staged one.
-	if fresh, err := m.Offer("w2", 0, fakeRecs(plan[0])); err != nil || fresh {
-		t.Fatalf("dup of committed shard: (%v, %v), want (false, nil)", fresh, err)
-	}
-	if _, err := m.Offer("w1", 3, fakeRecs(plan[3])); err != nil {
+	if _, err := c.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-	if fresh, err := m.Offer("w2", 3, fakeRecs(plan[3])); err != nil || fresh {
-		t.Fatalf("dup of staged shard: (%v, %v), want (false, nil)", fresh, err)
+	w1, w2 := join(t, c), join(t, c)
+	completeAll(t, c, w1, 0, 3)
+	for _, shard := range []int{0, 3} {
+		resp, err := c.Complete(CompleteRequest{Worker: w2, Campaign: spec.ID(), Shard: shard, Records: fakeRecs(plan[shard])})
+		if err != nil || !resp.Duplicate {
+			t.Fatalf("duplicate of shard %d = (%+v, %v), want Duplicate", shard, resp, err)
+		}
 	}
-	if cp := st.Checkpoint(); cp.Records != 1 {
-		t.Fatalf("%d records committed, want 1 (duplicates must not append)", cp.Records)
+	st, _ := c.SessionStatusByID(spec.ID())
+	if by := st.ShardsByWorker; by[w1] != 2 || by[w2] != 0 {
+		t.Fatalf("attribution wrong: %v", by)
+	}
+	if cp, err := store.ReadCheckpoint(spec.Dir(c.cfg.root())); err != nil || cp.Records != 1 {
+		t.Fatalf("checkpoint = %+v, %v; want 1 record (duplicates must not append)", cp, err)
+	}
+	if got := c.Counters().Duplicates; got != 2 {
+		t.Fatalf("fabric_duplicate_shards_total = %d, want 2", got)
 	}
 }
 
-func TestMergerRejectsMismatchedRecords(t *testing.T) {
+func TestCompleteRejectsMismatchedRecords(t *testing.T) {
+	c := newTestCoordinator(t, nil, 0)
 	spec := testSpec()
 	plan := campaign.Plan(spec)
-	st, _ := openTestStore(t, spec)
-	m := NewMerger(st, plan)
-	if _, err := m.Offer("w1", 0, fakeRecs(plan[0])); err != nil {
+	if _, err := c.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-	before := st.Checkpoint()
+	w := join(t, c)
+	completeAll(t, c, w, 0)
+	dir := spec.Dir(c.cfg.root())
+	before, err := store.ReadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	bad := []struct {
 		name  string
@@ -160,12 +167,16 @@ func TestMergerRejectsMismatchedRecords(t *testing.T) {
 		{"shard out of plan", len(plan) + 3, fakeRecs(plan[1])},
 	}
 	for _, tc := range bad {
-		if _, err := m.Offer("w1", tc.shard, tc.recs); !errors.Is(err, ErrBadShard) {
+		req := CompleteRequest{Worker: w, Campaign: spec.ID(), Shard: tc.shard, Records: tc.recs}
+		if _, err := c.Complete(req); !errors.Is(err, ErrBadShard) {
 			t.Errorf("%s: err = %v, want ErrBadShard", tc.name, err)
 		}
 	}
-	if cp := st.Checkpoint(); cp != before {
-		t.Fatalf("checkpoint moved from %+v to %+v on rejected offers", before, cp)
+	if cp, err := store.ReadCheckpoint(dir); err != nil || cp != before {
+		t.Fatalf("checkpoint moved from %+v to %+v (%v) on rejected reports", before, cp, err)
+	}
+	if st, _ := c.SessionStatusByID(spec.ID()); st.ShardsByWorker[w] != 1 {
+		t.Fatalf("rejected reports were credited: %v", st.ShardsByWorker)
 	}
 }
 

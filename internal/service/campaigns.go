@@ -313,21 +313,13 @@ func (m *campaignManager) diskSnapshot(id string) (Campaign, bool) {
 	if cp.Shards >= len(shards) {
 		status = CampaignDone
 	}
-	unitErrs := 0
-	if results, err := campaign.Decode(recs); err == nil {
-		for _, r := range results {
-			if r.Error != "" {
-				unitErrs++
-			}
-		}
-	}
 	return Campaign{
 		ID:       id,
 		Name:     sf.Spec.Name,
 		SpecHash: sf.Hash,
 		Status:   status,
 		Shards:   ShardProgress{Total: len(shards), Committed: cp.Shards, States: states},
-		Units:    UnitProgress{Total: sf.Spec.Units(), Done: cp.Records, Errors: unitErrs},
+		Units:    UnitProgress{Total: sf.Spec.Units(), Done: cp.Records, Errors: campaign.UnitErrors(recs)},
 		Results:  "/v1/campaigns/" + id + "/results",
 	}, true
 }

@@ -21,12 +21,10 @@ func storeTemplate(tb testing.TB) (cp Checkpoint, data, cpRaw []byte) {
 	}
 	for i := 0; i < 3; i++ {
 		body, _ := json.Marshal(map[string]any{"n": i, "payload": "abcdefghij"})
-		if err := s.Append(Record{ID: fmt.Sprintf("u-%d", i), Shard: i, Seq: i, Body: body}); err != nil {
+		s.Stage(i, []Record{{ID: fmt.Sprintf("u-%d", i), Shard: i, Seq: i, Body: body}})
+		if _, err := s.CommitNext(); err != nil {
 			tb.Fatal(err)
 		}
-	}
-	if err := s.Commit(3); err != nil {
-		tb.Fatal(err)
 	}
 	cp = s.Checkpoint()
 	if err := s.Close(); err != nil {

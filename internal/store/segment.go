@@ -12,7 +12,7 @@ import (
 
 // Per-worker segment files (DESIGN.md §13): the distributed campaign fabric
 // records every shard a worker reports into segments/<worker>.jsonl inside
-// the campaign directory, before the shard is merged into the authoritative
+// the campaign directory, before the shard is committed to the authoritative
 // store. Segments follow the same append-only JSONL discipline as
 // results.jsonl, with the same failure model: a coordinator killed
 // mid-append leaves at worst one torn trailing line, which ParseSegment
@@ -42,20 +42,15 @@ func AppendSegmentFS(fsys iofault.FS, path string, recs []Record) error {
 	if fsys == nil {
 		fsys = iofault.OS{}
 	}
-	var buf bytes.Buffer
-	for _, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("store: segment record %s: %w", r.ID, err)
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+	lines, err := encodeLines(recs)
+	if err != nil {
+		return err
 	}
 	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: segment: %w", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(lines); err != nil {
 		f.Close()
 		return fmt.Errorf("store: segment append: %w", err)
 	}

@@ -2,6 +2,12 @@
 // (DESIGN.md §9): an append-only JSONL data file plus an index and an
 // atomically-replaced checkpoint, all rooted in one directory.
 //
+// The store is the only committer of campaign results. It grows by whole
+// shards in plan order: a writer stages a shard's records as they arrive, in
+// any order, and CommitNext commits the shard the checkpoint reaches next.
+// campaign.Run and the fabric coordinator both commit through it, which is
+// what makes a distributed store byte-identical to a single-node one.
+//
 // The durability contract is built for SIGKILL-at-any-instant:
 //
 //   - results.jsonl only ever grows by whole appended lines; it is never
@@ -18,10 +24,13 @@
 //     truncated away. The store state after a crash is exactly the last
 //     committed prefix, which is what makes resumed campaigns byte-identical
 //     to uninterrupted ones.
+//   - After a failed write the store takes no other until it is reopened:
+//     the data file may then hold bytes past the checkpoint that the store
+//     did not count, and only Open's truncation removes them.
 //
 // index.json (record ID → sequence position) is a derived convenience for
 // readers; it is rewritten atomically at every commit and rebuilt from the
-// data file if missing, so it can never be the source of truth.
+// data file on open, so it can never be the source of truth.
 package store
 
 import (
@@ -76,19 +85,18 @@ type Checkpoint struct {
 // a different spec hash: resuming would interleave incompatible results.
 var ErrSpecMismatch = errors.New("store: directory belongs to a different spec")
 
-// Store is an open result store. Append and Commit are safe for one writer
-// goroutine at a time (the campaign committer); snapshots are safe from any
-// goroutine.
+// Store is an open result store. Its methods are safe for concurrent use;
+// the commit order assumes one goroutine commits.
 type Store struct {
 	dir string
 	fs  iofault.FS
 
-	mu    sync.Mutex
-	f     iofault.File
-	cp    Checkpoint
-	ids   map[string]int // record ID -> Seq, committed prefix plus pending appends
-	extra int64          // appended-but-uncommitted bytes
-	recs  int            // appended-but-uncommitted records
+	mu     sync.Mutex
+	f      iofault.File
+	cp     Checkpoint
+	ids    map[string]int   // record ID -> Seq of the committed records (index.json)
+	staged map[int][]Record // shards past the checkpoint, awaiting their turn
+	err    error            // the first failed write; every later commit returns it
 }
 
 // Open opens (creating if necessary) the store in dir for the given spec
@@ -111,7 +119,7 @@ func OpenFS(dir, specHash string, fsys iofault.FS) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, fs: fsys, ids: make(map[string]int)}
+	s := &Store{dir: dir, fs: fsys, ids: make(map[string]int), staged: make(map[int][]Record)}
 
 	cpPath := filepath.Join(dir, checkpointName)
 	raw, err := fsys.ReadFile(cpPath)
@@ -182,49 +190,75 @@ func (s *Store) Checkpoint() Checkpoint {
 	return s.cp
 }
 
-// Has reports whether a record with the given ID has been appended (it may
-// not be committed yet).
-func (s *Store) Has(id string) bool {
+// Stage holds one shard's records until every earlier shard has
+// committed. It returns false, and keeps nothing, for a shard already
+// committed or staged: a shard's records are deterministic, so the first
+// copy to arrive is the one the store commits.
+func (s *Store) Stage(shard int, recs []Record) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.ids[id]
-	return ok
+	if s.stagedLocked(shard) {
+		return false
+	}
+	s.staged[shard] = recs
+	return true
 }
 
-// Append writes one record as a JSONL line. The record is durable only
-// after the next Commit; a crash before that loses it (and Open discards
-// the partial tail).
-func (s *Store) Append(rec Record) error {
-	line, err := json.Marshal(rec)
+// Staged reports whether a shard is committed or staged.
+func (s *Store) Staged(shard int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stagedLocked(shard)
+}
+
+func (s *Store) stagedLocked(shard int) bool {
+	_, ok := s.staged[shard]
+	return ok || shard < s.cp.Shards
+}
+
+// CommitNext commits the staged shard the checkpoint reaches next and
+// advances Shards by one: it appends the shard's records, fsyncs the data
+// file, rewrites index.json, then atomically replaces checkpoint.json. On
+// return the committed prefix survives SIGKILL. It returns false when that
+// shard is not staged.
+//
+// After a failed write every later CommitNext returns that error: the data
+// file may hold bytes past the checkpoint that the store did not count, so
+// the store takes no further write until it is reopened.
+func (s *Store) CommitNext() (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return false, s.err
+	}
+	next := s.cp.Shards
+	recs, ok := s.staged[next]
+	if !ok {
+		return false, nil
+	}
+	if err := s.commitLocked(next+1, recs); err != nil {
+		s.err = err
+		return false, err
+	}
+	delete(s.staged, next)
+	return true, nil
+}
+
+// commitLocked appends recs as JSONL lines, fsyncs the data file, rewrites
+// the index and replaces the checkpoint with one that covers the first
+// shards shards.
+func (s *Store) commitLocked(shards int, recs []Record) error {
+	lines, err := encodeLines(recs)
 	if err != nil {
-		return fmt.Errorf("store: record %s: %w", rec.ID, err)
-	}
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.f.Write(line); err != nil {
-		return fmt.Errorf("store: append: %w", err)
-	}
-	s.extra += int64(len(line))
-	s.recs++
-	s.ids[rec.ID] = rec.Seq
-	return nil
-}
-
-// Commit makes every record appended so far durable and advances the
-// checkpoint to cover shardsCommitted leading shards: fsync the data file,
-// rewrite index.json, then atomically replace checkpoint.json. On return
-// the committed prefix survives SIGKILL.
-func (s *Store) Commit(shardsCommitted int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("store: sync: %w", err)
+		return err
 	}
 	next := s.cp
-	next.Shards = shardsCommitted
-	next.Records += s.recs
-	next.Bytes += s.extra
+	next.Shards = shards
+	next.Records += len(recs)
+	next.Bytes += int64(len(lines))
+	for _, rec := range recs {
+		s.ids[rec.ID] = rec.Seq
+	}
 	// Marshal both metadata documents before touching the disk: a marshal
 	// failure (impossible for these shapes, but never worth a panic
 	// mid-run) must leave the store at its previous checkpoint.
@@ -236,6 +270,12 @@ func (s *Store) Commit(shardsCommitted int) error {
 	if err != nil {
 		return fmt.Errorf("store: checkpoint: %w", err)
 	}
+	if _, err := s.f.Write(lines); err != nil {
+		return fmt.Errorf("store: append: %w", err)
+	}
+	if err := s.f.Sync(); err != nil {
+		return fmt.Errorf("store: sync: %w", err)
+	}
 	if err := WriteFileAtomicFS(s.fs, filepath.Join(s.dir, indexName), idx); err != nil {
 		return err
 	}
@@ -243,9 +283,22 @@ func (s *Store) Commit(shardsCommitted int) error {
 		return err
 	}
 	s.cp = next
-	s.extra = 0
-	s.recs = 0
 	return nil
+}
+
+// encodeLines encodes recs as JSONL, one line per record: the one record
+// encoding of results.jsonl and of the fabric's segment journals.
+func encodeLines(recs []Record) ([]byte, error) {
+	var buf bytes.Buffer
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return nil, fmt.Errorf("store: record %s: %w", rec.ID, err)
+		}
+		buf.Write(line)
+		buf.WriteByte('\n')
+	}
+	return buf.Bytes(), nil
 }
 
 // Records returns the committed records in append order.
@@ -254,7 +307,7 @@ func (s *Store) Records() ([]Record, error) {
 }
 
 // Close closes the data file. The store stays recoverable: everything up
-// to the last Commit is on disk.
+// to the last commit is on disk.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

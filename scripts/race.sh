@@ -4,10 +4,12 @@
 # and its resumes, sync.Pool machine reuse), the generator loops driving them,
 # the marchd service layer (job engine worker pool, result cache, metrics,
 # concurrent HTTP clients), and the campaign engine (shard worker pool,
-# in-order committer, generation memo) with its durable store. The
-# chaos-hardening packages ride along: the iofault injector (its mutex
-# against concurrent committers), the retry loops, and the marchctl client
-# suite (retrying requests against a live flaky server). The independent
+# generation memo) with its durable store, the one committer that stages
+# shards and commits them in plan order for both the engine and the fabric
+# coordinator. The chaos-hardening packages ride along: the iofault
+# injector (its mutex against concurrent committers), the retry loops, and
+# the marchctl client suite (retrying requests against a live flaky
+# server). The independent
 # verification oracle is included because crosscheck fans both simulators
 # out from the same call sites the service and campaign layers use
 # concurrently. The bit-parallel lane engine's differential tests (lanes
@@ -21,7 +23,8 @@
 # it from the job-engine pool.
 # The distributed fabric rides along: its cluster tests run a coordinator
 # and several workers as real goroutines over HTTP (lease grants, steals,
-# heartbeats, the merge committer) — the most concurrency-dense code here.
+# heartbeats, commits through the store) — the most concurrency-dense code
+# here.
 # The overload layer (DESIGN.md §15) is raced from three sides: the
 # admission controller's interleaving test in ./internal/service/, the
 # circuit breaker's concurrent-report test in ./internal/retry/, and
