@@ -30,7 +30,10 @@ race:
 
 ## stress: the interleaving gate — the concurrent-client and cluster tests,
 ## the queue tests that hold the lone worker while they fill and cancel the
-## queue, and the simulator fan-out's lowest-index stop (Simulate's results, a
+## queue, the job engine's start order (jobs queued behind a held worker
+## start in submission order) and its cancel of a queued job, the campaign
+## slot (a running campaign holds it, and frees it before its snapshot turns
+## terminal), and the simulator fan-out's lowest-index stop (Simulate's results, a
 ## checkpoint build's error, and the checkpoint's missed sets and first
 ## misses, from scratch and after an edit, and its budgeted resumes' over-
 ## budget verdicts, missed sets and first misses on budgets around the miss
@@ -51,7 +54,7 @@ race:
 ## times at 1, 2 and 4 CPUs; then the optimizer's search (one winner, move
 ## trace and evaluation count at GOMAXPROCS 1, 2, 4 and 8), repeated 5 times.
 stress:
-	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster|TestCanceledQueuedJobsFreeTheirSlots$$|TestQueueBackpressure$$|TestSyncDeadline' ./internal/service/ ./internal/fabric/
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentClients$$|TestCluster|TestCanceledQueuedJobsFreeTheirSlots$$|TestQueueBackpressure$$|TestSyncDeadline|TestJobEngineStartsInSubmissionOrder$$|TestJobEngineCancelQueued$$|TestCampaignCapacity$$' ./internal/service/ ./internal/fabric/
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFullCoverageDeterministic$$|TestSimulateParallelDeterministic$$|TestCheckpointFirstError$$|TestCheckpointDeterministic$$|TestSimulateContext$$' ./internal/sim/
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestGenerateContextDeadline$$' ./internal/core/
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestCancelStopsAtCommitBoundary$$' ./internal/campaign/

@@ -9,10 +9,12 @@
 // interrupted campaign resumes from its checkpoint on re-POST, across
 // restarts of the daemon.
 //
-// Overload (DESIGN.md §15): an admission controller shapes traffic by
-// request class — expensive cold generates/optimizes/campaigns shed first
-// with 429 + Retry-After while cache hits, library reads and job polling
-// stay green; /healthz reports ok|degraded|overloaded with reasons. With
+// Overload (DESIGN.md §15): an admission controller is the one count of
+// queued and running work per request class, and its 429 + Retry-After is
+// the only answer to a full class. Expensive cold generates, optimizes and
+// campaigns shed first while cache hits, library reads and job polling
+// stay green; /healthz reports ok|degraded|overloaded with reasons. A
+// draining server answers new work 503. With
 // -data (or -cache-dir) the result cache persists and warm-starts, so a
 // restarted node serves its working set immediately.
 //
@@ -58,7 +60,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		workers      = flag.Int("workers", 0, "generation worker pool size (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 64, "job queue depth (a full queue answers 503)")
+		queue        = flag.Int("queue", 64, "generate queue budget (verify and diagnose queue half, optimize a quarter; a full class answers 429)")
 		cacheSize    = flag.Int("cache", 128, "result cache entries (content-addressed LRU)")
 		retain       = flag.Int("retain", 512, "finished jobs kept pollable before eviction")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "maximum per-job generation deadline")
@@ -68,7 +70,7 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "persistent result-cache directory for warm restarts (default: <data>/resultcache when -data is set; empty -data disables persistence)")
 		admitTarget  = flag.Duration("admit-target", 200*time.Millisecond, "admission control: CoDel queue-wait target (sustained waits above it shed load with 429)")
 		admitIvl     = flag.Duration("admit-interval", time.Second, "admission control: CoDel observation window")
-		campaigns    = flag.Int("campaigns", 2, "maximum concurrently running campaigns")
+		campaigns    = flag.Int("campaigns", 2, "maximum concurrently running campaigns (one more answers 429)")
 		chaos503     = flag.Int("chaos-503", 0, "TESTING: answer the first N /v1/ requests with 503 + Retry-After: 0 (exercises client retry paths)")
 		coordinator  = flag.Bool("coordinator", false, "serve the distributed campaign fabric (/v1/fabric/*) from this instance")
 		joinURL      = flag.String("join", "", "coordinator URL to join as a fabric worker (e.g. http://host:8080)")
@@ -202,9 +204,9 @@ func newHTTPServer(h http.Handler, readTimeout time.Duration) *http.Server {
 // chaosHandler is the -chaos-503 testing aid: the first n requests to the
 // API surface (paths under /v1/) are answered 503 with Retry-After: 0,
 // everything after — and /healthz, /metrics at all times — passes through.
-// It exercises exactly the backpressure answer a full job queue produces,
-// so retrying clients (marchctl, scripts) can be proven against a live
-// server without loading it.
+// It mimics the answer a draining server gives new work, so retrying
+// clients (marchctl, scripts) can be proven against a live server without
+// stopping it.
 func chaosHandler(next http.Handler, n int64, logger *log.Logger) http.Handler {
 	var remaining atomic.Int64
 	remaining.Store(n)

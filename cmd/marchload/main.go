@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.addr, "addr", "", "target marchd base URL (empty with -selfserve)")
 	fs.BoolVar(&cfg.selfserve, "selfserve", false, "start an in-process marchd on a loopback port")
 	fs.IntVar(&cfg.workers, "workers", 2, "selfserve: generation worker pool size")
-	fs.IntVar(&cfg.queue, "queue", 8, "selfserve: job queue depth")
+	fs.IntVar(&cfg.queue, "queue", 8, "selfserve: generate queue budget (marchd -queue)")
 	fs.DurationVar(&cfg.admitTarget, "admit-target", 50*time.Millisecond, "selfserve: CoDel queue-wait target")
 	fs.DurationVar(&cfg.admitIvl, "admit-interval", 250*time.Millisecond, "selfserve: CoDel observation interval")
 	fs.DurationVar(&cfg.duration, "duration", 5*time.Second, "how long to drive load")

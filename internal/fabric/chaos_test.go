@@ -19,11 +19,11 @@ import (
 var faultOrder = []int{0, 1, 0, 2, 3, 4, 5}
 
 // driveCoordinator runs Submit and the faultOrder completes of testSpec on
-// a coordinator over root whose store I/O goes through fsys. With fsys nil
-// (the real filesystem) every call must succeed and the campaign must end
-// complete; under an injector the calls' errors are the faults' expected
-// answers and are ignored.
-func driveCoordinator(t *testing.T, root string, fsys iofault.FS, order []int) {
+// a coordinator over root whose store I/O goes through fsys, and returns
+// the shards whose Complete returned nil. With fsys nil (the real
+// filesystem) every call must succeed and the campaign must end complete;
+// under an injector the calls' errors are the faults' expected answers.
+func driveCoordinator(t *testing.T, root string, fsys iofault.FS, order []int) (acked []int) {
 	t.Helper()
 	spec := testSpec()
 	plan := campaign.Plan(spec)
@@ -34,11 +34,14 @@ func driveCoordinator(t *testing.T, root string, fsys iofault.FS, order []int) {
 		if fsys == nil {
 			t.Fatalf("Submit: %v", err)
 		}
-		return
+		return nil
 	}
 	for _, shard := range order {
 		_, err := c.Complete(CompleteRequest{Worker: w, Campaign: spec.ID(), Shard: shard, Records: fakeRecs(plan[shard])})
-		if err != nil && fsys == nil {
+		switch {
+		case err == nil:
+			acked = append(acked, shard)
+		case fsys == nil:
 			t.Fatalf("Complete(%d): %v", shard, err)
 		}
 	}
@@ -47,14 +50,17 @@ func driveCoordinator(t *testing.T, root string, fsys iofault.FS, order []int) {
 			t.Fatalf("campaign not complete after every shard was reported: %+v", st)
 		}
 	}
+	return acked
 }
 
 // TestCoordinatorFaultMatrix is the coordinator's counterpart of
 // campaign's TestFaultMatrixFailsCleanly: every non-crash fault at every
 // mutating I/O op of a Submit and seven completes must leave a store that
 // reads back, holds no record twice and commits a prefix of the clean
-// run's bytes, and a coordinator restarted over the same root on the real
-// filesystem must finish the campaign byte-identical to the clean run.
+// run's bytes; a coordinator restarted over the same root on the real
+// filesystem must stage every shard whose Complete succeeded, so no
+// acknowledged report is executed twice, and must finish the campaign
+// byte-identical to the clean run.
 func TestCoordinatorFaultMatrix(t *testing.T) {
 	spec := testSpec()
 	refRoot := t.TempDir()
@@ -75,7 +81,7 @@ func TestCoordinatorFaultMatrix(t *testing.T) {
 		for n := 0; n < total; n++ {
 			root := t.TempDir()
 			inj := iofault.NewInjector(nil, iofault.Plan{Op: n, Kind: kind})
-			driveCoordinator(t, root, inj, faultOrder)
+			acked := driveCoordinator(t, root, inj, faultOrder)
 			if !inj.Fired() {
 				continue // a sync fault past the last sync
 			}
@@ -104,6 +110,17 @@ func TestCoordinatorFaultMatrix(t *testing.T) {
 			} else if !errors.Is(err, fs.ErrNotExist) {
 				t.Fatalf("%s: checkpoint: %v", name, err)
 			}
+
+			restarted := NewCoordinator(Config{Root: root, Version: "test-v1", Schema: campaign.SpecSchema})
+			if _, err := restarted.Submit(spec); err != nil {
+				t.Fatalf("%s: restarted Submit: %v", name, err)
+			}
+			for _, shard := range acked {
+				if !restarted.sessions[spec.ID()].st.Staged(shard) {
+					t.Fatalf("%s: shard %d was acknowledged but a restarted coordinator does not stage it (acknowledged %v)", name, shard, acked)
+				}
+			}
+			restarted.Shutdown()
 
 			driveCoordinator(t, root, nil, []int{0, 1, 2, 3, 4, 5})
 			got, err := os.ReadFile(store.DataPath(dir))

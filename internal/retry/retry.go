@@ -1,7 +1,8 @@
 // Package retry implements bounded exponential backoff with full jitter
 // for transient failures: the client-side half of the service's
-// backpressure protocol (marchd answers 503 + Retry-After when its queue
-// is full; marchctl retries through it with this package).
+// backpressure protocol (marchd answers 429 + Retry-After when a request
+// class is full and 503 while it drains; marchctl retries through both
+// with this package).
 //
 // The policy is deliberately small: capped exponential backoff, full
 // jitter (delay = rand * min(cap, base<<attempt), the "Full Jitter"

@@ -17,17 +17,20 @@ import (
 //
 // The model:
 //
-//   - Work is partitioned into classes (generate, simulate, verify,
-//     optimize, campaign) with per-class concurrency + queue-depth
-//     bounds, so one expensive class cannot monopolize the shared worker
-//     pool's queue.
+//   - Work is partitioned into classes (generate, verify, optimize,
+//     diagnose, simulate, campaign) with per-class concurrency +
+//     queue-depth bounds, so one expensive class cannot monopolize the
+//     shared worker pool's queue. The controller is the service's only
+//     count of queued and running work, and its 429 the only answer to a
+//     full class: the job engine bounds only how many jobs run, and the
+//     campaign manager takes each running campaign's slot here.
 //   - A CoDel-style detector watches the queue wait of every dequeued
 //     job. Sustained waits above the target over a full interval flip
 //     the controller into "dropping" state; the admission deadline then
 //     tightens by the CoDel control law (interval/√n) until waits drop
 //     back under the target.
 //   - Pressure is graded ok → degraded → overloaded, and classes shed in
-//     cost order: cold generate/optimize/campaign first (degraded),
+//     cost order: cold generate/optimize/diagnose/campaign first (degraded),
 //     simulate/verify only under overload. Cached reads, /v1/library,
 //     job polling, /healthz and /metrics are never admission-controlled:
 //     the cheap path stays green throughout.
@@ -142,10 +145,11 @@ type admission struct {
 }
 
 // newAdmission builds a controller with per-class budgets derived from
-// the service sizing: generation owns the full queue, verify half,
-// optimize a quarter (it is the most expensive class), simulate gets
-// concurrency headroom but no queue (it is synchronous), and campaigns
-// mirror the campaign manager's own bound.
+// the service sizing: generation owns the full queue, verify and diagnose
+// half, optimize half the workers and a quarter of the queue (it is the
+// most expensive class), simulate gets concurrency headroom but no queue
+// (it is synchronous), and campaigns get maxCampaigns running slots and no
+// queue (a campaign runs on its own goroutines, not on the job engine).
 func newAdmission(workers, queueDepth, maxCampaigns int, target, interval time.Duration) *admission {
 	if target <= 0 {
 		target = 200 * time.Millisecond
@@ -175,7 +179,7 @@ func newAdmission(workers, queueDepth, maxCampaigns int, target, interval time.D
 			classVerify:   {limits: classLimits{Concurrency: workers, Queue: half}},
 			classOptimize: {limits: classLimits{Concurrency: optConc, Queue: quarter}},
 			classSimulate: {limits: classLimits{Concurrency: 2 * workers, Queue: 0}},
-			classCampaign: {limits: classLimits{Concurrency: maxCampaigns, Queue: maxCampaigns}},
+			classCampaign: {limits: classLimits{Concurrency: maxCampaigns, Queue: 0}},
 			classDiagnose: {limits: classLimits{Concurrency: workers, Queue: half}},
 		},
 	}
@@ -208,8 +212,9 @@ func (a *admission) admit(c admitClass) *shedError {
 	return nil
 }
 
-// acquire admits one unit of synchronous class c work (simulate/detects):
-// it counts as running immediately and must be released with release.
+// acquire admits one unit of class c work that runs at once, without
+// queueing (simulate/detects, campaigns): it counts as running immediately
+// and must be released with release.
 func (a *admission) acquire(c admitClass) *shedError {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -225,20 +230,7 @@ func (a *admission) acquire(c admitClass) *shedError {
 	return nil
 }
 
-// admitPressure refuses class c work purely on the degrade ladder. Used
-// for campaigns, whose occupancy the campaign manager already bounds
-// (ErrCampaignsFull); admission adds only the shed-order gate on top.
-func (a *admission) admitPressure(c admitClass) *shedError {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	level, _ := a.pressureLocked()
-	if level >= c.shedAt() {
-		return a.shedLocked(a.classes[c], c, fmt.Sprintf("service %s, %s sheds at %s", level, c, c.shedAt()))
-	}
-	return nil
-}
-
-// release returns a synchronous slot taken by acquire.
+// release returns a slot taken by acquire.
 func (a *admission) release(c admitClass) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -274,9 +266,7 @@ func (a *admission) finished(c admitClass, started, ran bool) {
 			cs.running--
 		}
 	} else if cs.queued > 0 {
-		// The canceled-while-queued path: the admission slot is released
-		// here, immediately — not when a worker eventually drains the
-		// tombstone from the channel.
+		// The canceled-while-queued path.
 		cs.queued--
 	}
 	if ran {
@@ -334,10 +324,7 @@ func (a *admission) allowedWaitLocked() time.Duration {
 // history it falls back to assuming one interval per queued job — a
 // pessimistic guess that errs toward shedding under congestion.
 func (a *admission) estimatedWaitLocked() time.Duration {
-	queued := 0
-	for _, cs := range a.classes {
-		queued += cs.queued
-	}
+	queued := a.queuedLocked()
 	if queued == 0 {
 		return 0
 	}
@@ -369,13 +356,9 @@ func (a *admission) drainRateLocked() float64 {
 // [1s, 60s] (whole seconds: the header's granularity).
 func (a *admission) shedLocked(cs *classState, c admitClass, reason string) *shedError {
 	cs.sheds++
-	queued := 0
-	for _, s := range a.classes {
-		queued += s.queued
-	}
 	base := 1.0
 	if rate := a.drainRateLocked(); rate > 0 {
-		base = float64(queued+1) / rate
+		base = float64(a.queuedLocked()+1) / rate
 	}
 	secs := base * (1 + 0.5*a.jitter())
 	ra := time.Duration(math.Ceil(secs)) * time.Second
@@ -386,6 +369,23 @@ func (a *admission) shedLocked(cs *classState, c admitClass, reason string) *she
 		ra = 60 * time.Second
 	}
 	return &shedError{class: c, retryAfter: ra, reason: reason}
+}
+
+// queuedLocked counts the admitted work of every class that has not
+// started: the service's one queue depth.
+func (a *admission) queuedLocked() int {
+	n := 0
+	for _, cs := range a.classes {
+		n += cs.queued
+	}
+	return n
+}
+
+// queued is queuedLocked for /healthz's and /metrics's job_queue_depth.
+func (a *admission) queued() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.queuedLocked()
 }
 
 // pressure returns the current degrade level and its reasons.
@@ -413,9 +413,8 @@ func (a *admission) pressureLocked() (pressureLevel, []string) {
 			reasons = append(reasons, "congestion sustained past the control-law threshold")
 		}
 	}
-	queued, cap := 0, 0
+	queued, cap := a.queuedLocked(), 0
 	for _, cs := range a.classes {
-		queued += cs.queued
 		cap += cs.limits.Queue
 	}
 	if cap > 0 {

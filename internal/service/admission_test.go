@@ -43,7 +43,7 @@ func TestAdmissionClassBudgets(t *testing.T) {
 		classVerify:   {Concurrency: 2, Queue: 4},
 		classOptimize: {Concurrency: 1, Queue: 2},
 		classSimulate: {Concurrency: 4, Queue: 0},
-		classCampaign: {Concurrency: 3, Queue: 3},
+		classCampaign: {Concurrency: 3, Queue: 0},
 	}
 	for c, lim := range want {
 		if got := a.classes[c].limits; got != lim {
@@ -190,7 +190,8 @@ func TestShedOrderFollowsTheDegradeLadder(t *testing.T) {
 			t.Fatalf("%s admitted while degraded; it sheds first", c)
 		}
 	}
-	if shed := a.admitPressure(classCampaign); shed == nil {
+	if shed := a.acquire(classCampaign); shed == nil {
+		a.release(classCampaign)
 		t.Fatal("campaign admitted while degraded")
 	}
 	if shed := a.acquire(classSimulate); shed != nil {
@@ -249,7 +250,7 @@ func TestRetryAfterDrainRateAndClamps(t *testing.T) {
 
 func TestPressureFromQueueOccupancy(t *testing.T) {
 	a, _ := newTestAdmission(2, 8, 2, 0, 0)
-	// Queue capacity across classes: 8 + 4 + 2 + 0 + 2 + 4 = 20
+	// Queue capacity across classes: 8 + 4 + 2 + 0 + 0 + 4 = 18
 	// (generate, verify, optimize, simulate, campaign, diagnose).
 	a.classes[classGenerate].queued = 8
 	a.classes[classVerify].queued = 2

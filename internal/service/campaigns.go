@@ -25,9 +25,6 @@ const (
 	CampaignInterrupted = "interrupted"
 )
 
-// ErrCampaignsFull is returned when the concurrent-campaign cap is reached.
-var ErrCampaignsFull = errors.New("service: campaign capacity reached; retry later")
-
 // ShardProgress is the per-shard view of a campaign: total/committed
 // counters plus one state per shard ("pending", "running", "committed").
 type ShardProgress struct {
@@ -124,12 +121,13 @@ func (r *campaignRun) onEvent(ev campaign.Event) {
 	}
 }
 
-// campaignManager owns the campaign runs of one server process: a bounded
-// set of concurrently executing campaigns over one durable store root.
+// campaignManager owns the campaign runs of one server process over one
+// durable store root. Each running campaign holds a campaign-class
+// admission slot, which bounds how many run at once.
 type campaignManager struct {
 	root    string
-	max     int
 	workers int
+	admit   *admission
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
@@ -142,12 +140,12 @@ type campaignManager struct {
 	onTerminal func(status string)
 }
 
-func newCampaignManager(root string, max, workers int) *campaignManager {
+func newCampaignManager(root string, workers int, admit *admission) *campaignManager {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &campaignManager{
 		root:    root,
-		max:     max,
 		workers: workers,
+		admit:   admit,
 		baseCtx: ctx,
 		cancel:  cancel,
 		runs:    make(map[string]*campaignRun),
@@ -156,7 +154,8 @@ func newCampaignManager(root string, max, workers int) *campaignManager {
 
 // Start launches (or, for an already-running id, returns) the campaign for
 // the given spec. The engine runs with Resume, so re-POSTing the spec of an
-// interrupted campaign continues it from its checkpoint.
+// interrupted campaign continues it from its checkpoint. A new run takes a
+// campaign admission slot, or returns the *shedError that refused it.
 func (m *campaignManager) Start(spec campaign.Spec) (*campaignRun, bool, error) {
 	c := spec.Canonical()
 	id := c.ID()
@@ -175,16 +174,8 @@ func (m *campaignManager) Start(spec campaign.Spec) (*campaignRun, bool, error) 
 		// Terminal: fall through and start a fresh run (resume semantics
 		// make this a no-op for completed campaigns).
 	}
-	active := 0
-	for _, r := range m.runs {
-		r.mu.Lock()
-		if r.status == CampaignRunning {
-			active++
-		}
-		r.mu.Unlock()
-	}
-	if active >= m.max {
-		return nil, false, ErrCampaignsFull
+	if shed := m.admit.acquire(classCampaign); shed != nil {
+		return nil, false, shed
 	}
 
 	ctx, cancel := context.WithCancel(m.baseCtx)
@@ -210,6 +201,9 @@ func (m *campaignManager) Start(spec campaign.Spec) (*campaignRun, bool, error) 
 			Resume:  true,
 			OnEvent: r.onEvent,
 		})
+		// Free the slot before the status turns terminal: a client that
+		// sees the campaign end sees its slot free.
+		m.admit.release(classCampaign)
 		r.mu.Lock()
 		r.finished = time.Now()
 		switch {
@@ -273,19 +267,7 @@ func (m *campaignManager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	m.draining = true
 	m.mu.Unlock()
-	finished := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(finished)
-	}()
-	select {
-	case <-finished:
-		return nil
-	case <-ctx.Done():
-		m.cancel()
-		<-finished
-		return fmt.Errorf("service: campaign drain window expired; in-flight campaigns interrupted: %w", ctx.Err())
-	}
+	return drain(ctx, &m.wg, m.cancel, "service: campaign drain window expired; in-flight campaigns interrupted")
 }
 
 // diskSnapshot reconstructs a campaign snapshot from its store directory —
@@ -337,15 +319,13 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Campaigns are the most expensive class, first on the shed order; their
-	// occupancy stays bounded by the campaign manager itself.
-	if shed := s.admit.admitPressure(classCampaign); shed != nil {
+	run, created, err := s.campaigns.Start(spec)
+	var shed *shedError
+	switch {
+	case errors.As(err, &shed):
 		writeShed(w, shed)
 		return
-	}
-	run, created, err := s.campaigns.Start(spec)
-	switch {
-	case errors.Is(err, ErrCampaignsFull), errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return

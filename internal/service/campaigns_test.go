@@ -2,6 +2,7 @@ package service
 
 import (
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -114,23 +115,34 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
+// TestCampaignCapacity: a running campaign holds the campaign class's one
+// admission slot, so a second campaign is shed with 429, and the slot is
+// free again by the time the first campaign's snapshot is terminal.
 func TestCampaignCapacity(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), MaxCampaigns: 1})
-	// list1 generation takes long enough that the first campaign is still
-	// running when the second arrives.
-	w := do(t, s, "POST", "/v1/campaigns", `{"name":"slow","lists":["list1"]}`)
+	s := newTestServer(t, Config{Workers: 1, CampaignWorkers: 1, DataDir: t.TempDir(), MaxCampaigns: 1})
+	// Three list1 units on one campaign worker: still running when the
+	// second campaign arrives.
+	w := do(t, s, "POST", "/v1/campaigns", `{"name":"slow","lists":["list1"],"orders":["free","up","down"],"shard_size":1}`)
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("first POST: status %d: %s", w.Code, w.Body.String())
 	}
 	first := decode[Campaign](t, w)
-	w = do(t, s, "POST", "/v1/campaigns", `{"name":"second","lists":["list2"],"sizes":[5]}`)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("over-capacity POST: status %d, want 503", w.Code)
+	if got := decode[MetricsSnapshot](t, do(t, s, "GET", "/metrics", "")).Admission["campaign"].Running; got != 1 {
+		t.Fatalf("admission.campaign.running while a campaign runs = %d, want 1", got)
 	}
-	if w.Header().Get("Retry-After") == "" {
+	w = do(t, s, "POST", "/v1/campaigns", `{"name":"second","lists":["list2"],"sizes":[5]}`)
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("over-capacity POST: status %d, want 429: %s", w.Code, w.Body.String())
+	}
+	if ra := w.Header().Get("Retry-After"); ra == "" {
 		t.Fatal("over-capacity POST: no Retry-After")
+	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+		t.Fatalf("over-capacity Retry-After = %q, want a positive whole-second count", ra)
 	}
 	pollCampaign(t, s, first.ID)
+	if got := decode[MetricsSnapshot](t, do(t, s, "GET", "/metrics", "")).Admission["campaign"].Running; got != 0 {
+		t.Fatalf("admission.campaign.running after the campaign ended = %d, want 0", got)
+	}
 }
 
 func TestCampaignDiskSnapshotSurvivesRestart(t *testing.T) {

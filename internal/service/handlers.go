@@ -126,14 +126,14 @@ func millis(ms int64) time.Duration {
 }
 
 // writeSubmitError finishes an async submit's error path: admission sheds
-// answer 429 + Retry-After, engine backpressure (full queue, draining)
-// answers 503, anything else 500.
+// answer 429 + Retry-After, a draining engine answers 503, anything else
+// 500.
 func writeSubmitError(w http.ResponseWriter, err error) {
 	var shed *shedError
 	switch {
 	case errors.As(err, &shed):
 		writeShed(w, shed)
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
@@ -572,13 +572,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Classes      map[string]classSnapshot `json:"classes"`
 		QueueDepth   int                      `json:"job_queue_depth"`
 		CacheEntries int                      `json:"cache_entries"`
-	}{level.String(), reasons, s.admit.snapshot(), s.jobs.Depth(), s.cache.Len()})
+	}{level.String(), reasons, s.admit.snapshot(), s.admit.queued(), s.cache.Len()})
 }
 
 // handleMetrics is GET /metrics: the expvar-style counter snapshot, plus
 // the fabric coordinator's counters when this instance runs one.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.metrics.snapshot(s.jobs.Depth(), s.cache.Len())
+	snap := s.metrics.snapshot(s.admit.queued(), s.cache.Len())
 	level, _ := s.admit.pressure()
 	snap.Pressure = level.String()
 	snap.Admission = s.admit.snapshot()

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 )
@@ -16,7 +17,7 @@ import (
 type JobStatus string
 
 // Job lifecycle states. A job moves queued → running → one of the three
-// terminal states; a queued job canceled before a worker picks it up moves
+// terminal states; a queued job canceled before a worker takes it moves
 // straight to canceled.
 const (
 	JobQueued   JobStatus = "queued"
@@ -45,15 +46,8 @@ type Job struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// Submission errors.
-var (
-	// ErrQueueFull is returned when the bounded job queue cannot accept
-	// another job; callers should translate it to a backpressure response
-	// (HTTP 503) rather than block.
-	ErrQueueFull = errors.New("service: job queue full")
-	// ErrDraining is returned once shutdown has begun.
-	ErrDraining = errors.New("service: shutting down")
-)
+// ErrDraining is returned once shutdown has begun.
+var ErrDraining = errors.New("service: shutting down")
 
 // job is the engine's mutable record; all fields behind mu except the
 // immutable id/created/fn/ctx/cancel.
@@ -108,45 +102,23 @@ func (j *job) finalize(status JobStatus, result []byte, err error) {
 	close(j.done)
 }
 
-// tryStart atomically moves a queued job to running. It returns false when
-// the job is already terminal (canceled while queued): exactly one of
-// tryStart and cancelQueued wins, which is what keeps the engine's queued
-// counter and the admission controller's slots exact under racing
-// cancels.
-func (j *job) tryStart() bool {
+// start moves a job a worker took from the waiting line to running.
+func (j *job) start() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.Terminal() {
-		return false
-	}
 	j.status = JobRunning
 	j.started = time.Now()
-	return true
 }
 
-// cancelQueued atomically finalizes a job that is still queued; it returns
-// false if the job already started (or is already terminal), in which case
-// the caller must cancel via the context instead.
-func (j *job) cancelQueued() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != JobQueued {
-		return false
-	}
-	j.status = JobCanceled
-	j.err = context.Canceled
-	j.finished = time.Now()
-	close(j.done)
-	return true
-}
-
-// jobEngine is a bounded worker pool with a bounded queue: the async half
-// of the marchd service. Generation work is submitted as closures; each job
+// jobEngine is the async half of the marchd service: it runs at most
+// workers jobs at once and starts the others in submission order. It does
+// not bound how many wait; the admission controller does, and no other
+// caller submits. Generation work is submitted as closures; each job
 // carries its own deadline-bearing context derived from the engine's base
 // context, so individual jobs can be canceled and a shutdown can cancel
 // everything still running once the drain deadline passes.
 type jobEngine struct {
-	queue      chan *job
+	workers    int
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
@@ -156,15 +128,12 @@ type jobEngine struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string // insertion order, for retention eviction
+	waiting  []*job   // queued jobs, oldest first
+	running  int      // live worker goroutines, at most workers
 	draining bool
-	// queued counts jobs admitted but not yet started. It is NOT len(queue):
-	// a job canceled while queued leaves a tombstone in the channel until a
-	// worker drains it, but releases its queued slot (and its admission
-	// budget) the moment the cancel lands.
-	queued int
 
-	// onStart, when set, runs when a worker dequeues a live job, with the
-	// job already marked running (admission queue-wait observation).
+	// onStart, when set, runs when a worker takes a job, with the job
+	// already marked running (admission queue-wait observation).
 	onStart func(*job)
 	// onTerminal, when set, runs after a job reaches a terminal state (used
 	// for metrics, admission slot release and in-flight dedup bookkeeping).
@@ -174,43 +143,46 @@ type jobEngine struct {
 	onPanic func()
 }
 
-// newJobEngine starts workers goroutines consuming a queue of the given
-// depth. maxTimeout caps every job's deadline; retain bounds how many
-// terminal jobs are kept for polling before the oldest are evicted.
-func newJobEngine(workers, depth int, maxTimeout time.Duration, retain int) *jobEngine {
+// newJobEngine returns an engine that runs at most workers jobs at once.
+// maxTimeout caps every job's deadline; retain bounds how many terminal
+// jobs are kept for polling before the oldest are evicted.
+func newJobEngine(workers int, maxTimeout time.Duration, retain int) *jobEngine {
 	ctx, cancel := context.WithCancel(context.Background())
-	e := &jobEngine{
-		queue:      make(chan *job, depth),
+	return &jobEngine{
+		workers:    workers,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		maxTimeout: maxTimeout,
 		retain:     retain,
 		jobs:       make(map[string]*job),
 	}
-	for i := 0; i < workers; i++ {
-		e.wg.Add(1)
-		go e.worker()
-	}
-	return e
 }
 
-func (e *jobEngine) worker() {
+// worker runs j, then the head of the waiting line until none is left.
+func (e *jobEngine) worker(j *job) {
 	defer e.wg.Done()
-	for j := range e.queue {
+	for ; j != nil; j = e.next() {
 		e.runJob(j)
 	}
 }
 
-func (e *jobEngine) runJob(j *job) {
-	defer j.cancel()   // release the deadline timer
-	if !j.tryStart() { // canceled while queued: its slot was already released
-		return
-	}
+// next takes the oldest waiting job, or retires the calling worker and
+// returns nil when nothing waits.
+func (e *jobEngine) next() *job {
 	e.mu.Lock()
-	if e.queued > 0 {
-		e.queued--
+	defer e.mu.Unlock()
+	if len(e.waiting) == 0 {
+		e.running--
+		return nil
 	}
-	e.mu.Unlock()
+	j := e.waiting[0]
+	e.waiting = e.waiting[1:]
+	return j
+}
+
+func (e *jobEngine) runJob(j *job) {
+	defer j.cancel() // release the deadline timer
+	j.start()
 	if e.onStart != nil {
 		e.onStart(j)
 	}
@@ -257,9 +229,10 @@ func newJobID() (string, error) {
 	return "j-" + hex.EncodeToString(b[:]), nil
 }
 
-// Submit enqueues fn as a new job of the given admission class with the
-// given deadline (capped at the engine's maximum; 0 means the maximum). It
-// never blocks: a full queue returns ErrQueueFull immediately.
+// Submit queues fn as a new job of the given admission class with the
+// given deadline (capped at the engine's maximum; 0 means the maximum),
+// and starts a worker for it if fewer than workers run. It never blocks,
+// and refuses only once shutdown has begun (ErrDraining).
 func (e *jobEngine) Submit(class admitClass, timeout time.Duration, fn func(context.Context) ([]byte, error)) (*job, error) {
 	if timeout <= 0 || timeout > e.maxTimeout {
 		timeout = e.maxTimeout
@@ -284,20 +257,18 @@ func (e *jobEngine) Submit(class admitClass, timeout time.Duration, fn func(cont
 		status:  JobQueued,
 		done:    make(chan struct{}),
 	}
-	// The enqueue happens under the engine lock so it cannot race a
-	// Shutdown closing the queue; the channel is buffered, so the send
-	// either succeeds immediately or the queue is full.
-	select {
-	case e.queue <- j:
-		e.jobs[j.id] = j
-		e.order = append(e.order, j.id)
-		e.queued++
-		e.evictLocked()
-		return j, nil
-	default:
-		cancel()
-		return nil, ErrQueueFull
+	e.jobs[j.id] = j
+	e.order = append(e.order, j.id)
+	e.evictLocked()
+	if e.running < e.workers {
+		// Under the lock, so the Add cannot race Shutdown's Wait.
+		e.running++
+		e.wg.Add(1)
+		go e.worker(j)
+	} else {
+		e.waiting = append(e.waiting, j)
 	}
+	return j, nil
 }
 
 // evictLocked drops the oldest terminal jobs beyond the retention bound.
@@ -330,39 +301,30 @@ func (e *jobEngine) Get(id string) (*job, bool) {
 	return j, ok
 }
 
-// Cancel cancels a job: a queued job terminates immediately (releasing its
-// queue slot — the tombstone left in the channel holds nothing), a running
-// one as soon as its work observes the canceled context. Canceling a
-// terminal job is a no-op. The second return reports whether the id was
-// known.
+// Cancel cancels a job: a queued job leaves the waiting line and
+// terminates at once, a running one as soon as its work observes the
+// canceled context. Canceling a terminal job is a no-op. The second return
+// reports whether the id was known.
 func (e *jobEngine) Cancel(id string) (*job, bool) {
-	j, ok := e.Get(id)
+	e.mu.Lock()
+	j, ok := e.jobs[id]
+	queued := false
+	if i := slices.Index(e.waiting, j); ok && i >= 0 {
+		// Taking the job off the line under the engine lock means no worker
+		// can start it: this path owns its single terminal notification.
+		e.waiting = append(e.waiting[:i], e.waiting[i+1:]...)
+		j.finalize(JobCanceled, nil, context.Canceled)
+		queued = true
+	}
+	e.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	if j.cancelQueued() {
-		// The cancel won the race against a worker's tryStart: this path
-		// owns the slot release and the (single) terminal notification.
-		e.mu.Lock()
-		if e.queued > 0 {
-			e.queued--
-		}
-		e.mu.Unlock()
-		if e.onTerminal != nil {
-			e.onTerminal(j)
-		}
+	if queued && e.onTerminal != nil {
+		e.onTerminal(j)
 	}
 	j.cancel()
 	return j, true
-}
-
-// Depth returns the number of queued (not yet running) jobs. Tombstones —
-// jobs canceled while queued but not yet drained from the channel by a
-// worker — are not counted: their slots are already free.
-func (e *jobEngine) Depth() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.queued
 }
 
 // Shutdown stops accepting work and drains: queued and running jobs are
@@ -376,22 +338,25 @@ func (e *jobEngine) Shutdown(ctx context.Context) error {
 		return ErrDraining
 	}
 	e.draining = true
-	close(e.queue) // under the lock: Submit's enqueue holds it too
 	e.mu.Unlock()
+	return drain(ctx, &e.wg, e.baseCancel, "service: drain window expired; in-flight jobs canceled")
+}
 
+// drain waits for wg until ctx expires, then calls cancel and waits again.
+// It returns nil when wg finished inside the window, and otherwise ctx's
+// error behind the expired message.
+func drain(ctx context.Context, wg *sync.WaitGroup, cancel context.CancelFunc, expired string) error {
 	finished := make(chan struct{})
 	go func() {
-		e.wg.Wait()
+		wg.Wait()
 		close(finished)
 	}()
 	select {
 	case <-finished:
 		return nil
 	case <-ctx.Done():
-		// Drain window expired: cancel everything still in flight, then wait
-		// for the workers to observe it.
-		e.baseCancel()
+		cancel()
 		<-finished
-		return fmt.Errorf("service: drain window expired; in-flight jobs canceled: %w", ctx.Err())
+		return fmt.Errorf("%s: %w", expired, ctx.Err())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -19,7 +20,7 @@ func waitTerminal(t *testing.T, j *job) Job {
 }
 
 func TestJobEngineRunsSubmittedWork(t *testing.T) {
-	e := newJobEngine(2, 8, time.Minute, 16)
+	e := newJobEngine(2, time.Minute, 16)
 	defer e.Shutdown(context.Background())
 
 	j, err := e.Submit(classGenerate, 0, func(ctx context.Context) ([]byte, error) {
@@ -37,37 +38,58 @@ func TestJobEngineRunsSubmittedWork(t *testing.T) {
 	}
 }
 
-func TestJobEngineQueueFull(t *testing.T) {
-	e := newJobEngine(1, 1, time.Minute, 16)
-	release := make(chan struct{})
-	blocker := func(ctx context.Context) ([]byte, error) {
+// TestJobEngineStartsInSubmissionOrder pins the engine's FIFO: with the
+// only worker held, jobs submitted behind it start in the order they were
+// submitted once it is released.
+func TestJobEngineStartsInSubmissionOrder(t *testing.T) {
+	e := newJobEngine(1, time.Minute, 16)
+	defer e.Shutdown(context.Background())
+	held, release := make(chan struct{}), make(chan struct{})
+	if _, err := e.Submit(classGenerate, 0, func(ctx context.Context) ([]byte, error) {
+		close(held)
 		<-release
 		return nil, nil
-	}
-	j1, err := e.Submit(classGenerate, 0, blocker)
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	// Give the worker a moment to pick j1 up, freeing the queue slot for j2.
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Depth() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	j2, err := e.Submit(classGenerate, 0, blocker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Submit(classGenerate, 0, blocker); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("third submit: err = %v, want ErrQueueFull", err)
+	<-held
+
+	const n = 8
+	var (
+		mu    sync.Mutex
+		order []int
+		jobs  []*job
+	)
+	for i := 0; i < n; i++ {
+		j, err := e.Submit(classGenerate, 0, func(ctx context.Context) ([]byte, error) {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		jobs = append(jobs, j)
 	}
 	close(release)
-	waitTerminal(t, j1)
-	waitTerminal(t, j2)
-	e.Shutdown(context.Background())
+	for _, j := range jobs {
+		waitTerminal(t, j)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("start order = %v, want submission order", order)
+		}
+	}
+	if len(order) != n {
+		t.Fatalf("%d of %d jobs ran", len(order), n)
+	}
 }
 
 func TestJobEngineCancelQueued(t *testing.T) {
-	e := newJobEngine(1, 4, time.Minute, 16)
+	e := newJobEngine(1, time.Minute, 16)
 	release := make(chan struct{})
 	j1, err := e.Submit(classGenerate, 0, func(ctx context.Context) ([]byte, error) {
 		<-release
@@ -95,8 +117,60 @@ func TestJobEngineCancelQueued(t *testing.T) {
 	}
 }
 
+// TestJobEngineCancelRacesWorkers submits and cancels from several
+// goroutines while two workers take jobs. Under any interleaving every job
+// ends once, onTerminal fires once per job, onStart fires once for a job
+// that started and never for one canceled off the waiting line.
+func TestJobEngineCancelRacesWorkers(t *testing.T) {
+	e := newJobEngine(2, time.Minute, 1024)
+	var (
+		mu                sync.Mutex
+		starts, terminals = map[*job]int{}, map[*job]int{}
+		jobs              []*job
+	)
+	e.onStart = func(j *job) { mu.Lock(); starts[j]++; mu.Unlock() }
+	e.onTerminal = func(j *job) { mu.Lock(); terminals[j]++; mu.Unlock() }
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				j, err := e.Submit(classGenerate, 0, func(ctx context.Context) ([]byte, error) { return nil, ctx.Err() })
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				jobs = append(jobs, j)
+				mu.Unlock()
+				if i%2 == 0 {
+					e.Cancel(j.id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := e.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, j := range jobs {
+		snap := j.snapshot(false)
+		ran := 0
+		if !snap.Started.IsZero() {
+			ran = 1
+		}
+		if !snap.Status.Terminal() || terminals[j] != 1 || starts[j] != ran {
+			t.Fatalf("job %s: status %s, onTerminal %d times, onStart %d times, started %v",
+				snap.ID, snap.Status, terminals[j], starts[j], ran == 1)
+		}
+	}
+}
+
 func TestJobEngineCancelRunning(t *testing.T) {
-	e := newJobEngine(1, 4, time.Minute, 16)
+	e := newJobEngine(1, time.Minute, 16)
 	defer e.Shutdown(context.Background())
 	started := make(chan struct{})
 	j, err := e.Submit(classGenerate, 0, func(ctx context.Context) ([]byte, error) {
@@ -118,7 +192,7 @@ func TestJobEngineCancelRunning(t *testing.T) {
 }
 
 func TestJobEngineDeadline(t *testing.T) {
-	e := newJobEngine(1, 4, 20*time.Millisecond, 16)
+	e := newJobEngine(1, 20*time.Millisecond, 16)
 	defer e.Shutdown(context.Background())
 	j, err := e.Submit(classGenerate, time.Hour /* capped to the engine max */, func(ctx context.Context) ([]byte, error) {
 		<-ctx.Done()
@@ -134,7 +208,7 @@ func TestJobEngineDeadline(t *testing.T) {
 }
 
 func TestJobEngineShutdownDrains(t *testing.T) {
-	e := newJobEngine(2, 16, time.Minute, 32)
+	e := newJobEngine(2, time.Minute, 32)
 	var jobs []*job
 	for i := 0; i < 8; i++ {
 		j, err := e.Submit(classGenerate, 0, func(ctx context.Context) ([]byte, error) {
@@ -160,7 +234,7 @@ func TestJobEngineShutdownDrains(t *testing.T) {
 }
 
 func TestJobEngineShutdownExpiryCancelsStragglers(t *testing.T) {
-	e := newJobEngine(1, 4, time.Minute, 16)
+	e := newJobEngine(1, time.Minute, 16)
 	started := make(chan struct{})
 	j, err := e.Submit(classGenerate, 0, func(ctx context.Context) ([]byte, error) {
 		close(started)
@@ -186,7 +260,7 @@ func TestJobEngineShutdownExpiryCancelsStragglers(t *testing.T) {
 // panics must fail its own job with the captured stack and leave the
 // worker draining the queue behind it.
 func TestJobEnginePanicContained(t *testing.T) {
-	e := newJobEngine(1, 8, time.Minute, 16) // one worker: a dead worker would strand everything
+	e := newJobEngine(1, time.Minute, 16) // one worker: a dead worker would strand everything
 	defer e.Shutdown(context.Background())
 	panics := 0
 	e.onPanic = func() { panics++ }
@@ -224,7 +298,7 @@ func TestJobEnginePanicContained(t *testing.T) {
 }
 
 func TestJobEngineRetention(t *testing.T) {
-	e := newJobEngine(1, 16, time.Minute, 3)
+	e := newJobEngine(1, time.Minute, 3)
 	var ids []string
 	for i := 0; i < 6; i++ {
 		j, err := e.Submit(classGenerate, 0, func(ctx context.Context) ([]byte, error) { return nil, nil })

@@ -11,10 +11,9 @@ import (
 	"time"
 )
 
-// TestCanceledQueuedJobsFreeTheirSlots is the regression test for the
-// queue-slot tombstone bug: a job canceled while still queued must release
-// its queue accounting immediately — not when a worker eventually drains
-// the tombstone — and must never count in the latency histogram.
+// TestCanceledQueuedJobsFreeTheirSlots: a job canceled while still queued
+// must release its queue accounting immediately, hold nothing a later
+// submit needs, and never count in the latency histogram.
 func TestCanceledQueuedJobsFreeTheirSlots(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 
@@ -33,13 +32,12 @@ func TestCanceledQueuedJobsFreeTheirSlots(t *testing.T) {
 		}
 		queued = append(queued, decode[jobEnvelope](t, w).Job.ID)
 	}
-	if got := s.jobs.Depth(); got != 4 {
+	if got := s.admit.queued(); got != 4 {
 		t.Fatalf("queue depth after flood = %d, want 4", got)
 	}
 
 	// Cancel every queued job. The depth and the admission occupancy must
-	// return to zero right away: the worker is still busy and cannot have
-	// drained any tombstones yet.
+	// return to zero right away, while the worker is still busy.
 	for _, id := range queued {
 		if w := do(t, s, "DELETE", "/v1/jobs/"+id, ""); w.Code != http.StatusOK {
 			t.Fatalf("cancel %s: %d: %s", id, w.Code, w.Body.String())
@@ -61,23 +59,24 @@ func TestCanceledQueuedJobsFreeTheirSlots(t *testing.T) {
 		t.Fatalf("generate latency count moved %d -> %d on canceled jobs", histBefore, m.Generate.Count)
 	}
 
-	// Admission freed the slots, but the engine's channel still holds the
-	// four tombstones (the worker is pinned on the held job and cannot have
-	// drained any): a new submit passes admission and then hits the
-	// engine's 503 backstop, which must hand the admission slot straight
-	// back — not leak it.
-	w := do(t, s, "POST", "/v1/generate", `{"list":"list1","options":{"name":"tomb-after"}}`)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("submit into tombstoned channel: %d, want 503: %s", w.Code, w.Body.String())
-	}
-	if ra := w.Header().Get("Retry-After"); ra != "1" {
-		t.Fatalf("503 Retry-After = %q, want \"1\"", ra)
+	// The canceled jobs hold nothing, so the worker still pinned on the held
+	// job leaves the whole queue budget to new work.
+	var after []string
+	for i := 0; i < 4; i++ {
+		w := do(t, s, "POST", "/v1/generate",
+			`{"list":"list1","options":{"name":"tomb-after-`+strings.Repeat("q", i+1)+`"}}`)
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("submit %d after the cancels: %d, want 202: %s", i, w.Code, w.Body.String())
+		}
+		after = append(after, decode[jobEnvelope](t, w).Job.ID)
 	}
 	m = decode[MetricsSnapshot](t, do(t, s, "GET", "/metrics", ""))
-	if q := m.Admission["generate"].Queued; q != 0 {
-		t.Fatalf("admission generate.queued leaked by the 503 handback: %d", q)
+	if m.QueueDepth != 4 {
+		t.Fatalf("job_queue_depth after the new submits = %d, want 4", m.QueueDepth)
 	}
-	do(t, s, "DELETE", "/v1/jobs/"+runID, "")
+	for _, id := range append(after, runID) {
+		do(t, s, "DELETE", "/v1/jobs/"+id, "")
+	}
 }
 
 // brokenPipeWriter fakes the ResponseWriter of a client that disconnected

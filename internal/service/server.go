@@ -42,8 +42,9 @@ import (
 type Config struct {
 	// Workers is the generation worker pool size; 0 means GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds the number of queued (not yet running) jobs; a full
-	// queue fails fast with HTTP 503. 0 means 64.
+	// QueueDepth sizes the admission queue budgets: generate may queue
+	// QueueDepth jobs, verify and diagnose half as many, optimize a quarter.
+	// A class whose budget is full answers HTTP 429. 0 means 64.
 	QueueDepth int
 	// CacheSize bounds the result cache entries; 0 means 128.
 	CacheSize int
@@ -178,7 +179,7 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.admit = newAdmission(cfg.workers(), cfg.queueDepth(), cfg.maxCampaigns(), cfg.AdmitTarget, cfg.AdmitInterval)
-	s.jobs = newJobEngine(cfg.workers(), cfg.queueDepth(), cfg.jobTimeout(), cfg.retainJobs())
+	s.jobs = newJobEngine(cfg.workers(), cfg.jobTimeout(), cfg.retainJobs())
 	s.jobs.onStart = func(j *job) {
 		snap := j.snapshot(false)
 		s.admit.started(j.class, snap.Started.Sub(snap.Created))
@@ -195,7 +196,7 @@ func New(cfg Config) *Server {
 			s.logger.Printf("panic contained in generation job (see the job's error for the stack)")
 		}
 	}
-	s.campaigns = newCampaignManager(cfg.dataDir(), cfg.maxCampaigns(), cfg.CampaignWorkers)
+	s.campaigns = newCampaignManager(cfg.dataDir(), cfg.CampaignWorkers, s.admit)
 	s.campaigns.onTerminal = s.metrics.campaignTerminal
 
 	mux := http.NewServeMux()
@@ -377,8 +378,8 @@ func (s *Server) lookupOrSubmit(class admitClass, key string, timeout time.Durat
 	}
 	j, err := s.jobs.Submit(class, timeout, fn)
 	if err != nil {
-		// The engine refused after admission said yes (queue tombstones, or
-		// a drain that began in between): hand the slot straight back.
+		// The engine refused after admission said yes (a drain began, or no
+		// job id could be minted): hand the slot straight back.
 		s.admit.finished(class, false, false)
 		return nil, false, err
 	}

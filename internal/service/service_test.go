@@ -89,7 +89,7 @@ func holdWorker(t *testing.T, s *Server, key string) string {
 		t.Fatalf("hold a worker: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for s.jobs.Depth() != 0 && time.Now().Before(deadline) {
+	for s.admit.queued() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	return j.id
@@ -333,8 +333,14 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatalf("sheds_by_class[generate] = %d, want nonzero", m.ShedsByClass["generate"])
 	}
 
-	// Cancel both jobs so the deferred Shutdown drains quickly.
-	for _, id := range []string{holdID, decode[jobEnvelope](t, wB).Job.ID} {
+	// A full generate class sheds only itself: verify has its own budget.
+	wV := do(t, s, "POST", "/v1/verify", `{"march":{"name":"March SS"},"list":"list2"}`)
+	if wV.Code != http.StatusAccepted {
+		t.Fatalf("verify with the generate class full: status %d, want 202: %s", wV.Code, wV.Body.String())
+	}
+
+	// Cancel every job so the deferred Shutdown drains quickly.
+	for _, id := range []string{holdID, decode[jobEnvelope](t, wB).Job.ID, decode[jobEnvelope](t, wV).Job.ID} {
 		do(t, s, "DELETE", "/v1/jobs/"+id, "")
 	}
 }
@@ -638,7 +644,7 @@ func TestEncodeErrorCountedAndLogged(t *testing.T) {
 // TestSubmitIDsAreUnique is a cheap regression net for the newJobID
 // error path refactor: ids still mint and never collide.
 func TestSubmitIDsAreUnique(t *testing.T) {
-	e := newJobEngine(2, 64, time.Minute, 64)
+	e := newJobEngine(2, time.Minute, 64)
 	defer e.Shutdown(context.Background())
 	seen := make(map[string]bool)
 	for i := 0; i < 32; i++ {

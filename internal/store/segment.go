@@ -36,8 +36,10 @@ func SegmentPath(dir, worker string) string {
 
 // AppendSegmentFS appends records to a segment file as JSONL lines and
 // fsyncs before returning: once it succeeds, a kill cannot lose the
-// reported shard. The parent directory must exist. Every mutating
-// operation goes through fsys so the chaos suite can fault it.
+// reported shard. A failed write or fsync truncates the file back to its
+// size before the append, so the torn line it may leave cannot swallow the
+// records later appends add. The parent directory must exist. Every
+// mutating operation goes through fsys so the chaos suite can fault it.
 func AppendSegmentFS(fsys iofault.FS, path string, recs []Record) error {
 	if fsys == nil {
 		fsys = iofault.OS{}
@@ -50,18 +52,31 @@ func AppendSegmentFS(fsys iofault.FS, path string, recs []Record) error {
 	if err != nil {
 		return fmt.Errorf("store: segment: %w", err)
 	}
-	if _, err := f.Write(lines); err != nil {
+	st, err := f.Stat()
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("store: segment append: %w", err)
+		return fmt.Errorf("store: segment: %w", err)
+	}
+	if _, err := f.Write(lines); err != nil {
+		return abandonAppend(f, st.Size(), fmt.Errorf("store: segment append: %w", err))
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: segment sync: %w", err)
+		return abandonAppend(f, st.Size(), fmt.Errorf("store: segment sync: %w", err))
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: segment: %w", err)
 	}
 	return nil
+}
+
+// abandonAppend truncates f back to size, dropping an append that failed
+// with err, and closes it. A failed truncate is joined to err.
+func abandonAppend(f iofault.File, size int64, err error) error {
+	if terr := f.Truncate(size); terr != nil {
+		err = fmt.Errorf("%w; store: segment truncate: %w", err, terr)
+	}
+	f.Close()
+	return err
 }
 
 // ParseSegment decodes a segment file's records, tolerating the one kind
