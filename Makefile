@@ -67,8 +67,9 @@ bench:
 ## bench-sim: regenerate BENCH_sim.json (compiled-schedule speedup record,
 ## including the lanes section with the bit-parallel speedup over scalar),
 ## written by internal/sim's TestBenchRecord.
+bench_sim = $(GO) test -count=1 -v -run '^TestBenchRecord$$' ./internal/sim -args -benchrecord $(1)
 bench-sim:
-	$(GO) test -count=1 -v -run '^TestBenchRecord$$' ./internal/sim -args -benchrecord $(CURDIR)/BENCH_sim.json
+	$(call bench_sim,$(CURDIR)/BENCH_sim.json)
 
 ## bench-gen: regenerate BENCH_gen.json — the CPU time of the three Table-1
 ## generation rows (ABL1 timed as a batch) and of one optimizer op (OPT,
@@ -174,5 +175,12 @@ verify-oracle:
 ## check: the full local CI gate — build, vet, gofmt, tests, race, the
 ## interleaving stress gate, chaos, the cluster gate, the optimizer smoke
 ## gate, the diagnosis gate, the oracle cross-check, the simulator
-## benchmark record, the overload SLO gate, smoke.
-check: build vet fmt-check test race stress chaos cluster-test opt-test diag-test verify-oracle bench-sim load-test smoke
+## benchmark record, the overload SLO gate, smoke. The benchmark record and
+## the SLO gate run as bench-sim and load-test do, but write their records
+## into a temporary directory, so check leaves the committed BENCH_sim.json
+## and BENCH_serve.json as they are.
+check: build vet fmt-check test race stress chaos cluster-test opt-test diag-test verify-oracle
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(call bench_sim,$$tmp/BENCH_sim.json) && \
+		./scripts/load.sh $$tmp/BENCH_serve.json
+	$(MAKE) smoke

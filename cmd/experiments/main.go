@@ -155,7 +155,6 @@ func runAll(w io.Writer, quick bool) error {
 
 	// Section 3b: word-oriented backgrounds.
 	fmt.Fprintln(w, "\n== Word-oriented memories (4-bit words, intra-word couplings) ==")
-	wcfg := word.Config{Words: 2, Width: 4}
 	testable := word.TestableIntraWordFaults(4)
 	bgsAll, err := word.Backgrounds(4)
 	if err != nil {
@@ -164,11 +163,11 @@ func runAll(w io.Writer, quick bool) error {
 	solid := []word.Background{word.Solid(4)}
 	wt := &report.Table{Header: []string{"March Test", "Solid bg", "Standard set"}}
 	for _, m := range []march.Test{march.MATSPlus, march.MarchCMinus, march.MarchSS} {
-		dS, err := word.Coverage(m, testable, solid, wcfg)
+		dS, err := word.Coverage(m, testable, solid)
 		if err != nil {
 			return err
 		}
-		dA, err := word.Coverage(m, testable, bgsAll, wcfg)
+		dA, err := word.Coverage(m, testable, bgsAll)
 		if err != nil {
 			return err
 		}
@@ -210,7 +209,7 @@ func runAll(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		r, err := mport.Simulate(lifted, cat, mport.Config{})
+		r, err := mport.Simulate(lifted, cat)
 		if err != nil {
 			return err
 		}

@@ -216,7 +216,7 @@ func (v *verifier) checkWord(t march.Test, width int) {
 		fmt.Fprintf(v.stdout, "VIOLATION word w=%d: %v\n", width, err)
 		return
 	}
-	diffs, err := oracle.CrossCheckWord(t, word.TestableIntraWordFaults(width), bgs, word.Config{Words: 2, Width: width})
+	diffs, err := oracle.CrossCheckWord(t, word.TestableIntraWordFaults(width), bgs)
 	if err != nil {
 		v.violations++
 		fmt.Fprintf(v.stdout, "VIOLATION word %s w=%d: %v\n", t.Name, width, err)
@@ -244,7 +244,7 @@ func (v *verifier) checkMport(t march.Test) {
 		fmt.Fprintf(v.stdout, "VIOLATION mport lift %s: %v\n", t.Name, err)
 		return
 	}
-	diffs, err := oracle.CrossCheckMport(lifted, mport.Catalog(), mport.Config{})
+	diffs, err := oracle.CrossCheckMport(lifted, mport.Catalog())
 	if err != nil {
 		v.violations++
 		fmt.Fprintf(v.stdout, "VIOLATION mport %s: %v\n", t.Name, err)

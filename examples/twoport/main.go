@@ -28,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := mport.Simulate(lifted, faults, mport.Config{})
+		rep, err := mport.Simulate(lifted, faults)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,7 +17,6 @@ import (
 
 func main() {
 	const width = 4
-	cfg := word.Config{Words: 2, Width: width}
 
 	bgs, err := word.Backgrounds(width)
 	if err != nil {
@@ -37,11 +36,11 @@ func main() {
 
 	solid := []word.Background{word.Solid(width)}
 	for _, m := range []march.Test{march.MATSPlus, march.MarchCMinus, march.MarchSS} {
-		dSolid, err := word.Coverage(m, testable, solid, cfg)
+		dSolid, err := word.Coverage(m, testable, solid)
 		if err != nil {
 			log.Fatal(err)
 		}
-		dAll, err := word.Coverage(m, testable, bgs, cfg)
+		dAll, err := word.Coverage(m, testable, bgs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -188,13 +188,13 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, w := range c.Widths {
-		if w < 1 || w > 64 {
-			return fmt.Errorf("campaign: word width %d out of range [1,64]", w)
+		if w < 1 || w > core.MaxWidth {
+			return fmt.Errorf("campaign: word width %d out of range [1,%d]", w, core.MaxWidth)
 		}
 	}
 	for _, p := range c.Ports {
-		if p < 1 || p > 2 {
-			return fmt.Errorf("campaign: port count %d out of range [1,2]", p)
+		if p < 1 || p > core.MaxPorts {
+			return fmt.Errorf("campaign: port count %d out of range [1,%d]", p, core.MaxPorts)
 		}
 	}
 	for _, t := range c.Topologies {

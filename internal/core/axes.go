@@ -70,13 +70,21 @@ func (o Options) axisDefaults() Options {
 	return o
 }
 
+// The modeled space of the axes, checked by Generate, campaign specs and
+// every marchd request that carries a width or a port count. A w-bit word
+// brings 36·w·(w−1) intra-word faults, so MaxWidth also bounds that work.
+const (
+	MaxWidth = 64
+	MaxPorts = 2
+)
+
 // validateAxes bounds the axis options to the modeled space.
 func (o Options) validateAxes() error {
-	if o.Width < 0 || o.Width > 64 {
-		return fmt.Errorf("core: width %d out of range [0,64]", o.Width)
+	if o.Width < 0 || o.Width > MaxWidth {
+		return fmt.Errorf("core: width %d out of range [0,%d]", o.Width, MaxWidth)
 	}
-	if o.Ports < 0 || o.Ports > 2 {
-		return fmt.Errorf("core: ports %d out of range [0,2] (only two-port memories are modeled)", o.Ports)
+	if o.Ports < 0 || o.Ports > MaxPorts {
+		return fmt.Errorf("core: ports %d out of range [0,%d] (only two-port memories are modeled)", o.Ports, MaxPorts)
 	}
 	return nil
 }
@@ -97,13 +105,12 @@ func EvaluateWord(ctx context.Context, t march.Test, width int, transparent bool
 		return nil, err
 	}
 	faults := word.TestableIntraWordFaults(width)
-	cfg := word.Config{Words: 2, Width: width}
 	detected := 0
 	for _, f := range faults {
 		if err := sim.ContextErr(ctx); err != nil {
 			return nil, err
 		}
-		d, err := word.Detects(t, f, bgs, cfg)
+		d, err := word.Detects(t, f, bgs)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +134,7 @@ func EvaluateWord(ctx context.Context, t march.Test, width int, transparent bool
 			if err := sim.ContextErr(ctx); err != nil {
 				return nil, err
 			}
-			d, err := word.DetectsTransparent(tt, f, bgs, cfg)
+			d, err := word.DetectsTransparent(tt, f, bgs)
 			if err != nil {
 				return nil, err
 			}
@@ -158,7 +165,7 @@ func EvaluateMport(ctx context.Context, t march.Test, ports int) (*MportResult, 
 	if err != nil {
 		return nil, fmt.Errorf("core: mport lift: %v", err)
 	}
-	liftedRep, err := mport.Simulate(lifted, catalog, mport.Config{})
+	liftedRep, err := mport.Simulate(lifted, catalog)
 	if err != nil {
 		return nil, fmt.Errorf("core: mport simulate lifted: %v", err)
 	}

@@ -76,48 +76,48 @@ func (c OrderConstraint) walkOrder() march.AddrOrder {
 // Options configures a generation run.
 type Options struct {
 	// Name is the name given to the generated test ("March GEN" if empty).
-	Name string
+	Name string `json:"name"`
 	// Aggressive enables the extra minimization passes (pairwise operation
 	// removal and element merging) used for the March RABL row of Table 1.
-	Aggressive bool
+	Aggressive bool `json:"aggressive"`
 	// Orders constrains the address orders of the generated test (the
 	// Section 7 extension). The default OrderFree places no restriction.
-	Orders OrderConstraint
+	Orders OrderConstraint `json:"orders"`
 	// SkipMinimize disables the redundancy-elimination phase, exposing the
 	// raw walker+repair candidate (for ablation studies; the result is
 	// still certified at full coverage, just longer).
-	SkipMinimize bool
+	SkipMinimize bool `json:"skip_minimize"`
 	// MaxSOLen bounds the length of a single walker-built march element;
 	// 0 means the default of 11 (the longest element of March RABL).
-	MaxSOLen int
-	// SearchConfig is the simulator configuration used inside the search
-	// loop; the zero value selects a 4-cell memory with lazy ⇕ resolution.
-	SearchConfig sim.Config
-	// FinalConfig is the simulator configuration used for the final
-	// certification; the zero value selects the exhaustive default.
-	FinalConfig sim.Config
+	MaxSOLen int `json:"max_so_len"`
 	// MaxRepairRounds bounds the repair/validate iterations; 0 means 4.
-	MaxRepairRounds int
+	MaxRepairRounds int `json:"max_repair_rounds"`
 	// CertifyWithOracle re-certifies the final test against the independent
 	// reference simulator (internal/oracle) and fails the run on any
 	// divergence between the two implementations — verdict, missed set or
 	// witness. The oracle shares no code with internal/sim on the verdict
 	// path, so an agreement here is meaningful evidence that the coverage
 	// claim does not rest on a simulator bug.
-	CertifyWithOracle bool
+	CertifyWithOracle bool `json:"certify_with_oracle"`
+	// SearchConfig is the simulator configuration used inside the search
+	// loop; the zero value selects a 4-cell memory with lazy ⇕ resolution.
+	SearchConfig sim.Config `json:"search_config"`
+	// FinalConfig is the simulator configuration used for the final
+	// certification; the zero value selects the exhaustive default.
+	FinalConfig sim.Config `json:"final_config"`
 	// Width, when above 1, additionally grades the generated test on a
 	// word-oriented memory of that width: intra-word two-cell faults under
 	// the standard background set (internal/word). 0 or 1 keeps the classic
 	// bit-oriented run byte-identical to pre-axis behavior.
-	Width int
+	Width int `json:"width,omitempty"`
 	// Transparent additionally evaluates the in-field transparent variant
 	// of the test (initialization dropped, content as background — Li et
 	// al.). Only meaningful with Width > 1; ignored otherwise.
-	Transparent bool
+	Transparent bool `json:"transparent,omitempty"`
 	// Ports, when 2, additionally grades the test against the two-port
 	// weak-fault catalog (internal/mport): coverage of its single-port lift
 	// plus a dedicated two-port march. 0 or 1 means single-port.
-	Ports int
+	Ports int `json:"ports,omitempty"`
 }
 
 func (o Options) name() string {

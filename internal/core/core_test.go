@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"marchgen/internal/faultlist"
@@ -320,7 +321,7 @@ func TestOptionsJSONCertifyWithOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var o Options
-	if err := o.UnmarshalJSON(b); err != nil {
+	if err := json.Unmarshal(b, &o); err != nil {
 		t.Fatal(err)
 	}
 	if !o.CertifyWithOracle {

@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-
-	"marchgen/internal/sim"
 )
 
 // String renders the constraint in the spelling the command-line tools and
@@ -72,63 +70,11 @@ func (o Options) Canonical() Options {
 	return o
 }
 
-// optionsJSON is the wire form of the generator options: stable field
-// order, defaults always explicit, the order constraint as text.
-type optionsJSON struct {
-	Name              string          `json:"name"`
-	Aggressive        bool            `json:"aggressive"`
-	Orders            OrderConstraint `json:"orders"`
-	SkipMinimize      bool            `json:"skip_minimize"`
-	MaxSOLen          int             `json:"max_so_len"`
-	MaxRepairRounds   int             `json:"max_repair_rounds"`
-	CertifyWithOracle bool            `json:"certify_with_oracle"`
-	SearchConfig      sim.Config      `json:"search_config"`
-	FinalConfig       sim.Config      `json:"final_config"`
-	Width             int             `json:"width,omitempty"`
-	Transparent       bool            `json:"transparent,omitempty"`
-	Ports             int             `json:"ports,omitempty"`
-}
-
-// MarshalJSON encodes the canonical form: stable field order, defaults
-// filled in. Equal canonical options produce byte-identical JSON.
+// MarshalJSON encodes the canonical form under Options' own tags (the order
+// constraint as text), so equal canonical options produce byte-identical
+// JSON. Decoding uses the tags: omitted fields keep their documented
+// defaults, and a strict decoder refuses unknown keys at every depth.
 func (o Options) MarshalJSON() ([]byte, error) {
-	co := o.Canonical()
-	return json.Marshal(optionsJSON{
-		Name:              co.Name,
-		Aggressive:        co.Aggressive,
-		Orders:            co.Orders,
-		SkipMinimize:      co.SkipMinimize,
-		MaxSOLen:          co.MaxSOLen,
-		MaxRepairRounds:   co.MaxRepairRounds,
-		CertifyWithOracle: co.CertifyWithOracle,
-		SearchConfig:      co.SearchConfig,
-		FinalConfig:       co.FinalConfig,
-		Width:             co.Width,
-		Transparent:       co.Transparent,
-		Ports:             co.Ports,
-	})
-}
-
-// UnmarshalJSON decodes options; omitted fields keep their zero value and
-// therefore their documented defaults.
-func (o *Options) UnmarshalJSON(data []byte) error {
-	var w optionsJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*o = Options{
-		Name:              w.Name,
-		Aggressive:        w.Aggressive,
-		Orders:            w.Orders,
-		SkipMinimize:      w.SkipMinimize,
-		MaxSOLen:          w.MaxSOLen,
-		MaxRepairRounds:   w.MaxRepairRounds,
-		CertifyWithOracle: w.CertifyWithOracle,
-		SearchConfig:      w.SearchConfig,
-		FinalConfig:       w.FinalConfig,
-		Width:             w.Width,
-		Transparent:       w.Transparent,
-		Ports:             w.Ports,
-	}
-	return nil
+	type plain Options
+	return json.Marshal(plain(o.Canonical()))
 }

@@ -87,14 +87,6 @@ type Fault struct {
 	C1, C2 WeakCond
 }
 
-// Cells returns the number of distinct cells the fault involves.
-func (f Fault) Cells() int {
-	if f.Class == WCC {
-		return 3
-	}
-	return 1
-}
-
 // F returns the faulty value the sensitized cell flips to (W2IRF keeps the
 // stored value).
 func (f Fault) F() fp.Value {

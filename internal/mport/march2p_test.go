@@ -19,7 +19,7 @@ func TestMarch2P(t *testing.T) {
 	if err := m.CheckConsistency(4); err != nil {
 		t.Error(err)
 	}
-	rep, err := Simulate(m, Catalog(), Config{})
+	rep, err := Simulate(m, Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}

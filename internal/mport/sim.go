@@ -7,18 +7,9 @@ import (
 	"marchgen/internal/march"
 )
 
-// Config controls the two-port simulation space.
-type Config struct {
-	// Size is the array size; 0 means the default of 4 cells.
-	Size int
-}
-
-func (c Config) size() int {
-	if c.Size <= 0 {
-		return 4
-	}
-	return c.Size
-}
+// arrayCells is the size of the simulated two-port array: room for a
+// three-cell WCC fault plus a bystander.
+const arrayCells = 4
 
 // placement pins a fault template to concrete addresses. For W2* faults
 // only Cell is used; for WCC faults A1 and A1+1 are the adjacent aggressors
@@ -171,9 +162,9 @@ func placements(f Fault, n int) []placement {
 // ⇕ elements. It stops at the first scenario the test misses: the
 // generator's minimizer asks it once per fault per trial, and most trials
 // fail on their first missed scenario.
-func Detects(t Test, f Fault, cfg Config) (bool, error) {
+func Detects(t Test, f Fault) (bool, error) {
 	every := true
-	err := scenarios(t, f, cfg, func(det bool) bool {
+	err := scenarios(t, f, func(det bool) bool {
 		every = det
 		return det
 	})
@@ -182,8 +173,8 @@ func Detects(t Test, f Fault, cfg Config) (bool, error) {
 
 // DetectsCount returns how many of the fault's scenarios (placement ×
 // initial values × concrete orders) the test detects, out of how many.
-func DetectsCount(t Test, f Fault, cfg Config) (detected, total int, err error) {
-	err = scenarios(t, f, cfg, func(det bool) bool {
+func DetectsCount(t Test, f Fault) (detected, total int, err error) {
+	err = scenarios(t, f, func(det bool) bool {
 		total++
 		if det {
 			detected++
@@ -199,20 +190,16 @@ func DetectsCount(t Test, f Fault, cfg Config) (detected, total int, err error) 
 // scenarios simulates the test over the fault's scenarios (placement ×
 // initial values of the fault cells × concrete orders of its ⇕ elements)
 // and calls fn with each verdict, stopping when fn returns false.
-func scenarios(t Test, f Fault, cfg Config, fn func(detected bool) bool) error {
+func scenarios(t Test, f Fault, fn func(detected bool) bool) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
 	if err := f.Validate(); err != nil {
 		return err
 	}
-	n := cfg.size()
-	if f.Cells() >= n {
-		return fmt.Errorf("mport: %d-cell fault needs an array larger than %d", f.Cells(), n)
-	}
 	orderSets := orderCombos(t)
-	m := newMach(n)
-	for _, pl := range placements(f, n) {
+	m := newMach(arrayCells)
+	for _, pl := range placements(f, arrayCells) {
 		cells := faultCells(f, pl)
 		for bits := 0; bits < 1<<len(cells); bits++ {
 			init := make([]fp.Value, len(cells))
@@ -220,7 +207,7 @@ func scenarios(t Test, f Fault, cfg Config, fn func(detected bool) bool) error {
 				init[i] = fp.ValueOf(uint8(bits>>i) & 1)
 			}
 			for _, orders := range orderSets {
-				if !fn(m.run(t, f, pl, init, cells, orders, n)) {
+				if !fn(m.run(t, f, pl, init, cells, orders, arrayCells)) {
 					return nil
 				}
 			}
@@ -280,10 +267,10 @@ func (r Report) Summary() string {
 }
 
 // Simulate runs the test against every fault.
-func Simulate(t Test, faults []Fault, cfg Config) (Report, error) {
+func Simulate(t Test, faults []Fault) (Report, error) {
 	r := Report{Test: t, Total: len(faults)}
 	for _, f := range faults {
-		det, err := Detects(t, f, cfg)
+		det, err := Detects(t, f)
 		if err != nil {
 			return r, err
 		}

@@ -40,13 +40,12 @@ func TestCatalog(t *testing.T) {
 // including March SL, which covers every static linked fault — detect none
 // of them.
 func TestSinglePortTestsSeeNothing(t *testing.T) {
-	cfg := Config{}
 	for _, sp := range []march.Test{march.MATSPlus, march.MarchCMinus, march.MarchSS, march.MarchSL} {
 		lifted, err := Lift(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Simulate(lifted, Catalog(), cfg)
+		rep, err := Simulate(lifted, Catalog())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,13 +58,12 @@ func TestSinglePortTestsSeeNothing(t *testing.T) {
 
 // Same-cell double reads sensitize the W2 family.
 func TestDoubleReadFaults(t *testing.T) {
-	cfg := Config{}
 	dbl := MustParse("dbl", "c(w0:-) ^(r0:r0,r0:-) ^(w1:-) ^(r1:r1,r1:-)")
 	for _, f := range Catalog() {
 		if f.Class == WCC {
 			continue
 		}
-		det, err := Detects(dbl, f, cfg)
+		det, err := Detects(dbl, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +77,7 @@ func TestDoubleReadFaults(t *testing.T) {
 		if f.Class == WCC {
 			continue
 		}
-		det, err := Detects(single, f, cfg)
+		det, err := Detects(single, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,10 +91,9 @@ func TestDoubleReadFaults(t *testing.T) {
 // double read returns the expected value and the corruption is later
 // overwritten.
 func TestDeceptiveDoubleReadNeedsThirdAccess(t *testing.T) {
-	cfg := Config{}
 	f := Fault{Class: W2DRDF, State: fp.V0, R: fp.V0}
 	bare := MustParse("bare", "c(w0:-) ^(r0:r0,w0:-)")
-	det, err := Detects(bare, f, cfg)
+	det, err := Detects(bare, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +101,7 @@ func TestDeceptiveDoubleReadNeedsThirdAccess(t *testing.T) {
 		t.Error("deceptive double read must not be caught without a follow-up read")
 	}
 	followed := MustParse("followed", "c(w0:-) ^(r0:r0,r0:-)")
-	det, err = Detects(followed, f, cfg)
+	det, err = Detects(followed, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +113,6 @@ func TestDeceptiveDoubleReadNeedsThirdAccess(t *testing.T) {
 // A WCC fault fires only when both weak conditions hold in the same cycle
 // on the adjacent aggressors.
 func TestWCCSimultaneityRequired(t *testing.T) {
-	cfg := Config{}
 	f := Fault{Class: WCC, State: fp.V0,
 		C1: WeakCond{Init: fp.V0, Op: fp.RX},
 		C2: WeakCond{Init: fp.V0, Op: fp.RX}}
@@ -124,7 +120,7 @@ func TestWCCSimultaneityRequired(t *testing.T) {
 	// the sweep point are read within the element, victims above by the
 	// following sweep.
 	fire := MustParse("fire", "c(w0:-) ^(r0:r0+1) v(r0:-)")
-	det, err := Detects(fire, f, cfg)
+	det, err := Detects(fire, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +129,7 @@ func TestWCCSimultaneityRequired(t *testing.T) {
 	}
 	// The same reads issued sequentially (port B idle) never fire it.
 	seq := MustParse("seq", "c(w0:-) ^(r0:-) ^(r0:-) v(r0:-)")
-	det, err = Detects(seq, f, cfg)
+	det, err = Detects(seq, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +159,8 @@ func TestCheckConsistency2P(t *testing.T) {
 }
 
 func TestDetectsCountTotals(t *testing.T) {
-	cfg := Config{}
 	w2 := Fault{Class: W2RDF, State: fp.V0, R: fp.V1}
-	_, total, err := DetectsCount(MustParse("x", "c(w0:-)"), w2, cfg)
+	_, total, err := DetectsCount(MustParse("x", "c(w0:-)"), w2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +172,7 @@ func TestDetectsCountTotals(t *testing.T) {
 	wcc := Fault{Class: WCC, State: fp.V0,
 		C1: WeakCond{Init: fp.V0, Op: fp.W1},
 		C2: WeakCond{Init: fp.V0, Op: fp.W1}}
-	_, total, err = DetectsCount(MustParse("x", "^(w0:-)"), wcc, cfg)
+	_, total, err = DetectsCount(MustParse("x", "^(w0:-)"), wcc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,16 +184,10 @@ func TestDetectsCountTotals(t *testing.T) {
 
 func TestSimulateErrors(t *testing.T) {
 	w2 := Fault{Class: W2RDF, State: fp.V0, R: fp.V1}
-	if _, err := Simulate(Test{Name: "empty"}, []Fault{w2}, Config{}); err == nil {
+	if _, err := Simulate(Test{Name: "empty"}, []Fault{w2}); err == nil {
 		t.Error("invalid test must error")
 	}
-	wcc := Fault{Class: WCC, State: fp.V0,
-		C1: WeakCond{Init: fp.V0, Op: fp.W1},
-		C2: WeakCond{Init: fp.V0, Op: fp.W1}}
-	if _, err := Detects(MustParse("x", "c(w0:-)"), wcc, Config{Size: 3}); err == nil {
-		t.Error("3-cell fault on 3-cell array must error (no bystander)")
-	}
-	if _, err := Detects(MustParse("x", "c(w0:-)"), Fault{Class: Class(9)}, Config{}); err == nil {
+	if _, err := Detects(MustParse("x", "c(w0:-)"), Fault{Class: Class(9)}); err == nil {
 		t.Error("invalid fault must error")
 	}
 }

@@ -45,6 +45,21 @@ import (
 	"marchgen/internal/sim"
 )
 
+// The search's fixed shape (DESIGN.md §14), which no caller tunes.
+const (
+	// movesPerCandidate is how many mutations each beam survivor spawns per
+	// iteration.
+	movesPerCandidate = 6
+	// initTemp is the initial annealing temperature in units of march-test
+	// length (a candidate one operation longer than its parent is accepted
+	// with probability exp(-1/T)); cooling is its per-iteration decay.
+	initTemp = 2.0
+	cooling  = 0.95
+	// lengthSlack bounds how many operations longer than the seed test a
+	// candidate may grow: room to explore, without wasting the budget.
+	lengthSlack = 4
+)
+
 // Options configures an optimization run. The zero value selects sensible
 // defaults for every knob; only the fault list (passed to Run) is required.
 type Options struct {
@@ -58,22 +73,9 @@ type Options struct {
 	Budget int
 	// BeamWidth is the number of candidates kept per iteration (default 4).
 	BeamWidth int
-	// MovesPerCandidate is how many mutations each beam survivor spawns per
-	// iteration (default 6).
-	MovesPerCandidate int
 	// Restarts is the number of annealing restarts after the temperature
 	// cools out (default 3). Each restart reheats and perturbs the incumbent.
 	Restarts int
-	// InitTemp is the initial annealing temperature in units of march-test
-	// length (default 2.0): a candidate one operation longer than its parent
-	// is accepted with probability exp(-1/T).
-	InitTemp float64
-	// Cooling is the per-iteration temperature decay factor (default 0.95).
-	Cooling float64
-	// LengthSlack bounds how much longer than the seed test a candidate may
-	// grow (default 4 operations). Exploration needs room above the incumbent
-	// but unbounded growth wastes the evaluation budget.
-	LengthSlack int
 	// BISTCells, when positive, breaks length ties by the estimated BIST
 	// cycle cost on a memory of that many cells (package bist).
 	BISTCells int
@@ -110,8 +112,7 @@ type Progress struct {
 }
 
 // Canonical returns the options with every search default made explicit:
-// the name, seed, budget, beam width, moves per candidate, restarts,
-// initial temperature, cooling and length slack, the simulator
+// the name, seed, budget, beam width, restarts, the simulator
 // configuration (sim.Config.Canonical) and the seed generator's options
 // (core.Options.Canonical). BISTCells and BISTWeight stay as given: zero
 // turns each off. Canonical is idempotent, and the canonical options run
@@ -123,11 +124,7 @@ func (o Options) Canonical() Options {
 	o.Seed = o.seed()
 	o.Budget = o.budget()
 	o.BeamWidth = o.beamWidth()
-	o.MovesPerCandidate = o.movesPerCandidate()
 	o.Restarts = o.restarts()
-	o.InitTemp = o.initTemp()
-	o.Cooling = o.cooling()
-	o.LengthSlack = o.lengthSlack()
 	o.Config = o.config().Canonical()
 	o.Generator = o.Generator.Canonical()
 	return o
@@ -161,39 +158,11 @@ func (o Options) beamWidth() int {
 	return o.BeamWidth
 }
 
-func (o Options) movesPerCandidate() int {
-	if o.MovesPerCandidate <= 0 {
-		return 6
-	}
-	return o.MovesPerCandidate
-}
-
 func (o Options) restarts() int {
 	if o.Restarts <= 0 {
 		return 3
 	}
 	return o.Restarts
-}
-
-func (o Options) initTemp() float64 {
-	if o.InitTemp <= 0 {
-		return 2.0
-	}
-	return o.InitTemp
-}
-
-func (o Options) cooling() float64 {
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		return 0.95
-	}
-	return o.Cooling
-}
-
-func (o Options) lengthSlack() int {
-	if o.LengthSlack <= 0 {
-		return 4
-	}
-	return o.LengthSlack
 }
 
 func (o Options) config() sim.Config {

@@ -245,8 +245,8 @@ func TestWinnerAgreesWithOracle(t *testing.T) {
 // idempotent.
 func TestOptionsCanonical(t *testing.T) {
 	spelled := Options{
-		Name: "March OPT", Seed: 1, Budget: 2000, BeamWidth: 4, MovesPerCandidate: 6,
-		Restarts: 3, InitTemp: 2.0, Cooling: 0.95, LengthSlack: 4, Config: sim.DefaultConfig(),
+		Name: "March OPT", Seed: 1, Budget: 2000, BeamWidth: 4, Restarts: 3,
+		Config: sim.DefaultConfig(),
 	}
 	c := Options{}.Canonical()
 	if !reflect.DeepEqual(c, spelled.Canonical()) {

@@ -72,7 +72,7 @@ func newSearch(ctx context.Context, seed march.Test, cp *sim.Checkpoint, opts Op
 		rng:    Rng(opts.seed()),
 		opts:   opts,
 		st:     st,
-		maxLen: seed.Length() + opts.lengthSlack(),
+		maxLen: seed.Length() + lengthSlack,
 		seen:   map[string]bool{},
 	}
 	s.seed = s.newCandidate(seed, nil, cp, nil)
@@ -192,7 +192,7 @@ func (s *search) run() (march.Test, []string, error) {
 			}
 		}
 
-		for temp := s.opts.initTemp(); temp > tempFloor; temp *= s.opts.cooling() {
+		for temp := initTemp; temp > tempFloor; temp *= cooling {
 			children, err := s.expand(beam, temp)
 			if err != nil {
 				if err == errBudget {
@@ -223,7 +223,7 @@ func (s *search) run() (march.Test, []string, error) {
 	return best.test, best.trace, nil
 }
 
-// expand spawns MovesPerCandidate children per beam member and returns
+// expand spawns movesPerCandidate children per beam member and returns
 // those that cover the list and pass the annealing acceptance rule:
 // downhill (not longer) always, uphill with probability exp(-Δlen/T). Each
 // child is judged on its parent's checkpoint.
@@ -234,7 +234,7 @@ func (s *search) expand(beam []*candidate, temp float64) ([]*candidate, error) {
 		if err != nil {
 			return children, err
 		}
-		for m := 0; m < s.opts.movesPerCandidate(); m++ {
+		for m := 0; m < movesPerCandidate; m++ {
 			var (
 				child march.Test
 				desc  string

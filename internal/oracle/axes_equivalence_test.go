@@ -18,9 +18,8 @@ func TestWordRefEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		faults := word.IntraWordFaults(width)
-		cfg := word.Config{Words: 2, Width: width}
 		for _, m := range march.Lib() {
-			diffs, err := CrossCheckWord(m, faults, bgs, cfg)
+			diffs, err := CrossCheckWord(m, faults, bgs)
 			if err != nil {
 				t.Fatalf("width %d %s: %v", width, m.Name, err)
 			}
@@ -41,7 +40,6 @@ func TestWordTransparentRefEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := word.IntraWordFaults(width)
-	cfg := word.Config{Words: 2, Width: width}
 	checked := 0
 	for _, m := range march.Lib() {
 		tt, err := word.Transparent(m)
@@ -49,7 +47,7 @@ func TestWordTransparentRefEquivalence(t *testing.T) {
 			continue // not transparency-eligible; the transform's own tests cover rejection
 		}
 		checked++
-		diffs, err := CrossCheckWordTransparent(tt, faults, bgs, cfg)
+		diffs, err := CrossCheckWordTransparent(tt, faults, bgs)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -69,7 +67,6 @@ func TestWordTransparentRefEquivalence(t *testing.T) {
 // event-based reference.
 func TestMportRefEquivalence(t *testing.T) {
 	catalog := mport.Catalog()
-	cfg := mport.Config{}
 	var tests []mport.Test
 	for _, m := range []march.Test{march.MATSPlus, march.MarchCMinus} {
 		lifted, err := mport.Lift(m)
@@ -82,7 +79,7 @@ func TestMportRefEquivalence(t *testing.T) {
 	tests = append(tests, mport.MustParse("hand 2P", "c(w0:-) ^(r0:r0) ^(r0:r0,w1:-,r1:r1) v(r1:w0+1) c(r:r-1)"))
 
 	for _, tt := range tests {
-		diffs, err := CrossCheckMport(tt, catalog, cfg)
+		diffs, err := CrossCheckMport(tt, catalog)
 		if err != nil {
 			t.Fatalf("%s: %v", tt.Name, err)
 		}
@@ -106,7 +103,7 @@ func TestMportRefSeesDivergence(t *testing.T) {
 	// A lifted single-port test must miss every weak two-port fault in both
 	// implementations: they are defined to be invisible to one port.
 	for _, f := range catalog {
-		got, err := MportDetects(lifted, f, mport.Config{})
+		got, err := MportDetects(lifted, f)
 		if err != nil {
 			t.Fatal(err)
 		}

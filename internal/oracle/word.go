@@ -135,24 +135,16 @@ func runWordRef(t march.Test, f word.Fault, bg word.Background, words int, init 
 }
 
 // WordDetects is the reference verdict for a word-oriented fault: detected
-// iff for both uniform initial values some background detects it.
-func WordDetects(t march.Test, f word.Fault, bgs []word.Background, cfg word.Config) (bool, error) {
-	if err := f.Validate(); err != nil {
+// iff for both uniform initial values some background detects it. The
+// word width is the backgrounds' width.
+func WordDetects(t march.Test, f word.Fault, bgs []word.Background) (bool, error) {
+	if err := checkWordRef(f, bgs); err != nil {
 		return false, err
-	}
-	words, width := wordDims(cfg)
-	if f.AggBit >= width || f.VicBit >= width {
-		return false, fmt.Errorf("oracle: fault bits (%d,%d) exceed width %d", f.AggBit, f.VicBit, width)
-	}
-	for _, bg := range bgs {
-		if len(bg) != width {
-			return false, fmt.Errorf("oracle: background width %d, memory width %d", len(bg), width)
-		}
 	}
 	for _, init := range []fp.Value{fp.V0, fp.V1} {
 		detected := false
 		for _, bg := range bgs {
-			d, err := runWordRef(t, f, bg, words, init)
+			d, err := runWordRef(t, f, bg, refWords, init)
 			if err != nil {
 				return false, err
 			}
@@ -170,19 +162,12 @@ func WordDetects(t march.Test, f word.Fault, bgs []word.Background, cfg word.Con
 
 // WordDetectsTransparent is the reference verdict for the transparent mode:
 // detected iff some representative content (background pattern) detects it.
-func WordDetectsTransparent(t march.Test, f word.Fault, bgs []word.Background, cfg word.Config) (bool, error) {
-	if err := f.Validate(); err != nil {
+func WordDetectsTransparent(t march.Test, f word.Fault, bgs []word.Background) (bool, error) {
+	if err := checkWordRef(f, bgs); err != nil {
 		return false, err
 	}
-	words, width := wordDims(cfg)
-	if f.AggBit >= width || f.VicBit >= width {
-		return false, fmt.Errorf("oracle: fault bits (%d,%d) exceed width %d", f.AggBit, f.VicBit, width)
-	}
 	for _, bg := range bgs {
-		if len(bg) != width {
-			return false, fmt.Errorf("oracle: background width %d, memory width %d", len(bg), width)
-		}
-		d, err := runWordTransparentRef(t, f, bg, words)
+		d, err := runWordTransparentRef(t, f, bg, refWords)
 		if err != nil {
 			return false, err
 		}
@@ -223,15 +208,29 @@ func runWordTransparentRef(t march.Test, f word.Fault, bg word.Background, words
 	return false, nil
 }
 
-func wordDims(cfg word.Config) (words, width int) {
-	words, width = cfg.Words, cfg.Width
-	if words <= 0 {
-		words = 2
+// refWords is the reference array's word count: intra-word faults are
+// word-local, so two words exercise the address loop.
+const refWords = 2
+
+// checkWordRef refuses an invalid fault, an empty background set,
+// backgrounds of different widths, and fault bits outside that width.
+func checkWordRef(f word.Fault, bgs []word.Background) error {
+	if err := f.Validate(); err != nil {
+		return err
 	}
-	if width <= 0 {
-		width = 4
+	if len(bgs) == 0 {
+		return fmt.Errorf("oracle: empty background set")
 	}
-	return words, width
+	width := len(bgs[0])
+	for _, bg := range bgs {
+		if len(bg) != width {
+			return fmt.Errorf("oracle: background widths %d and %d differ", width, len(bg))
+		}
+	}
+	if f.AggBit >= width || f.VicBit >= width {
+		return fmt.Errorf("oracle: fault bits (%d,%d) exceed width %d", f.AggBit, f.VicBit, width)
+	}
+	return nil
 }
 
 // WordDiff records a verdict divergence between internal/word and the
@@ -254,14 +253,14 @@ func (d WordDiff) String() string {
 
 // CrossCheckWord runs both word implementations over every fault and returns
 // the divergences (empty means agreement).
-func CrossCheckWord(t march.Test, faults []word.Fault, bgs []word.Background, cfg word.Config) ([]WordDiff, error) {
+func CrossCheckWord(t march.Test, faults []word.Fault, bgs []word.Background) ([]WordDiff, error) {
 	var diffs []WordDiff
 	for _, f := range faults {
-		got, err := word.Detects(t, f, bgs, cfg)
+		got, err := word.Detects(t, f, bgs)
 		if err != nil {
 			return nil, err
 		}
-		want, err := WordDetects(t, f, bgs, cfg)
+		want, err := WordDetects(t, f, bgs)
 		if err != nil {
 			return nil, err
 		}
@@ -273,14 +272,14 @@ func CrossCheckWord(t march.Test, faults []word.Fault, bgs []word.Background, cf
 }
 
 // CrossCheckWordTransparent cross-checks the transparent path.
-func CrossCheckWordTransparent(t march.Test, faults []word.Fault, bgs []word.Background, cfg word.Config) ([]WordDiff, error) {
+func CrossCheckWordTransparent(t march.Test, faults []word.Fault, bgs []word.Background) ([]WordDiff, error) {
 	var diffs []WordDiff
 	for _, f := range faults {
-		got, err := word.DetectsTransparent(t, f, bgs, cfg)
+		got, err := word.DetectsTransparent(t, f, bgs)
 		if err != nil {
 			return nil, err
 		}
-		want, err := WordDetectsTransparent(t, f, bgs, cfg)
+		want, err := WordDetectsTransparent(t, f, bgs)
 		if err != nil {
 			return nil, err
 		}

@@ -25,8 +25,7 @@ func crossCheckWordAxis(ctx context.Context, t marchgen.March, width int) (*veri
 		return nil, err
 	}
 	faults := word.TestableIntraWordFaults(width)
-	cfg := word.Config{Words: 2, Width: width}
-	diffs, err := oracle.CrossCheckWord(t, faults, bgs, cfg)
+	diffs, err := oracle.CrossCheckWord(t, faults, bgs)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +51,7 @@ func crossCheckMportAxis(ctx context.Context, t marchgen.March, ports int) (*ver
 		return nil, err
 	}
 	catalog := mport.Catalog()
-	diffs, err := oracle.CrossCheckMport(lifted, catalog, mport.Config{})
+	diffs, err := oracle.CrossCheckMport(lifted, catalog)
 	if err != nil {
 		return nil, err
 	}

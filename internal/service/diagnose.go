@@ -36,12 +36,8 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad observations: %v", err)
 		return
 	}
-	cfg := defaultSimConfig()
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	cfg = cfg.Canonical()
-	if err := checkSize(cfg); err != nil {
+	cfg, err := req.resolveConfig()
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

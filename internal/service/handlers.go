@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"marchgen"
-	"marchgen/internal/campaign"
 	"marchgen/internal/optimize"
 	"marchgen/internal/sim"
 )
@@ -141,10 +141,26 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeBody strictly decodes the request body into v: unknown fields and
-// trailing garbage are client errors, reported with a 400 by the caller.
+// decodeBody strictly decodes the request body into v: unknown fields, at
+// any depth, and a second JSON document are client errors, reported with a
+// 400 by the caller. json.Decoder keeps every byte it scans until a value
+// completes, so the body's leading whitespace is skipped before the decoder
+// sees it: otherwise a body padded up to the server's size cap would be
+// held in memory whole. The decoder reads at least 512 bytes at a time, so
+// a larger buffer would only add a copy.
 func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+	br := bufio.NewReaderSize(r.Body, 512)
+	for {
+		c, err := br.ReadByte()
+		if err != nil {
+			break // the decoder meets the error on its own first read
+		}
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			br.UnreadByte()
+			break
+		}
+	}
+	dec := json.NewDecoder(br)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -218,6 +234,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		opts = *req.Options
 	}
 	opts = opts.Canonical()
+	if err := checkOptions(opts); err != nil {
+		writeError(w, http.StatusBadRequest, "options.%v", err)
+		return
+	}
 
 	key, err := generateKey(faults, opts)
 	if err != nil {
@@ -265,12 +285,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad fault spec: %v", err)
 		return
 	}
-	cfg := defaultSimConfig()
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	cfg = cfg.Canonical()
-	if err := checkSize(cfg); err != nil {
+	cfg, err := req.resolveConfig()
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -323,6 +339,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	seedTest, opts, err := req.options()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad march spec: %v", err)
+		return
+	}
+	if err := checkOptions(opts.Generator); err != nil {
+		writeError(w, http.StatusBadRequest, "generator.%v", err)
 		return
 	}
 
@@ -447,11 +467,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad fault spec: %v", err)
 		return
 	}
-	cfg := defaultSimConfig()
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	if err := checkSize(cfg); err != nil {
+	cfg, err := req.resolveConfig()
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -505,11 +522,8 @@ func (s *Server) handleDetects(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad fault spec: request names no fault")
 		return
 	}
-	cfg := defaultSimConfig()
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	if err := checkSize(cfg); err != nil {
+	cfg, err := req.resolveConfig()
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -593,22 +607,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		snap.Fabric = &fc
 	}
 	writeJSON(w, http.StatusOK, snap)
-}
-
-// defaultSimConfig is the exhaustive default the API documents for omitted
-// configs.
-func defaultSimConfig() marchgen.SimConfig {
-	return marchgen.SimConfig{Size: 4, ExhaustiveOrders: true}
-}
-
-// checkSize bounds the memory a simulating request may ask for. Simulation
-// cost grows about with the cube of the size, and not all of the work stops
-// at the request's deadline (simulate does, within one fault; the verify
-// job's cross-check takes no context, and diagnosis enumerates every
-// placement up front), so the bound is checked before admission.
-func checkSize(cfg marchgen.SimConfig) error {
-	if cfg.Size > campaign.MaxSize {
-		return fmt.Errorf("config.size %d exceeds the maximum of %d cells", cfg.Size, campaign.MaxSize)
-	}
-	return nil
 }

@@ -48,8 +48,8 @@ func TestBitOrientedCacheKeysMatchPreAxisBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []marchgen.SimConfig{
-		defaultSimConfig(),
-		func() marchgen.SimConfig { c := defaultSimConfig(); c.Width = 1; c.Ports = 1; return c }(),
+		marchgen.DefaultSimConfig(),
+		func() marchgen.SimConfig { c := marchgen.DefaultSimConfig(); c.Width = 1; c.Ports = 1; return c }(),
 	} {
 		vk, err := verifyKey(test, sfaults, cfg.Canonical())
 		if err != nil {

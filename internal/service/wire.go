@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"marchgen"
+	"marchgen/internal/campaign"
+	"marchgen/internal/core"
 )
 
 // faultSpec is the part of a request that names the target faults: either a
@@ -66,6 +68,63 @@ func (ms marchSpec) resolve() (marchgen.March, error) {
 	return t, nil
 }
 
+// configSpec is the part of a request that selects the simulator
+// configuration (simulate, detects, verify, diagnose).
+type configSpec struct {
+	// Config selects the simulator configuration; omitted means the
+	// exhaustive default (4 cells, every placement, init and order).
+	Config *marchgen.SimConfig `json:"config,omitempty"`
+}
+
+// resolveConfig returns the canonical configuration the spec selects,
+// sim.DefaultConfig when omitted, refused when it leaves the modeled space
+// (see checkConfig).
+func (cs configSpec) resolveConfig() (marchgen.SimConfig, error) {
+	cfg := marchgen.DefaultSimConfig()
+	if cs.Config != nil {
+		cfg = *cs.Config
+	}
+	cfg = cfg.Canonical()
+	if err := checkConfig(cfg); err != nil {
+		return cfg, fmt.Errorf("config.%v", err)
+	}
+	return cfg, nil
+}
+
+// checkConfig bounds a canonical simulator configuration to the modeled
+// space, so handlers refuse it before admission: campaign.MaxSize cells,
+// core.MaxWidth bits and core.MaxPorts ports. Not all of the work stops at
+// a request's deadline (the verify job's cross-check takes no context, and
+// diagnosis enumerates every placement up front). The error names the
+// setting within the configuration; the caller prefixes the configuration.
+func checkConfig(cfg marchgen.SimConfig) error {
+	switch {
+	case cfg.Size > campaign.MaxSize:
+		return fmt.Errorf("size %d exceeds the maximum of %d cells", cfg.Size, campaign.MaxSize)
+	case cfg.Width > core.MaxWidth:
+		return fmt.Errorf("width %d exceeds the maximum of %d bits", cfg.Width, core.MaxWidth)
+	case cfg.Ports > core.MaxPorts:
+		return fmt.Errorf("ports %d exceeds the maximum of %d (only two-port memories are modeled)", cfg.Ports, core.MaxPorts)
+	}
+	return nil
+}
+
+// checkOptions bounds canonical generator options the same way: their own
+// axes (checked as a configuration that sets nothing else) and their search
+// and final configurations.
+func checkOptions(o marchgen.Options) error {
+	if err := checkConfig(marchgen.SimConfig{Width: o.Width, Ports: o.Ports}); err != nil {
+		return err
+	}
+	if err := checkConfig(o.SearchConfig); err != nil {
+		return fmt.Errorf("search_config.%v", err)
+	}
+	if err := checkConfig(o.FinalConfig); err != nil {
+		return fmt.Errorf("final_config.%v", err)
+	}
+	return nil
+}
+
 // generateRequest is the POST /v1/generate body.
 type generateRequest struct {
 	faultSpec
@@ -82,9 +141,7 @@ type generateRequest struct {
 type simulateRequest struct {
 	March marchSpec `json:"march"`
 	faultSpec
-	// Config selects the simulator configuration; omitted means the
-	// exhaustive default (4 cells, every placement, init and order).
-	Config *marchgen.SimConfig `json:"config,omitempty"`
+	configSpec
 }
 
 // verifyRequest is the POST /v1/verify body: a march test, a fault list and
@@ -93,9 +150,7 @@ type simulateRequest struct {
 type verifyRequest struct {
 	March marchSpec `json:"march"`
 	faultSpec
-	// Config selects the simulator configuration; omitted means the
-	// exhaustive default (4 cells, every placement, init and order).
-	Config *marchgen.SimConfig `json:"config,omitempty"`
+	configSpec
 	// TimeoutMS is the per-job deadline in milliseconds; 0 (or a value
 	// beyond the server's cap) means the server's maximum job timeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -235,8 +290,8 @@ func marshalOptimizeResult(res marchgen.OptimizeResult, key string) ([]byte, err
 type detectsRequest struct {
 	March marchSpec `json:"march"`
 	// Fault is the single fault to check, in the linked-fault wire form.
-	Fault  *marchgen.Fault     `json:"fault"`
-	Config *marchgen.SimConfig `json:"config,omitempty"`
+	Fault *marchgen.Fault `json:"fault"`
+	configSpec
 }
 
 // statsJSON is the wire form of generation statistics.
@@ -298,8 +353,7 @@ type observationSpec struct {
 // with their syndromes).
 type diagnoseRequest struct {
 	faultSpec
-	// Config selects the memory model; omitted means the 4-cell default.
-	Config *marchgen.SimConfig `json:"config,omitempty"`
+	configSpec
 	// Observations is the executed-test/syndrome sequence, in execution
 	// order. At least one is required.
 	Observations []observationSpec `json:"observations"`

@@ -28,42 +28,10 @@ func (c Config) Canonical() Config {
 	return c
 }
 
-// configJSON is the wire form of a simulator configuration. Field order is
-// fixed by this struct and defaults are always written explicitly.
-type configJSON struct {
-	Size             int  `json:"size"`
-	ExhaustiveOrders bool `json:"exhaustive_orders"`
-	MaxAnyElements   int  `json:"max_any_elements"`
-	Width            int  `json:"width,omitempty"`
-	Ports            int  `json:"ports,omitempty"`
-}
-
-// MarshalJSON encodes the canonical form: stable field order, defaults
-// filled in. Equal canonical configurations produce byte-identical JSON.
+// MarshalJSON encodes the canonical form under Config's own tags, so equal
+// canonical configurations produce byte-identical JSON. Decoding uses the
+// tags: omitted fields keep their documented defaults.
 func (c Config) MarshalJSON() ([]byte, error) {
-	cc := c.Canonical()
-	return json.Marshal(configJSON{
-		Size:             cc.Size,
-		ExhaustiveOrders: cc.ExhaustiveOrders,
-		MaxAnyElements:   cc.MaxAnyElements,
-		Width:            cc.Width,
-		Ports:            cc.Ports,
-	})
-}
-
-// UnmarshalJSON decodes a configuration; omitted fields keep their zero
-// value and therefore their documented defaults.
-func (c *Config) UnmarshalJSON(data []byte) error {
-	var w configJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*c = Config{
-		Size:             w.Size,
-		ExhaustiveOrders: w.ExhaustiveOrders,
-		MaxAnyElements:   w.MaxAnyElements,
-		Width:            w.Width,
-		Ports:            w.Ports,
-	}
-	return nil
+	type plain Config
+	return json.Marshal(plain(c.Canonical()))
 }

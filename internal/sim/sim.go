@@ -32,26 +32,26 @@ type Config struct {
 	// Size is the number of memory cells; at least one more than the number
 	// of fault cells so bystander behavior is exercised. 0 means the default
 	// of 4 cells.
-	Size int
+	Size int `json:"size"`
 	// ExhaustiveOrders expands every ⇕ element into both concrete address
 	// orders and requires detection under all combinations. When false, ⇕
 	// iterates upward (the paper's convention for generation-time checks).
-	ExhaustiveOrders bool
+	ExhaustiveOrders bool `json:"exhaustive_orders"`
 	// MaxAnyElements caps the ⇕ expansion to keep the scenario space
 	// bounded; 0 means the default of 12 (4096 order combinations).
-	MaxAnyElements int
+	MaxAnyElements int `json:"max_any_elements"`
 	// Width is the memory word width in bits for word-oriented evaluation
 	// (internal/word). 0 or 1 means the classic bit-oriented memory; values
 	// above 1 add word-background expansion to the paths that understand it.
 	// Width is part of the simulation's identity and travels on the wire,
 	// but only when it departs from the bit-oriented default so width-1
 	// requests stay byte-identical to pre-width clients.
-	Width int
+	Width int `json:"width,omitempty"`
 	// Ports is the number of simultaneous access ports for multi-port
 	// evaluation (internal/mport). 0 or 1 means single-port; 2 enables the
 	// two-port weak-fault path. Like Width it travels on the wire only when
 	// it departs from the single-port default.
-	Ports int
+	Ports int `json:"ports,omitempty"`
 
 	// scalar forces the scalar compiled-schedule path for every fault.
 	// Whether the bit-parallel lane engine (lanes.go) runs is otherwise

@@ -91,10 +91,9 @@ func FuzzWordBackgrounds(f *testing.F) {
 			return
 		}
 		faults := TestableIntraWordFaults(width)
-		cfg := Config{Words: 2, Width: width}
 		prev := -1
 		for k := 1; k <= len(bgs); k++ {
-			det, err := Coverage(march.MATSPlus, faults, bgs[:k], cfg)
+			det, err := Coverage(march.MATSPlus, faults, bgs[:k])
 			if err != nil {
 				t.Fatalf("width %d coverage with %d backgrounds: %v", width, k, err)
 			}

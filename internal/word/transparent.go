@@ -69,21 +69,12 @@ func Transparent(t march.Test) (march.Test, error) {
 // the contents the in-field scheduler will encounter across runs; a fault
 // counts as transparently detectable when some representative content
 // sensitizes and observes it.
-func DetectsTransparent(t march.Test, f Fault, bgs []Background, cfg Config) (bool, error) {
-	if err := f.Validate(); err != nil {
+func DetectsTransparent(t march.Test, f Fault, bgs []Background) (bool, error) {
+	if err := checkBackgrounds(f, bgs); err != nil {
 		return false, err
 	}
-	if f.AggBit >= cfg.width() || f.VicBit >= cfg.width() {
-		return false, fmt.Errorf("word: fault bits (%d,%d) exceed width %d", f.AggBit, f.VicBit, cfg.width())
-	}
 	for _, bg := range bgs {
-		if err := bg.Validate(); err != nil {
-			return false, err
-		}
-		if len(bg) != cfg.width() {
-			return false, fmt.Errorf("word: background width %d, memory width %d", len(bg), cfg.width())
-		}
-		d, err := runTransparent(t, f, bg, cfg)
+		d, err := runTransparent(t, f, bg)
 		if err != nil {
 			return false, err
 		}
@@ -98,33 +89,11 @@ func DetectsTransparent(t march.Test, f Fault, bgs []Background, cfg Config) (bo
 // memory content initialized to the background pattern itself: bit i of every
 // word starts at bg[i], exactly the state the dropped initialization element
 // would have produced, except no write ever happens before the first read.
-func runTransparent(t march.Test, f Fault, bg Background, cfg Config) (bool, error) {
-	if err := t.Validate(); err != nil {
-		return false, err
-	}
-	m := newWMemory(cfg.words(), cfg.width())
+func runTransparent(t march.Test, f Fault, bg Background) (bool, error) {
+	m := newWMemory(len(bg))
 	for w := range m.good {
-		for i := range m.good[w] {
-			m.good[w][i] = bg[i]
-			m.faulty[w][i] = bg[i]
-		}
+		copy(m.good[w], bg)
+		copy(m.faulty[w], bg)
 	}
-	for w := range m.faulty {
-		m.settle(f, w)
-	}
-	for _, e := range t.Elems {
-		for _, w := range e.Order.Addresses(cfg.words()) {
-			for _, op := range e.Ops {
-				switch op.Kind {
-				case fp.OpWrite:
-					m.applyWrite(f, bg, w, op.Data)
-				case fp.OpRead:
-					if m.applyRead(f, w) {
-						return true, nil
-					}
-				}
-			}
-		}
-	}
-	return false, nil
+	return m.run(t, f, bg)
 }

@@ -163,27 +163,34 @@ func TestableIntraWordFaults(width int) []Fault {
 	return out
 }
 
-// Config controls the word-level simulation.
-type Config struct {
-	// Words is the number of words; 0 means 2 (intra-word faults are
-	// word-local, so two words suffice to exercise the address loop).
-	Words int
-	// Width is the word width; 0 means 4.
-	Width int
-}
+// words is the number of words the simulated array holds. Intra-word
+// faults are word-local, so two words suffice to exercise the address loop.
+// The word width is the background set's: see checkBackgrounds.
+const words = 2
 
-func (c Config) words() int {
-	if c.Words <= 0 {
-		return 2
+// checkBackgrounds validates a fault against a background set, which fixes
+// the word width: the set must be non-empty, every background fully
+// specified and of one width, and the fault's bits inside that width.
+func checkBackgrounds(f Fault, bgs []Background) error {
+	if err := f.Validate(); err != nil {
+		return err
 	}
-	return c.Words
-}
-
-func (c Config) width() int {
-	if c.Width <= 0 {
-		return 4
+	if len(bgs) == 0 {
+		return fmt.Errorf("word: empty background set")
 	}
-	return c.Width
+	width := len(bgs[0])
+	for _, bg := range bgs {
+		if err := bg.Validate(); err != nil {
+			return err
+		}
+		if len(bg) != width {
+			return fmt.Errorf("word: background widths %d and %d differ", width, len(bg))
+		}
+	}
+	if f.AggBit >= width || f.VicBit >= width {
+		return fmt.Errorf("word: fault bits (%d,%d) exceed width %d", f.AggBit, f.VicBit, width)
+	}
+	return nil
 }
 
 // memory is the faulty/good pair of word arrays.
@@ -191,7 +198,7 @@ type wmemory struct {
 	good, faulty [][]fp.Value // [word][bit]
 }
 
-func newWMemory(words, width int) *wmemory {
+func newWMemory(width int) *wmemory {
 	m := &wmemory{}
 	for w := 0; w < words; w++ {
 		m.good = append(m.good, make([]fp.Value, width))
@@ -270,19 +277,25 @@ func (m *wmemory) settle(f Fault, w int) {
 	}
 }
 
-// runBackground applies the bit-oriented march under one background and
-// reports whether any read detects the fault.
-func runBackground(t march.Test, f Fault, bg Background, cfg Config, init fp.Value) (bool, error) {
+// runBackground applies the bit-oriented march under one background, every
+// bit starting at init, and reports whether any read detects the fault.
+func runBackground(t march.Test, f Fault, bg Background, init fp.Value) (bool, error) {
+	m := newWMemory(len(bg))
+	m.reset(init)
+	return m.run(t, f, bg)
+}
+
+// run applies the march under the background to the memory as it stands
+// and reports whether any read detects the fault.
+func (m *wmemory) run(t march.Test, f Fault, bg Background) (bool, error) {
 	if err := t.Validate(); err != nil {
 		return false, err
 	}
-	m := newWMemory(cfg.words(), cfg.width())
-	m.reset(init)
 	for w := range m.faulty {
 		m.settle(f, w)
 	}
 	for _, e := range t.Elems {
-		for _, w := range e.Order.Addresses(cfg.words()) {
+		for _, w := range e.Order.Addresses(words) {
 			for _, op := range e.Ops {
 				switch op.Kind {
 				case fp.OpWrite:
@@ -300,26 +313,15 @@ func runBackground(t march.Test, f Fault, bg Background, cfg Config, init fp.Val
 
 // Detects reports whether applying the bit-oriented march test under every
 // background in the set detects the intra-word fault, for both uniform
-// initial values.
-func Detects(t march.Test, f Fault, bgs []Background, cfg Config) (bool, error) {
-	if err := f.Validate(); err != nil {
+// initial values, on two words of the backgrounds' width.
+func Detects(t march.Test, f Fault, bgs []Background) (bool, error) {
+	if err := checkBackgrounds(f, bgs); err != nil {
 		return false, err
-	}
-	if f.AggBit >= cfg.width() || f.VicBit >= cfg.width() {
-		return false, fmt.Errorf("word: fault bits (%d,%d) exceed width %d", f.AggBit, f.VicBit, cfg.width())
-	}
-	for _, bg := range bgs {
-		if err := bg.Validate(); err != nil {
-			return false, err
-		}
-		if len(bg) != cfg.width() {
-			return false, fmt.Errorf("word: background width %d, memory width %d", len(bg), cfg.width())
-		}
 	}
 	for _, init := range []fp.Value{fp.V0, fp.V1} {
 		detected := false
 		for _, bg := range bgs {
-			d, err := runBackground(t, f, bg, cfg, init)
+			d, err := runBackground(t, f, bg, init)
 			if err != nil {
 				return false, err
 			}
@@ -337,9 +339,9 @@ func Detects(t march.Test, f Fault, bgs []Background, cfg Config) (bool, error) 
 
 // Coverage counts how many intra-word faults the test detects under the
 // background set.
-func Coverage(t march.Test, faults []Fault, bgs []Background, cfg Config) (detected int, err error) {
+func Coverage(t march.Test, faults []Fault, bgs []Background) (detected int, err error) {
 	for _, f := range faults {
-		d, err := Detects(t, f, bgs, cfg)
+		d, err := Detects(t, f, bgs)
 		if err != nil {
 			return detected, err
 		}

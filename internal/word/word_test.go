@@ -115,19 +115,18 @@ func TestFaultValidate(t *testing.T) {
 // misses intra-word couplings between equal-valued bits; the standard
 // log2(w)+1 set restores full coverage of the march-testable faults.
 func TestBackgroundSetRestoresCoverage(t *testing.T) {
-	cfg := Config{}
-	faults := TestableIntraWordFaults(cfg.width())
-	bgs, err := Backgrounds(cfg.width())
+	faults := TestableIntraWordFaults(4)
+	bgs, err := Backgrounds(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solid := []Background{Solid(cfg.width())}
+	solid := []Background{Solid(4)}
 
-	dSolid, err := Coverage(march.MarchSS, faults, solid, cfg)
+	dSolid, err := Coverage(march.MarchSS, faults, solid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dAll, err := Coverage(march.MarchSS, faults, bgs, cfg)
+	dAll, err := Coverage(march.MarchSS, faults, bgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,19 +147,18 @@ func TestBackgroundSetRestoresCoverage(t *testing.T) {
 // undetectable by word-wide march operations under any background — the
 // sensitizing word write rewrites the victim bit in the same cycle.
 func TestWriteCFdsUnmarchTestable(t *testing.T) {
-	cfg := Config{}
-	bgs, err := Backgrounds(cfg.width())
+	bgs, err := Backgrounds(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checked := 0
-	for _, f := range IntraWordFaults(cfg.width()) {
+	for _, f := range IntraWordFaults(4) {
 		if MarchTestable(f) {
 			continue
 		}
 		checked++
 		for _, m := range []march.Test{march.MATSPlus, march.MarchCMinus, march.MarchSS, march.MarchSL} {
-			det, err := Detects(m, f, bgs, cfg)
+			det, err := Detects(m, f, bgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,13 +174,31 @@ func TestWriteCFdsUnmarchTestable(t *testing.T) {
 
 // Detection is background-order independent and deterministic.
 func TestDetectsValidation(t *testing.T) {
-	cfg := Config{}
 	f := Fault{FP: fp.MustParseFP("<0;1/0/->"), AggBit: 0, VicBit: 5}
-	if _, err := Detects(march.MarchSS, f, []Background{Solid(4)}, cfg); err == nil {
+	if _, err := Detects(march.MarchSS, f, []Background{Solid(4)}); err == nil {
 		t.Error("out-of-width bits must error")
 	}
 	f2 := Fault{FP: fp.MustParseFP("<0;1/0/->"), AggBit: 0, VicBit: 1}
-	if _, err := Detects(march.MarchSS, f2, []Background{Solid(8)}, cfg); err == nil {
+	if _, err := Detects(march.MarchSS, f2, []Background{Solid(4), Solid(8)}); err == nil {
 		t.Error("background/width mismatch must error")
+	}
+}
+
+// The background set fixes the word width, so it must have one: an empty
+// set, or backgrounds of different widths, is an error on both paths.
+func TestBackgroundSetFixesWidth(t *testing.T) {
+	f := Fault{FP: fp.MustParseFP("<0;1/0/->"), AggBit: 0, VicBit: 1}
+	for name, detects := range map[string]func(march.Test, Fault, []Background) (bool, error){
+		"Detects": Detects, "DetectsTransparent": DetectsTransparent,
+	} {
+		if _, err := detects(march.MarchSS, f, nil); err == nil {
+			t.Errorf("%s: an empty background set must error", name)
+		}
+		if _, err := detects(march.MarchSS, f, []Background{Solid(8), Solid(4)}); err == nil {
+			t.Errorf("%s: backgrounds of different widths must error", name)
+		}
+		if _, err := detects(march.MarchSS, f, []Background{Solid(8)}); err != nil {
+			t.Errorf("%s: one 8-bit background: %v", name, err)
+		}
 	}
 }

@@ -340,8 +340,6 @@ type (
 	WordBackground = word.Background
 	// WordFault is an intra-word two-cell fault (aggressor bit, victim bit).
 	WordFault = word.Fault
-	// WordConfig sizes the word-oriented memory model.
-	WordConfig = word.Config
 	// WordResult is Generate's word-oriented evaluation section.
 	WordResult = core.WordResult
 	// MportResult is Generate's two-port evaluation section.
@@ -362,9 +360,11 @@ func WordFaults(width int) []WordFault {
 
 // WordDetects reports whether the march test, applied word-wide under the
 // background set, detects the intra-word fault from both uniform initial
-// values.
-func WordDetects(t March, f WordFault, bgs []WordBackground, cfg WordConfig) (bool, error) {
-	return word.Detects(t, f, bgs, cfg)
+// values. The memory holds two words of the backgrounds' width (intra-word
+// faults are word-local); an empty set, or backgrounds of different widths,
+// is an error.
+func WordDetects(t March, f WordFault, bgs []WordBackground) (bool, error) {
+	return word.Detects(t, f, bgs)
 }
 
 // TransparentMarch derives the transparent in-field variant of a march test
@@ -385,8 +385,8 @@ func EvaluateWord(ctx context.Context, t March, width int, transparent bool) (*W
 }
 
 // EvaluateMport grades a march test on the two-port axis: the weak-fault
-// coverage of its lifted (port B idle) form, plus a dedicated two-port march
-// from the directed constructor. Nil result when ports <= 1.
+// coverage of its lifted (port B idle) form on the 4-cell two-port array,
+// plus the catalog's dedicated two-port march. Nil result when ports <= 1.
 func EvaluateMport(ctx context.Context, t March, ports int) (*MportResult, error) {
 	return core.EvaluateMport(ctx, t, ports)
 }
@@ -445,10 +445,9 @@ func AdaptiveLocalize(target Fault, placement []int, faults []Fault, pool []Marc
 type (
 	// MportTest is a two-port march test in pair notation.
 	MportTest = mport.Test
-	// MportFault is a weak two-port fault (W2RDF/W2DRDF/W2IRF/WCC).
+	// MportFault is a weak two-port fault (W2RDF/W2DRDF/W2IRF/WCC). The
+	// two-port memory model is a fixed 4-cell array.
 	MportFault = mport.Fault
-	// MportConfig sizes the two-port memory model.
-	MportConfig = mport.Config
 )
 
 // MportCatalog returns the modeled weak two-port fault catalog.
